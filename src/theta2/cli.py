@@ -53,10 +53,6 @@ def _modes_for(mode: str) -> list[str]:
     return ["p1", "p2"] if mode == "dual" else [mode]
 
 
-def _fields_for(mode: str) -> list:
-    return [FIELDS[m] for m in _modes_for(mode)]
-
-
 @lru_cache(maxsize=None)
 def _pipeline(mode: str, cache_dir: str | None) -> StructurePipeline:
     return StructurePipeline(FIELDS[mode], cache_dir)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -336,12 +337,6 @@ def _make_row(elem: dict, order: MonomialOrder, field, index: int) -> _Row:
     return _Row(key, enc, comp, tail, index)
 
 
-def _row_element(row: _Row, field) -> dict:
-    elem = {row.key: field.convert(1)}
-    elem.update(row.tail)
-    return elem
-
-
 def _normal_form(elem: dict, rows_by_comp, order: MonomialOrder, field) -> dict:
     """Full tail-reduced remainder of elem modulo the given rows."""
     if not elem:
@@ -540,9 +535,6 @@ class EngineBasis:
 
     def contains(self, elem: dict) -> bool:
         return not self.normal_form(elem)
-
-    def lead_terms(self) -> list[tuple[int, int]]:
-        return sorted((r.enc, c) for c, rs in self._rows_by_comp.items() for r in rs)
 
     def structure(self) -> list[list[tuple[tuple[int, ...], int]]]:
         """Coefficient-free support shape, comparable across coefficient fields."""
@@ -781,7 +773,6 @@ class GroebnerBasis:
     def __init__(self, engine: EngineBasis, shifts: tuple[int, ...]):
         self.engine = engine
         self.shifts = shifts
-        self.reduced = True
 
     @property
     def order(self) -> MonomialOrder:
@@ -914,8 +905,14 @@ def hilbert_series(gb: GroebnerBasis, shifts: Sequence[int] | None = None) -> Hi
 # Disk cache for reduced bases
 # ---------------------------------------------------------------------------
 
+# bump whenever engine output or a stage's derivation could change: the keys
+# cover generators, not code, and entries of older versions are never read
+CACHE_VERSION = 1
+
+
 class BasisCache:
-    """Content-addressed store of reduced bases, keyed by generators+order+field."""
+    """Reduced bases on disk, keyed by tag, own generators, parent keys,
+    order, field and CACHE_VERSION; a key never needs a basis loaded."""
 
     def __init__(self, directory: str | None):
         self.directory = directory
@@ -923,12 +920,15 @@ class BasisCache:
             os.makedirs(directory, exist_ok=True)
 
     @staticmethod
-    def key(tag: str, gens_text: Sequence[str], order: MonomialOrder, field) -> str:
+    def key(tag: str, gens_text: Sequence[str], parents: Sequence[str],
+            order: MonomialOrder, field) -> str:
         blob = json.dumps({
             "tag": tag,
             "gens": sorted(gens_text),
+            "parents": list(parents),
             "order": order.descriptor,
             "field": field.name,
+            "version": CACHE_VERSION,
         }, separators=(",", ":"), default=str)
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -937,23 +937,30 @@ class BasisCache:
 
     def load(self, key: str, order: MonomialOrder, field,
              shifts: tuple[int, ...]) -> GroebnerBasis | None:
+        """The stored basis; None if missing or unparsable (e.g. truncated)."""
         if not self.directory:
             return None
         path = self.path(key)
         if not os.path.exists(path):
             return None
-        with open(path) as fh:
-            payload = json.load(fh)
+        try:
+            with open(path) as fh:
+                lines = json.load(fh)["elements"]
+        except (json.JSONDecodeError, KeyError):
+            return None
         elems = []
-        for line in payload["elements"]:
+        for line in lines:
             me = element_from_text(line, order.nvars, order.rank,
                                    shifts=(1,) * order.rank)
             elems.append(to_engine(me, order, field))
         return GroebnerBasis(EngineBasis(elems, order, field), shifts)
 
     def store(self, key: str, gb: GroebnerBasis) -> None:
+        """Write to a temporary file, then rename: readers never see a partial entry."""
         if not self.directory:
             return
         lines = [element_to_text(e) for e in gb.elements()]
-        with open(self.path(key), "w") as fh:
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
             json.dump({"elements": lines}, fh)
+        os.replace(tmp, self.path(key))

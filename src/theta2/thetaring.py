@@ -29,7 +29,7 @@ from .groebner import (
     MonomialOrder,
     buchberger_engine,
     hilbert_series_engine,
-    intersect_pair_engine,
+    intersect_engine,
     module_quotient_engine,
     to_engine,
 )
@@ -221,6 +221,20 @@ def ideal_times_free() -> list[ModuleElement]:
     return out
 
 
+def kernel_seed_generators() -> list[ModuleElement]:
+    """The three-term relations plus the ideal layer: generators of k0."""
+    return [r.element for r in rel_d()] + ideal_times_free()
+
+
+@lru_cache(maxsize=None)
+def kernel_seed_basis(field) -> EngineBasis:
+    """k0 over one field, built once per process and shared by the oracle
+    and every pipeline over that field."""
+    order = MonomialOrder(NVARS, rank=RANK)
+    gens = [to_engine(g, order, field) for g in kernel_seed_generators()]
+    return EngineBasis(buchberger_engine(gens, order, field), order, field)
+
+
 # ---------------------------------------------------------------------------
 # The multiplication oracle
 # ---------------------------------------------------------------------------
@@ -292,12 +306,7 @@ class RelationOracle:
     def __init__(self, fields: Sequence = (GFP1, GFP2)):
         self.fields = tuple(fields)
         self.order = MonomialOrder(NVARS, rank=RANK)
-        gens = [r.element for r in rel_d()] + ideal_times_free()
-        self._bases = []
-        for f in self.fields:
-            eng = buchberger_engine([to_engine(g, self.order, f) for g in gens],
-                                    self.order, f)
-            self._bases.append(EngineBasis(eng, self.order, f))
+        self._bases = [kernel_seed_basis(f) for f in self.fields]
         self._memo: dict = {}
 
     def _chi5_nf(self, base: EngineBasis, field, term_exps: tuple[int, ...],
@@ -626,10 +635,12 @@ GRADIENT_MODULE_SERIES = HilbertSeries((0, 6, 36, 126, 316, 606, 252, -318, -60,
 class StructurePipeline:
     """Derives the full module structure over one coefficient field.
 
-    Heavy bases are cached on disk (content-addressed) when a cache
-    directory is supplied.  All results are deterministic for a fixed field;
-    pipelines over different fields are independent and may run in parallel
-    processes sharing one cache directory.
+    The stages form one derivation graph: k0 -> total_kernel -> fifteen
+    m_pair -> chi5_m; gradient_span and generated also extend total_kernel,
+    and catalog_span stands alone.  A stage's disk-cache key comes from its
+    tag, its own generators and its parents' keys, never from their bases.
+    Pipelines over different fields may run in parallel processes sharing
+    one cache directory.
     """
 
     def __init__(self, field=GFP1, cache_dir: str | None = None,
@@ -639,6 +650,7 @@ class StructurePipeline:
         self.cache = BasisCache(cache_dir)
         self._oracle = oracle
         self._store: dict = {}
+        self._keys: dict = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -647,12 +659,16 @@ class StructurePipeline:
             self._oracle = default_oracle()
         return self._oracle
 
-    def _cached_basis(self, tag: str, gens: list[ModuleElement] | list[str],
-                      build) -> GroebnerBasis:
+    def _key(self, tag: str, gens: Sequence[ModuleElement],
+             parents: Sequence[str] = ()) -> str:
+        if tag not in self._keys:
+            self._keys[tag] = BasisCache.key(
+                tag, [element_to_text(g) for g in gens], parents, self.order, self.field)
+        return self._keys[tag]
+
+    def _cached_basis(self, tag: str, key: str, build) -> GroebnerBasis:
         if tag in self._store:
             return self._store[tag]
-        texts = [g if isinstance(g, str) else element_to_text(g) for g in gens]
-        key = BasisCache.key(tag, texts, self.order, self.field)
         hit = self.cache.load(key, self.order, self.field, SHIFTS)
         if hit is None:
             elements = build()
@@ -661,11 +677,18 @@ class StructurePipeline:
         self._store[tag] = hit
         return hit
 
-    def _kernel_key_texts(self) -> list[str]:
-        if "kernel_texts" not in self._store:
-            self._store["kernel_texts"] = [
-                element_to_text(e) for e in self.total_kernel().elements()]
-        return self._store["kernel_texts"]
+    def _kernel_key(self) -> str:
+        return self._key("total_kernel", kernel_seed_generators())
+
+    def _extension_key(self, tag: str, gens: list[ModuleElement]) -> str:
+        return self._key(tag, gens, [self._kernel_key()])
+
+    def _extend_kernel(self, tag: str, gens: list[ModuleElement]) -> GroebnerBasis:
+        """Basis of gens plus the kernel."""
+        return self._cached_basis(
+            tag, self._extension_key(tag, gens),
+            lambda: buchberger_engine(self._engine(gens), self.order, self.field,
+                                      seed=self.total_kernel().engine.elements))
 
     def _engine(self, elems: Sequence[ModuleElement]) -> list[dict]:
         return [to_engine(e, self.order, self.field) for e in elems]
@@ -674,24 +697,20 @@ class StructurePipeline:
 
     def kernel_seed(self) -> GroebnerBasis:
         """Basis of the three-term module plus the ideal layer."""
-        gens = [r.element for r in rel_d()] + ideal_times_free()
-        return self._cached_basis(
-            "k0", gens, lambda: buchberger_engine(self._engine(gens), self.order, self.field))
+        return GroebnerBasis(kernel_seed_basis(self.field), SHIFTS)
 
     def total_kernel(self) -> GroebnerBasis:
         """The full relation module: colon of the seed by the theta product."""
-        seed = self.kernel_seed()
-        gens = [r.element for r in rel_d()] + ideal_times_free()
         return self._cached_basis(
-            "total_kernel", gens,
-            lambda: module_quotient_engine(seed.engine.elements, CHI5_EXPS,
+            "total_kernel", self._kernel_key(),
+            lambda: module_quotient_engine(self.kernel_seed().engine.elements, CHI5_EXPS,
                                            self.order, self.field))
 
     def catalog_span(self) -> GroebnerBasis:
         """Span of the 122 catalog relations plus the ideal layer."""
         gens = [r.element for r in all_relations(self.oracle())] + ideal_times_free()
         return self._cached_basis(
-            "catalog_span", gens,
+            "catalog_span", self._key("catalog_span", gens),
             lambda: buchberger_engine(self._engine(gens), self.order, self.field))
 
     def completeness_check(self) -> bool:
@@ -702,51 +721,33 @@ class StructurePipeline:
         quad = set(d_entry(i, j).quadruple)
         return _exps([k for k in range(1, 11) if k not in quad])
 
+    def _pair_generators(self, i: int, j: int) -> list[ModuleElement]:
+        P = GradedPoly.monomial(NVARS, self.complement_product(i, j))
+        return [ModuleElement.generator(NVARS, RANK, idx - 1, shifts=SHIFTS, coeff=P)
+                for idx in (i, j)]
+
     def m_pair(self, i: int, j: int) -> GroebnerBasis:
         """Lift of the localized two-generator module: P T_i, P T_j, kernel."""
         if not 1 <= i < j <= 6:
             raise ValueError("need odd labels i < j")
-        P = self.complement_product(i, j)
-        extra = [ModuleElement.generator(NVARS, RANK, idx - 1, shifts=SHIFTS,
-                                         coeff=GradedPoly.monomial(NVARS, P))
-                 for idx in (i, j)]
-        kernel = self.total_kernel()
-        key = [element_to_text(e) for e in extra] + self._kernel_key_texts()
-        return self._cached_basis(
-            f"m_pair_{i}_{j}", key,
-            lambda: buchberger_engine(self._engine(extra), self.order, self.field,
-                                      seed=kernel.engine.elements))
+        return self._extend_kernel(f"m_pair_{i}_{j}", self._pair_generators(i, j))
 
     def chi5_m(self) -> GroebnerBasis:
         """Intersection of the fifteen localized modules."""
         pairs = list(itertools.combinations(range(1, 7), 2))
-        key_gens = [element_to_text(ModuleElement.generator(
-            NVARS, RANK, idx - 1, shifts=SHIFTS,
-            coeff=GradedPoly.monomial(NVARS, self.complement_product(i, j))))
-            for (i, j) in pairs for idx in (i, j)]
+        parents = [self._extension_key(f"m_pair_{i}_{j}", self._pair_generators(i, j))
+                   for i, j in pairs]
         return self._cached_basis(
-            "chi5_m", key_gens + self._kernel_key_texts(),
-            lambda: self._intersect_all(
-                [self.m_pair(i, j).engine.elements for i, j in pairs]))
-
-    def _intersect_all(self, mods: list[list[dict]]) -> list[dict]:
-        work = sorted(mods, key=len)
-        cur = work[0]
-        for nxt in work[1:]:
-            cur = intersect_pair_engine(cur, nxt, self.order, self.field)
-        return cur
+            "chi5_m", self._key("chi5_m", [], parents),
+            lambda: intersect_engine([self.m_pair(i, j).engine.elements for i, j in pairs],
+                                     self.order, self.field))
 
     def gradient_span(self) -> GroebnerBasis:
         """chi5-scaled gradients plus the kernel: the lift of the inner module."""
         chi5 = GradedPoly.monomial(NVARS, CHI5_EXPS)
-        gens = [ModuleElement.generator(NVARS, RANK, i, shifts=SHIFTS, coeff=chi5)
-                for i in range(6)]
-        kernel = self.total_kernel()
-        key = [element_to_text(e) for e in gens] + self._kernel_key_texts()
-        return self._cached_basis(
-            "gradient_span", key,
-            lambda: buchberger_engine(self._engine(gens), self.order, self.field,
-                                      seed=kernel.engine.elements))
+        return self._extend_kernel("gradient_span", [
+            ModuleElement.generator(NVARS, RANK, i, shifts=SHIFTS, coeff=chi5)
+            for i in range(6)])
 
     # -- the orbit -----------------------------------------------------------
 
@@ -825,12 +826,7 @@ class StructurePipeline:
         gens = [ModuleElement.generator(NVARS, RANK, i, shifts=SHIFTS, coeff=chi5)
                 for i in range(6)]
         gens += [clear_denominator(e, CHI5_EXPS) for e in self.orbit_extr_h()]
-        kernel = self.total_kernel()
-        key = [element_to_text(e) for e in gens] + self._kernel_key_texts()
-        return self._cached_basis(
-            "generated", key,
-            lambda: buchberger_engine(self._engine(gens), self.order, self.field,
-                                      seed=kernel.engine.elements))
+        return self._extend_kernel("generated", gens)
 
     # -- series and the main check --------------------------------------------
 
@@ -864,11 +860,6 @@ class StructurePipeline:
                 "generated": gen.structure_fingerprint(),
             },
         )
-
-
-def dual_prime_pipelines(cache_dir: str | None = None
-                         ) -> tuple[StructurePipeline, StructurePipeline]:
-    return StructurePipeline(GFP1, cache_dir), StructurePipeline(GFP2, cache_dir)
 
 
 # ---------------------------------------------------------------------------

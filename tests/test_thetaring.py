@@ -5,7 +5,15 @@ import pytest
 
 from theta2 import chars
 from theta2.errors import DerivationError
-from theta2.groebner import GFP1, QQ, MonomialOrder, buchberger_engine, to_engine
+from theta2 import groebner
+from theta2.groebner import (
+    GFP1,
+    QQ,
+    BasisCache,
+    MonomialOrder,
+    buchberger_engine,
+    to_engine,
+)
 from theta2.numerics import EvalConfig, relation_residual, sample_siegel
 from theta2.symbolic import (
     GradedPoly,
@@ -20,6 +28,8 @@ from theta2.thetaring import (
     NVARS,
     SHIFTS,
     DTableEntry,
+    RelationOracle,
+    StructurePipeline,
     catalog_json,
     d_entry,
     d_table,
@@ -283,6 +293,40 @@ def test_m_pair_membership(pipe_p1):
         coeff=GradedPoly.monomial(NVARS, pipe_p1.complement_product(1, 2)))
     assert mp.contains(p12t1)
     assert not pipe_p1.m_pair(3, 4).contains(p12t1)
+
+
+def test_kernel_seed_shared_with_oracle():
+    assert RelationOracle((GFP1,))._bases[0] is StructurePipeline(GFP1).kernel_seed().engine
+
+
+def _counting_loads(monkeypatch, serve=None):
+    """Record the key of every BasisCache.load; serve a fixed basis if given."""
+    keys = []
+    real = BasisCache.load
+
+    def load(self, key, *args):
+        keys.append(key)
+        return serve if serve is not None else real(self, key, *args)
+
+    monkeypatch.setattr(BasisCache, "load", load)
+    return keys
+
+
+def test_m_pair_warm_is_one_load(pipe_p1, cache_dir, monkeypatch):
+    # the key derives from the kernel's key, so the kernel is never loaded
+    warm = pipe_p1.m_pair(1, 2)
+    keys = _counting_loads(monkeypatch)
+    fresh = StructurePipeline(GFP1, cache_dir)
+    assert fresh.m_pair(1, 2).same_module(warm)
+    assert len(keys) == 1
+
+
+def test_cache_version_changes_m_pair_key(pipe_p1, monkeypatch):
+    keys = _counting_loads(monkeypatch, serve=pipe_p1.m_pair(1, 2))
+    StructurePipeline(GFP1).m_pair(1, 2)
+    monkeypatch.setattr(groebner, "CACHE_VERSION", groebner.CACHE_VERSION + 1)
+    StructurePipeline(GFP1).m_pair(1, 2)
+    assert len(keys) == 2 and keys[0] != keys[1]
 
 
 def test_chi5_m_membership_and_series(pipe_p1):
