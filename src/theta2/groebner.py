@@ -15,6 +15,14 @@ lead-term modules.
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
 either over the rationals or over two distinct primes.
+
+Block invariant.  Each ring-variable block of a packed monomial holds
+C - e with 0 <= e < C = 64, so its value lies in 1..C and the guard bit
+(the top bit of the block) stays free; tag blocks hold e itself, also
+below 64; the degree field holds the total ring degree, at most 255.  The
+guard-bit subtractions of divisibility and lcm rely on this.  Inputs are
+checked when encoded, and the engine raises DerivationError before it
+forms a term product or a pair lcm that would leave these ranges.
 """
 
 from __future__ import annotations
@@ -23,11 +31,14 @@ import hashlib
 import json
 import os
 import tempfile
+from bisect import insort
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Iterable, Sequence
 
+from .errors import DerivationError
 from .symbolic import (
     GradedPoly,
     HilbertSeries,
@@ -163,6 +174,12 @@ class MonomialOrder:
         self._gx = sum(_GUARD << (_B * j) for j in range(k))
         self._gt = sum(_GUARD << s for s in self._tag_shift)
         self._tmask = sum(_BMASK << s for s in self._tag_shift)
+        self._ones = sum(1 << (_B * j) for j in range(k))
+        self._tmax = sum((_C - 1) << s for s in self._tag_shift)
+        self._dlow = (1 << (self._deg_shift + _B)) - 1   # ring blocks and degree
+        # guard bits plus everything above the degree field
+        self._hmask = self._gx | ~self._dlow
+        self._gall = self._gx | self._gt
         self.one = self.offset
         self.descriptor = (nvars, rank, self.varseq, ntags, style, fblock)
 
@@ -207,22 +224,38 @@ class MonomialOrder:
     def mono_mul(self, a: int, b: int) -> int:
         return a + b - self.offset
 
+    def divisor_word(self, a: int) -> int:
+        """Divisor side of the one-subtraction divisibility test: ring blocks
+        C - e and tag blocks C - 1 - e, each with its guard bit set."""
+        return (a & self._xmask) | (self._gt + self._tmax - (a & self._tmask)) | self._gx
+
+    def target_word(self, b: int) -> int:
+        """Target side: a divides b iff (divisor_word(a) - target_word(b))
+        keeps every guard bit, i.e. has all the bits of _gall."""
+        return (b & self._xmask) | (self._tmax - (b & self._tmask))
+
     def mono_divides(self, a: int, b: int) -> bool:
         """True when monomial a divides monomial b."""
+        return (self.divisor_word(a) - self.target_word(b)) & self._gall == self._gall
+
+    def mono_lcm(self, a: int, b: int) -> int:
+        """Least common multiple: blockwise minimum of the stored C - e
+        blocks, blockwise maximum of the tag blocks, degree recomputed."""
         xa = a & self._xmask
         xb = b & self._xmask
-        if ((xa | self._gx) - xb) & self._gx != self._gx:
-            return False
+        # guard bit survives where xa >= xb; d - (d >> 7) widens it to a block mask
+        d = ((xa | self._gx) - xb) & self._gx
+        x = xa ^ ((xa ^ xb) & (d - (d >> 7)))
+        deg = self.nvars * _C - sum(x.to_bytes(self.nvars, "little"))
+        if deg > _BMASK:
+            raise DerivationError(f"lcm of degree {deg} is out of packing range")
+        x |= deg << self._deg_shift
         if self.ntags:
             ta = a & self._tmask
             tb = b & self._tmask
-            return ((tb | self._gt) - ta) & self._gt == self._gt
-        return True
-
-    def mono_lcm(self, a: int, b: int) -> int:
-        ea = self.decode_mono(a)
-        eb = self.decode_mono(b)
-        return self.encode_mono(tuple(max(x, y) for x, y in zip(ea, eb)))
+            d = ((ta | self._gt) - tb) & self._gt
+            x |= tb ^ ((ta ^ tb) & (d - (d >> 7)))
+        return x
 
     # -- module term keys ------------------------------------------------------
 
@@ -318,14 +351,29 @@ def from_engine(elem: dict, order: MonomialOrder, field,
 
 
 class _Row:
-    __slots__ = ("key", "enc", "comp", "tail", "index")
+    """A monic row plus the words of the engine's inline tests.
 
-    def __init__(self, key, enc, comp, tail, index):
+    dw is the lead's divisor word for the one-subtraction divisibility
+    test (MonomialOrder.divisor_word).  room holds the row's blockwise
+    exponent maximum over all its terms and its top term degree, troom its
+    tag maximum, each offset so that one guard-bit test against a target
+    monomial shows whether row * (target / lead) stays in packing range
+    (see _check_room).
+    """
+    __slots__ = ("key", "enc", "comp", "tail", "index", "dw", "room", "troom")
+
+    def __init__(self, key, enc, comp, tail, index, dw, room, troom):
         self.key = key
         self.enc = enc
         self.comp = comp
         self.tail = tail
         self.index = index
+        self.dw = dw
+        self.room = room
+        self.troom = troom
+
+
+_row_key = attrgetter("key")
 
 
 def _make_row(elem: dict, order: MonomialOrder, field, index: int) -> _Row:
@@ -333,8 +381,45 @@ def _make_row(elem: dict, order: MonomialOrder, field, index: int) -> _Row:
     inv = field.inv(elem[key])
     items = sorted(elem.items(), reverse=True)
     tail = [(k, field.normalize(field.mul(inv, c))) for k, c in items[1:]]
-    enc, comp = order.split_key(key)
-    return _Row(key, enc, comp, tail, index)
+    split = order.split_key
+    enc, comp = split(key)
+    xmask, gx, tmask, gt = order._xmask, order._gx, order._tmask, order._gt
+    dshift = order._deg_shift
+    # blockwise exponent maximum over all terms: minimum of the stored
+    # C - e blocks, maximum of the tag blocks; and the top term degree
+    lo = enc & xmask
+    hi = enc & tmask
+    dmax = (enc >> dshift) & _BMASK
+    for k, _ in tail:
+        e = split(k)[0]
+        x = e & xmask
+        d = ((lo | gx) - x) & gx
+        lo ^= (lo ^ x) & (d - (d >> 7))
+        if hi != e & tmask:
+            t = e & tmask
+            d = ((hi | gt) - t) & gt
+            hi = t ^ ((hi ^ t) & (d - (d >> 7)))
+        dmax = max(dmax, (e >> dshift) & _BMASK)
+    # room + target (ring blocks and degree) holds, per block, a guard bit
+    # plus C - 1 - (max exponent + multiplier exponent), and above them
+    # top degree + multiplier degree: in range iff every guard bit is kept
+    # and nothing spills past the degree field.  troom - target does the
+    # same for the tag blocks, which store e.
+    room = (((lo - order._ones) | gx) - (enc & order._dlow)
+            + (dmax << dshift))
+    troom = gt + order._tmax - hi + (enc & tmask)
+    return _Row(key, enc, comp, tail, index, order.divisor_word(enc), room, troom)
+
+
+def _check_room(row: _Row, target: int, order: MonomialOrder) -> None:
+    """Raise unless row * (target / lead) keeps every exponent below C and
+    every degree at most 255; the lead must divide target."""
+    if (((row.room + (target & order._dlow)) & order._hmask) != order._gx
+            or (order.ntags
+                and ((row.troom - (target & order._tmask)) & order._gt) != order._gt)):
+        raise DerivationError(
+            f"product of a row and {order.decode_mono(target)} / "
+            f"{order.decode_mono(row.enc)} leaves the packing range")
 
 
 def _normal_form(elem: dict, rows_by_comp, order: MonomialOrder, field) -> dict:
@@ -342,12 +427,10 @@ def _normal_form(elem: dict, rows_by_comp, order: MonomialOrder, field) -> dict:
     if not elem:
         return {}
     split = order.split_key
-    divides = order.mono_divides
-    kdelta = order.key_mul_delta
+    xmask, tmask, tmax, gall = order._xmask, order._tmask, order._tmax, order._gall
     normalize = field.normalize
     mul = field.mul
     neg = field.neg
-    offset = order.offset
     out: dict = {}
     heap = [(-k, c) for k, c in elem.items()]
     heapify(heap)
@@ -361,14 +444,20 @@ def _normal_form(elem: dict, rows_by_comp, order: MonomialOrder, field) -> dict:
         key = -nk
         enc, comp = split(key)
         row = None
+        # first divisor in key order; tw is order.target_word(enc), inline
+        tw = (enc & xmask) | (tmax - (enc & tmask))
         for r in rows_by_comp.get(comp, ()):
-            if divides(r.enc, enc):
+            if r.key > key:         # a lead above the term cannot divide it
+                break
+            if ((r.dw - tw) & gall) == gall:
                 row = r
                 break
         if row is None:
             out[key] = c
             continue
-        delta = kdelta(enc - row.enc + offset)
+        _check_room(row, enc, order)
+        # same component, so the key difference is the multiplier's key delta
+        delta = key - row.key
         nc = neg(c)
         for tk, tc in row.tail:
             heappush(heap, (-(tk + delta), mul(nc, tc)))
@@ -377,6 +466,8 @@ def _normal_form(elem: dict, rows_by_comp, order: MonomialOrder, field) -> dict:
 
 def _spoly(ri: _Row, rj: _Row, lcm_enc: int, order: MonomialOrder, field) -> dict:
     """S-element of two monic rows with equal lead component."""
+    _check_room(ri, lcm_enc, order)
+    _check_room(rj, lcm_enc, order)
     di = order.key_mul_delta(lcm_enc - ri.enc + order.offset)
     dj = order.key_mul_delta(lcm_enc - rj.enc + order.offset)
     out: dict = {}
@@ -399,50 +490,66 @@ def _spoly(ri: _Row, rj: _Row, lcm_enc: int, order: MonomialOrder, field) -> dic
 _VERBOSE = bool(os.environ.get("THETA2_GB_VERBOSE"))
 
 
-def _update_pairs(rows, pairs, new: _Row, order: MonomialOrder):
+def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
+                  order: MonomialOrder) -> None:
+    """Gebauer-Moeller update of the pair queue for a newly inserted row.
+
+    Three rules prune pairs (Gebauer & Moeller 1988).  B: a pending pair
+    (i, j) dies when lead(new) divides its lcm and neither lcm(i, new) nor
+    lcm(j, new) equals that lcm.  M: a new pair dies when its lcm is
+    properly divided by the lcm of an earlier surviving new pair.  F: among
+    new pairs with equal lcm only the first survives.  For ideals the
+    product criterion also drops new pairs whose leads are coprime.
+
+    queue is (heap, live, pending).  The heap orders (lcm, i, j) entries;
+    live holds the entries neither reduced nor pruned; pending groups the
+    pending pairs by lead component, so B scans only new's component.  A
+    pruned entry stays in the heap and is skipped when it is popped.
+    """
+    heap, live, pending = queue
     lcm = order.mono_lcm
-    mul = order.mono_mul
-    divides = order.mono_divides
-    t = new.index
+    xmask, tmask, tmax, gall = order._xmask, order._tmask, order._tmax, order._gall
+    nenc, ndw = new.enc, new.dw
+    group = pending[new.comp]
     keep = []
-    for entry in pairs:
+    # B rule; the divisibility tests below inline order.target_word
+    for entry in group:
+        if entry not in live:
+            continue
         lk, i, j = entry
-        if (rows[i].comp == new.comp and divides(new.enc, lk)
-                and lcm(rows[i].enc, new.enc) != lk
-                and lcm(rows[j].enc, new.enc) != lk):
-            continue
-        keep.append(entry)
-    pairs[:] = keep
-    heapify(pairs)
-    cand: dict[int, int] = {}
-    for r in rows[:-1]:
-        if r.comp == new.comp:
-            cand[r.index] = lcm(r.enc, new.enc)
-    drop: set[int] = set()
-    items = sorted(cand.items(), key=lambda kv: (kv[1], kv[0]))
-    # M rule: drop lcms strictly divided by an earlier one
-    for a, (i, li) in enumerate(items):
-        for j, lj in items[:a]:
-            if j not in drop and lj != li and divides(lj, li):
-                drop.add(i)
-                break
-    # F rule: a single representative among equal lcms
-    seen: dict[int, int] = {}
-    for i, li in items:
-        if i in drop:
-            continue
-        if li in seen:
-            drop.add(i)
+        if (((ndw - ((lk & xmask) | (tmax - (lk & tmask)))) & gall) == gall
+                and lcm(rows[i].enc, nenc) != lk
+                and lcm(rows[j].enc, nenc) != lk):
+            live.remove(entry)
         else:
-            seen[li] = i
-    # product criterion, valid for ideals only
-    if order.rank == 1:
-        for i, li in items:
-            if i not in drop and li == mul(rows[i].enc, new.enc):
-                drop.add(i)
-    for i, li in items:
-        if i not in drop:
-            heappush(pairs, (li, i, t))
+            keep.append(entry)
+    group[:] = keep
+    items = sorted((lcm(r.enc, nenc), r.index) for r in bucket if r is not new)
+    # M rule: drop lcms properly divided by an earlier surviving one
+    kept: list[tuple[int, int]] = []       # (divisor word, lcm)
+    survivors = []
+    for li, i in items:
+        tw = (li & xmask) | (tmax - (li & tmask))
+        for dw, lj in kept:
+            if ((dw - tw) & gall) == gall and lj != li:
+                break
+        else:
+            kept.append((order.divisor_word(li), li))
+            survivors.append((li, i))
+    # F rule: a single representative among equal lcms
+    seen: set[int] = set()
+    product = order.rank == 1      # product criterion, valid for ideals only
+    t = new.index
+    for li, i in survivors:
+        if li in seen:
+            continue
+        seen.add(li)
+        if product and li == order.mono_mul(rows[i].enc, nenc):
+            continue
+        entry = (li, i, t)
+        heappush(heap, entry)
+        live.add(entry)
+        group.append(entry)
 
 
 def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
@@ -455,59 +562,65 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
     """
     rows: list[_Row] = []
     rows_by_comp: dict[int, list[_Row]] = defaultdict(list)
-    pairs: list[tuple[int, int, int]] = []
+    heap: list[tuple[int, int, int]] = []
+    live: set[tuple[int, int, int]] = set()
+    queue = (heap, live, defaultdict(list))
 
     def insert(elem: dict, update: bool) -> None:
         row = _make_row(elem, order, field, len(rows))
         rows.append(row)
         bucket = rows_by_comp[row.comp]
-        bucket.append(row)
-        bucket.sort(key=lambda r: r.key)
+        insort(bucket, row, key=_row_key)
         if update:
-            _update_pairs(rows, pairs, row, order)
+            _update_pairs(rows, bucket, queue, row, order)
 
     if seed:
         for elem in seed:
             if elem:
                 insert(elem, update=False)
-    queue = sorted((e for e in gens if e), key=max)
-    for elem in queue:
+    for elem in sorted((e for e in gens if e), key=max):
         red = _normal_form(elem, rows_by_comp, order, field)
         if red:
             insert(red, update=True)
 
     done = 0
-    while pairs:
-        lk, i, j = heappop(pairs)
+    while heap:
+        entry = heappop(heap)
+        if entry not in live:
+            continue
+        live.remove(entry)
+        lk, i, j = entry
         red = _normal_form(_spoly(rows[i], rows[j], lk, order, field),
                            rows_by_comp, order, field)
         done += 1
         if red:
             insert(red, update=True)
         if _VERBOSE and done % 500 == 0:
-            print(f"    [gb] pairs {done}, queued {len(pairs)}, rows {len(rows)}",
+            print(f"    [gb] pairs {done}, queued {len(live)}, rows {len(rows)}",
                   flush=True)
 
     return _interreduce(rows, order, field)
 
 
 def _interreduce(rows: list[_Row], order: MonomialOrder, field) -> list[dict]:
-    """Drop redundant leads, tail-reduce the survivors, sort by lead key."""
-    minimal: list[_Row] = []
-    for row in sorted(rows, key=lambda r: r.key):
-        if not any(r.comp == row.comp and order.mono_divides(r.enc, row.enc)
-                   for r in minimal):
-            minimal.append(row)
-    by_comp: dict[int, list[_Row]] = defaultdict(list)
-    for r in minimal:
-        by_comp[r.comp].append(r)
+    """Drop redundant leads, tail-reduce the survivors, sort by lead key.
+
+    A lead never divides a term below it, so each row's own entry in the
+    minimal rows cannot reduce its tail and need not be left out."""
+    gall = order._gall
+    minimal: dict[int, list[_Row]] = defaultdict(list)
+    for row in sorted(rows, key=_row_key):
+        tw = order.target_word(row.enc)
+        group = minimal[row.comp]
+        if not any(((r.dw - tw) & gall) == gall for r in group):
+            group.append(row)
     out = []
-    for row in minimal:
-        others = {c: [r for r in rs if r is not row] for c, rs in by_comp.items()}
-        tail = _normal_form(dict(row.tail), others, order, field)
-        red = {row.key: field.convert(1)}
-        red.update(tail)
-        out.append(red)
+    one = field.convert(1)
+    for group in minimal.values():
+        for row in group:
+            red = {row.key: one}
+            red.update(_normal_form(dict(row.tail), minimal, order, field))
+            out.append(red)
     out.sort(key=max)
     return out
 
@@ -684,29 +797,28 @@ def _minimalize_monos(gens: set[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
-def _hilbert_numerator(gens: tuple[tuple[int, ...], ...], memo: dict) -> dict[int, int]:
-    """Numerator of HS(R/I) over (1-t)^nvars for a monomial ideal I."""
+def _hilbert_leaf(gens: tuple[tuple[int, ...], ...]) -> dict[int, int] | None:
+    """Numerator of a monomial ideal that needs no pivot split, else None."""
     if not gens:
         return {0: 1}
-    key = gens
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     if any(sum(g) == 0 for g in gens):
-        memo[key] = {}
         return {}
+    if not all(sum(1 for x in g if x) == 1 for g in gens):
+        return None
     # pure power products multiply out directly
-    if all(sum(1 for x in g if x) == 1 for g in gens):
-        out = {0: 1}
-        for g in gens:
-            d = sum(g)
-            nxt: dict[int, int] = {}
-            for i, c in out.items():
-                nxt[i] = nxt.get(i, 0) + c
-                nxt[i + d] = nxt.get(i + d, 0) - c
-            out = {i: c for i, c in nxt.items() if c}
-        memo[key] = out
-        return out
+    out = {0: 1}
+    for g in gens:
+        d = sum(g)
+        nxt: dict[int, int] = {}
+        for i, c in out.items():
+            nxt[i] = nxt.get(i, 0) + c
+            nxt[i + d] = nxt.get(i + d, 0) - c
+        out = {i: c for i, c in nxt.items() if c}
+    return out
+
+
+def _hilbert_split(gens: tuple[tuple[int, ...], ...]):
+    """I + (x_p) and I : x_p for the pivot variable x_p."""
     # pivot must occur in a mixed generator, else both branches can stall
     counts: dict[int, int] = defaultdict(int)
     for g in gens:
@@ -719,17 +831,44 @@ def _hilbert_numerator(gens: tuple[tuple[int, ...], ...], memo: dict) -> dict[in
     plus = _minimalize_monos({g for g in gens if g[pivot] == 0} | {pv})
     colon = _minimalize_monos(
         {tuple(e - 1 if v == pivot and e else e for v, e in enumerate(g)) for g in gens})
-    h_plus = _hilbert_numerator(plus, memo)
-    h_colon = _hilbert_numerator(colon, memo)
-    out = dict(h_plus)
-    for i, c in h_colon.items():
-        v = out.get(i + 1, 0) + c
-        if v:
-            out[i + 1] = v
-        else:
-            out.pop(i + 1, None)
-    memo[key] = out
-    return out
+    return plus, colon
+
+
+def _hilbert_numerator(gens: tuple[tuple[int, ...], ...], memo: dict) -> dict[int, int]:
+    """Numerator of HS(R/I) over (1-t)^nvars for a monomial ideal I.
+
+    HN(I) = HN(I + x_p) + t HN(I : x_p) for a pivot x_p (Bigatti 1997),
+    evaluated over an explicit stack so that a deep split chain needs no
+    interpreter recursion."""
+    splits: dict = {}
+    stack = [gens]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+            continue
+        leaf = _hilbert_leaf(cur)
+        if leaf is not None:
+            memo[cur] = leaf
+            stack.pop()
+            continue
+        if cur not in splits:
+            splits[cur] = _hilbert_split(cur)
+        plus, colon = splits[cur]
+        todo = [g for g in (colon, plus) if g not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        out = dict(memo[plus])
+        for i, c in memo[colon].items():
+            v = out.get(i + 1, 0) + c
+            if v:
+                out[i + 1] = v
+            else:
+                out.pop(i + 1, None)
+        memo[cur] = out
+        stack.pop()
+    return memo[gens]
 
 
 def hilbert_series_engine(basis: list[dict], order: MonomialOrder,
@@ -745,20 +884,12 @@ def hilbert_series_engine(basis: list[dict], order: MonomialOrder,
     for e in basis:
         enc, comp = order.split_key(max(e))
         per_comp[comp].add(order.decode_mono(enc))
-    import sys
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 100000))
-    try:
-        memo: dict = {}
-        total: dict[int, int] = defaultdict(int)
-        for comp in range(order.rank):
-            gens = _minimalize_monos(per_comp.get(comp, set()))
-            num = _hilbert_numerator(gens, memo)
-            s = shifts[comp]
-            for i, c in num.items():
-                total[i + s] += c
-    finally:
-        sys.setrecursionlimit(limit)
+    memo: dict = {}
+    total: dict[int, int] = defaultdict(int)
+    for comp in range(order.rank):
+        gens = _minimalize_monos(per_comp.get(comp, set()))
+        for i, c in _hilbert_numerator(gens, memo).items():
+            total[i + shifts[comp]] += c
     return HilbertSeries.from_coeffs({i: c for i, c in total.items() if c},
                                      denom_exp=order.nvars)
 

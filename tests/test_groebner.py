@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta2 import groebner as gb
+from theta2.errors import DerivationError
 from theta2.groebner import (
     GFP1,
     GFP2,
@@ -17,13 +19,14 @@ from theta2.groebner import (
     buchberger,
     buchberger_engine,
     hilbert_series,
+    hilbert_series_engine,
     intersect,
     kernel_of_presentation_map,
     module_quotient,
     normal_form,
     to_engine,
 )
-from theta2.symbolic import GradedPoly, ModuleElement, poly_to_text
+from theta2.symbolic import GradedPoly, HilbertSeries, ModuleElement, poly_to_text
 
 
 def V(n, i):
@@ -388,3 +391,104 @@ def test_grevlex_tie_break_matches_definition():
     xz = order.encode_mono((1, 0, 1))
     zz = order.encode_mono((0, 0, 2))
     assert xy > xz > zz
+
+
+def _monomial_ideal_terms(basis):
+    return sorted(sorted(e.components[0].terms.items()) for e in basis.elements())
+
+
+def _power_pair(n):
+    # x^n + y^n, x*y^n: the S-polynomial is y^(2n)
+    return [GradedPoly(2, {(n, 0): Fraction(1), (0, n): Fraction(1)}),
+            GradedPoly.monomial(2, (1, n))]
+
+
+@pytest.mark.parametrize("field", [QQ, GFP1], ids=["q", "p1"])
+@pytest.mark.parametrize("n", [32, 40])
+def test_exponent_overflow_raises(n, field):
+    # y^64 and y^80 do not fit a packed block; the engine must not wrap them
+    with pytest.raises(DerivationError):
+        buchberger(_power_pair(n), field=field)
+
+
+def test_largest_packable_power_pair_matches_sympy():
+    gens = _power_pair(31)
+    assert _monomial_ideal_terms(buchberger(gens)) == _sympy_basis(gens, 2)
+
+
+def test_degree_80_ideal_matches_sympy():
+    # products above degree 64 are fine while every exponent stays below 64
+    gens = [GradedPoly.monomial(2, (40, 30)), GradedPoly.monomial(2, (30, 40))]
+    assert _monomial_ideal_terms(buchberger(gens)) == _sympy_basis(gens, 2)
+
+
+_EXPONENT = st.one_of(st.sampled_from([0, 63]), st.integers(0, 63))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_lcm_is_exponentwise_max(data):
+    ntags = data.draw(st.sampled_from([0, 1]))
+    order = MonomialOrder(4, rank=data.draw(st.sampled_from([1, 6])), ntags=ntags,
+                          varseq=data.draw(st.sampled_from([None, (2, 3, 0, 1)])))
+    a, b = (tuple(data.draw(_EXPONENT) for _ in range(4 + ntags)) for _ in range(2))
+    top = tuple(max(x, y) for x, y in zip(a, b))
+    ea, eb = order.encode_mono(a), order.encode_mono(b)
+    assert order.mono_lcm(ea, eb) == order.encode_mono(top)
+    assert order.mono_divides(ea, eb) == all(x <= y for x, y in zip(a, b))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_overflow_guard_is_exact(data):
+    # a row times target / lead is refused exactly when some product term
+    # has an exponent of 64 or more or a degree above 255
+    ntags = data.draw(st.sampled_from([0, 1]))
+    n = 6
+    order = MonomialOrder(n, ntags=ntags)
+    exps = st.tuples(*[st.one_of(st.sampled_from([0, 40, 63]), st.integers(0, 63))]
+                     * (n + ntags)).filter(lambda e: sum(e[:n]) <= 255)
+    terms = data.draw(st.lists(exps, min_size=1, max_size=4, unique=True))
+    row = gb._make_row({order.term_key(order.encode_mono(t), 0): Fraction(1) for t in terms},
+                       order, QQ, 0)
+    lead = order.decode_mono(row.enc)
+    mult = [data.draw(st.one_of(st.sampled_from([0, 63 - e]), st.integers(0, 63 - e)))
+            for e in lead]
+    for v in range(n):      # the target itself must stay packable
+        mult[v] -= min(mult[v], max(0, sum(lead[:n]) + sum(mult[:n]) - 255))
+    target = order.encode_mono(tuple(e + m for e, m in zip(lead, mult)))
+    overflow = any(
+        any(e + m >= 64 for e, m in zip(t, mult)) or sum(t[:n]) + sum(mult[:n]) > 255
+        for t in terms)
+    if overflow:
+        with pytest.raises(DerivationError):
+            gb._check_room(row, target, order)
+    else:
+        gb._check_room(row, target, order)
+
+
+def test_overflow_guard_degree_bound():
+    # the tag puts a degree-60 lead above a degree-240 tail term; every
+    # product exponent stays below 64, and only the degree leaves the range
+    order = MonomialOrder(6, ntags=1)
+    row = gb._make_row({order.term_key(order.encode_mono(e), 0): Fraction(1)
+                        for e in ((10,) * 6 + (1,), (40,) * 6 + (0,))}, order, QQ, 0)
+    gb._check_room(row, order.encode_mono((13,) * 3 + (12,) * 3 + (1,)), order)
+    with pytest.raises(DerivationError):
+        gb._check_room(row, order.encode_mono((13,) * 4 + (12,) * 2 + (1,)), order)
+
+
+def test_hilbert_numerator_needs_no_deep_recursion():
+    # one monomial of degree 240 in 20 variables: the pivot split chain is
+    # 229 levels deep, far past the limit held here
+    order = MonomialOrder(20)
+    basis = [{order.term_key(order.encode_mono((12,) * 20), 0): 1}]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        hs = hilbert_series_engine(basis, order, (0,))
+        num = gb._hilbert_numerator((((12,) * 20),), {})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hs == HilbertSeries.from_coeffs({0: 1, 240: -1}, denom_exp=20)
+    assert num == {0: 1, 240: -1}
