@@ -16,11 +16,9 @@ from .groebner import (
     GroebnerBasis,
     MonomialOrder,
     buchberger,
-    hilbert_series,
     intersect,
     kernel_of_presentation_map,
     module_quotient,
-    normal_form,
 )
 from .symbolic import (
     GradedPoly,

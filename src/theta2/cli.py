@@ -1,7 +1,7 @@
 """Command-line front end: catalog derivation, verification suites, the
 structure pipeline.  Reports are JSON with a fixed schema; exit code 0
-means every check passed, 1 a verification failure, 2 an internal or
-derivation error.
+means every check passed, 1 a verification failure, 2 a usage, internal
+or derivation error.
 """
 
 from __future__ import annotations
@@ -319,18 +319,32 @@ _FLAG_DEFAULTS = {
 }
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {value}")
+    return value
+
+
 def _add_common_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
     # flags are accepted both before and after the subcommand; the
     # subcommand copy suppresses defaults so it never clobbers earlier values
     d = (lambda k: argparse.SUPPRESS) if suppress else _FLAG_DEFAULTS.get
     ap.add_argument("--seed", type=int, default=d("seed"))
-    ap.add_argument("--points", type=int, default=d("points"))
-    ap.add_argument("--radius", type=int, default=d("radius"))
-    ap.add_argument("--eps", type=float, default=d("eps"))
+    ap.add_argument("--points", type=positive_int, default=d("points"))
+    ap.add_argument("--radius", type=positive_int, default=d("radius"))
+    ap.add_argument("--eps", type=positive_float, default=d("eps"))
     ap.add_argument("--coeff-mode", choices=["q", "p1", "p2", "dual"],
                     default=d("coeff_mode"))
     ap.add_argument("--cache-dir", default=d("cache_dir"))
-    ap.add_argument("--jobs", type=int, default=d("jobs"))
+    ap.add_argument("--jobs", type=positive_int, default=d("jobs"))
     ap.add_argument("--out", default=d("out"))
 
 

@@ -4,8 +4,9 @@ Monomials are packed into single integers whose natural ordering realizes
 graded reverse lexicographic comparison; multiplying by a monomial is an
 integer addition and divisibility is a guard-bit subtraction test.  Module
 terms append the component to the packed key, giving term-over-position
-with ascending generator index as tie break; position-over-term and block
-orders for eliminations reuse the same machinery.
+with ascending generator index as tie break.  Tag variables (eliminations)
+and a dominating component block (syzygies) extend the same key; only
+MonomialOrder knows its layout.
 
 The engine provides reduced Groebner bases, normal forms, module quotients
 (colon), intersections via a degree-zero tag variable, syzygy-based kernels
@@ -137,27 +138,29 @@ _CMAX = (1 << _CB) - 1
 
 
 class MonomialOrder:
-    """Graded reverse lexicographic order with optional rotation and blocks.
+    """Term-over-position graded reverse lexicographic order with optional
+    rotation and blocks.
 
     nvars counts the ring variables (tags excluded).  varseq permutes them;
     the final entry is the revlex-last variable, which makes colon-by-a-
     variable computations a basis rewrite.  Tag variables dominate every
-    comparison (elimination blocks).  style "top" is term-over-position with
-    ascending generator index as tie break; "pot" is position-over-term.
-    With fblock = r, components below r dominate the others as a block,
-    which is how syzygies are read off.
+    comparison (elimination blocks).  Terms with equal monomials compare by
+    ascending generator index.  With fblock = r, components below r
+    dominate the others as a block, which is how syzygies are read off.
+
+    A term key is the packed monomial shifted left by _CB bits, the
+    component's _CMAX - comp in those bits, and the fblock bit above the
+    monomial; term_key, split_key and key_mul_delta are the only code that
+    relies on this layout.
     """
 
     def __init__(self, nvars: int, rank: int = 1, varseq: Sequence[int] | None = None,
-                 ntags: int = 0, style: str = "top", fblock: int = 0):
-        if style not in ("top", "pot"):
-            raise ValueError("style must be 'top' or 'pot'")
+                 ntags: int = 0, fblock: int = 0):
         if rank > _CMAX:
             raise ValueError("rank too large for key packing")
         self.nvars = nvars
         self.rank = rank
         self.ntags = ntags
-        self.style = style
         self.fblock = fblock
         self.varseq = tuple(varseq) if varseq is not None else tuple(range(nvars))
         if sorted(self.varseq) != list(range(nvars)):
@@ -181,7 +184,7 @@ class MonomialOrder:
         self._hmask = self._gx | ~self._dlow
         self._gall = self._gx | self._gt
         self.one = self.offset
-        self.descriptor = (nvars, rank, self.varseq, ntags, style, fblock)
+        self.descriptor = (nvars, rank, self.varseq, ntags, fblock)
 
     # -- packing -------------------------------------------------------------
 
@@ -262,35 +265,24 @@ class MonomialOrder:
     def term_key(self, enc: int, comp: int) -> int:
         if not 0 <= comp < self.rank:
             raise ValueError(f"component {comp} out of range")
-        if self.style == "pot":
-            return ((_CMAX - comp) << self.mono_bits) | enc
         key = (enc << _CB) | (_CMAX - comp)
         if self.fblock and comp < self.fblock:
             key |= 1 << (self.mono_bits + _CB)
         return key
 
     def split_key(self, key: int) -> tuple[int, int]:
-        if self.style == "pot":
-            return key & ((1 << self.mono_bits) - 1), _CMAX - (key >> self.mono_bits)
         comp = _CMAX - (key & _CMAX)
         enc = (key >> _CB) & ((1 << self.mono_bits) - 1)
         return enc, comp
 
     def key_mul_delta(self, enc_factor: int) -> int:
         """Additive key delta that multiplies a term by the given monomial."""
-        d = enc_factor - self.offset
-        return d if self.style == "pot" else d << _CB
-
-    def with_varseq(self, varseq: Sequence[int]) -> "MonomialOrder":
-        return MonomialOrder(self.nvars, self.rank, varseq, self.ntags,
-                             self.style, self.fblock)
+        return (enc_factor - self.offset) << _CB
 
     def variant(self, **kw) -> "MonomialOrder":
         args = dict(nvars=self.nvars, rank=self.rank, varseq=self.varseq,
-                    ntags=self.ntags, style=self.style, fblock=self.fblock)
+                    ntags=self.ntags, fblock=self.fblock)
         args.update(kw)
-        if "varseq" not in kw and args["nvars"] != self.nvars:
-            args["varseq"] = None
         return MonomialOrder(**args)
 
     def __repr__(self):
@@ -487,9 +479,6 @@ def _spoly(ri: _Row, rj: _Row, lcm_enc: int, order: MonomialOrder, field) -> dic
 # Buchberger with Gebauer-Moeller pair pruning
 # ---------------------------------------------------------------------------
 
-_VERBOSE = bool(os.environ.get("THETA2_GB_VERBOSE"))
-
-
 def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
                   order: MonomialOrder) -> None:
     """Gebauer-Moeller update of the pair queue for a newly inserted row.
@@ -583,7 +572,6 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
         if red:
             insert(red, update=True)
 
-    done = 0
     while heap:
         entry = heappop(heap)
         if entry not in live:
@@ -592,12 +580,8 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
         lk, i, j = entry
         red = _normal_form(_spoly(rows[i], rows[j], lk, order, field),
                            rows_by_comp, order, field)
-        done += 1
         if red:
             insert(red, update=True)
-        if _VERBOSE and done % 500 == 0:
-            print(f"    [gb] pairs {done}, queued {len(live)}, rows {len(rows)}",
-                  flush=True)
 
     return _interreduce(rows, order, field)
 
@@ -664,8 +648,8 @@ class EngineBasis:
 # Module operations
 # ---------------------------------------------------------------------------
 
-def colon_by_variable(gens: list[dict], var: int, order: MonomialOrder, field,
-                      seed: list[dict] | None = None) -> tuple[list[dict], MonomialOrder]:
+def colon_by_variable(gens: list[dict], var: int, order: MonomialOrder,
+                      field) -> tuple[list[dict], MonomialOrder]:
     """Generators of (M : x_var) for homogeneous M, via a rotated basis.
 
     Returns the new basis together with the rotated order it lives in.  In
@@ -674,21 +658,16 @@ def colon_by_variable(gens: list[dict], var: int, order: MonomialOrder, field,
     the Groebner basis.
     """
     seq = tuple(v for v in order.varseq if v != var) + (var,)
-    rorder = order.with_varseq(seq)
+    rorder = order.variant(varseq=seq)
     rgens = [convert_element(e, order, rorder) for e in gens]
-    rseed = [convert_element(e, order, rorder) for e in seed] if seed else None
-    basis = buchberger_engine(rgens, rorder, field, seed=rseed)
-    block = _B * rorder._pos[var]
-    vbit = 1 << block
-    # dividing by x_var: exponent block gains 1 (stored as C - e), degree drops 1
-    delta = vbit - (1 << rorder._deg_shift)
-    if rorder.style != "pot":
-        delta <<= _CB
+    basis = buchberger_engine(rgens, rorder, field)
+    xv = rorder.encode_mono(tuple(int(v == var) for v in range(order.nvars))
+                            + (0,) * order.ntags)
+    delta = -rorder.key_mul_delta(xv)
     out = []
     for e in basis:
-        lead = max(e)
-        enc, _ = rorder.split_key(lead)
-        if _C - ((enc >> block) & _BMASK) >= 1:
+        enc, _ = rorder.split_key(max(e))
+        if rorder.mono_divides(xv, enc):
             out.append({k + delta: c for k, c in e.items()})
         else:
             out.append(e)
@@ -721,7 +700,7 @@ def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrd
     r = order.rank
     s = len(targets)
     ext = MonomialOrder(order.nvars, rank=r + s, varseq=order.varseq,
-                        ntags=order.ntags, style="top", fblock=r)
+                        ntags=order.ntags, fblock=r)
     gens = []
     for i, tgt in enumerate(targets):
         e = convert_element(tgt, order, ext)
@@ -731,7 +710,7 @@ def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrd
         gens.append(convert_element(kg, order, ext))
     basis = buchberger_engine(gens, ext, field)
     sy_order = MonomialOrder(order.nvars, rank=s, varseq=order.varseq,
-                             ntags=order.ntags, style="top")
+                             ntags=order.ntags)
     out = []
     for e in basis:
         _, comp = ext.split_key(max(e))
@@ -744,9 +723,7 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
                           field) -> list[dict]:
     """Generators of <a> intersect <b> via one degree-zero tag variable."""
     ext = order.variant(ntags=1)
-    tag_delta = 1 << ext._tag_shift[0]
-    if ext.style != "pot":
-        tag_delta <<= _CB
+    tag_delta = ext.key_mul_delta(ext.encode_mono((0,) * order.nvars + (1,)))
     gens = []
     for e in a:
         ee = convert_element(e, order, ext)
@@ -965,26 +942,13 @@ def buchberger(gens: Sequence[ModuleElement | GradedPoly],
     return GroebnerBasis(EngineBasis(basis, order, field), shifts)
 
 
-def normal_form(e: ModuleElement | GradedPoly, gb: GroebnerBasis) -> ModuleElement:
-    return gb.normal_form(e)
-
-
 def module_quotient(gb: GroebnerBasis, f: GradedPoly) -> GroebnerBasis:
-    """(M : f) = all T with f*T in M."""
-    if f.is_zero():
-        raise ValueError("colon by zero")
+    """(M : f) = all T with f*T in M, for a nonzero monomial f."""
+    if len(f.terms) != 1:
+        raise ValueError("colon needs a nonzero monomial")
     order, field = gb.order, gb.field
-    if len(f.terms) == 1:
-        ((exps, _),) = f.terms.items()
-        basis = module_quotient_engine(gb.engine.elements, exps, order, field)
-    else:
-        if order.ntags or order.fblock or order.style != "top":
-            raise ValueError("general colon needs the plain ambient order")
-        targets = [to_engine(ModuleElement.generator(
-            f.nvars, order.rank, i, shifts=gb.shifts, coeff=f), order, field)
-            for i in range(order.rank)]
-        syz = syzygy_engine(targets, gb.engine.elements, order, field)
-        basis = buchberger_engine([], order, field, seed=syz)
+    ((exps, _),) = f.terms.items()
+    basis = module_quotient_engine(gb.engine.elements, exps, order, field)
     return GroebnerBasis(EngineBasis(basis, order, field), gb.shifts)
 
 
@@ -1002,11 +966,11 @@ def intersect(subs: Sequence[GroebnerBasis]) -> GroebnerBasis:
 
 
 def kernel_of_presentation_map(targets: Sequence[ModuleElement],
-                               modulo: GroebnerBasis | None = None,
-                               field=None) -> GroebnerBasis:
+                               modulo: GroebnerBasis | None = None) -> GroebnerBasis:
     """Syzygies of the targets inside F/K: kernel of e_i -> targets_i.
 
-    modulo supplies K by its Groebner basis; None means K = 0.
+    modulo supplies K by its Groebner basis and the field; None means K = 0
+    over the rationals.
     """
     if not targets:
         raise ValueError("need at least one target")
@@ -1014,10 +978,10 @@ def kernel_of_presentation_map(targets: Sequence[ModuleElement],
     order = MonomialOrder(targets[0].nvars, rank=rank)
     if modulo is not None:
         order = modulo.order
-        field = field or modulo.field
+        field = modulo.field
         kern = modulo.engine.elements
     else:
-        field = field or QQ
+        field = QQ
         kern = []
     tgt = [to_engine(t, order, field) for t in targets]
     syz = syzygy_engine(tgt, kern, order, field)
@@ -1025,11 +989,6 @@ def kernel_of_presentation_map(targets: Sequence[ModuleElement],
     basis = buchberger_engine([], sy_order, field, seed=syz)
     shifts = tuple(t.degree() if not t.is_zero() else 0 for t in targets)
     return GroebnerBasis(EngineBasis(basis, sy_order, field), shifts)
-
-
-def hilbert_series(gb: GroebnerBasis, shifts: Sequence[int] | None = None) -> HilbertSeries:
-    return hilbert_series_engine(gb.engine.elements, gb.order,
-                                 tuple(shifts) if shifts is not None else gb.shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -1068,7 +1027,7 @@ class BasisCache:
 
     def load(self, key: str, order: MonomialOrder, field,
              shifts: tuple[int, ...]) -> GroebnerBasis | None:
-        """The stored basis; None if missing or unparsable (e.g. truncated)."""
+        """The stored basis; None if missing or malformed (e.g. truncated)."""
         if not self.directory:
             return None
         path = self.path(key)
@@ -1077,13 +1036,12 @@ class BasisCache:
         try:
             with open(path) as fh:
                 lines = json.load(fh)["elements"]
-        except (json.JSONDecodeError, KeyError):
+            elems = [to_engine(element_from_text(line, order.nvars, order.rank,
+                                                 shifts=(1,) * order.rank), order, field)
+                     for line in lines]
+        except (ValueError, TypeError, KeyError, AttributeError):
+            # JSONDecodeError is a ValueError; the stage recomputes and overwrites
             return None
-        elems = []
-        for line in lines:
-            me = element_from_text(line, order.nvars, order.rank,
-                                   shifts=(1,) * order.rank)
-            elems.append(to_engine(me, order, field))
         return GroebnerBasis(EngineBasis(elems, order, field), shifts)
 
     def store(self, key: str, gb: GroebnerBasis) -> None:

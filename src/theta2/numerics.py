@@ -87,6 +87,21 @@ def _lattice(cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
     return g1.ravel().astype(float), g2.ravel().astype(float)
 
 
+def _summands(m: Characteristic, Z: SiegelPoint, cfg: EvalConfig,
+              z: Sequence[complex] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shifted lattice coordinates x, y and the exponential terms e of the
+    theta series with characteristic m, after the convergence check."""
+    _require_converged(Z, cfg)
+    g1, g2 = _lattice(cfg)
+    x = g1 + m.a[0] / 2.0
+    y = g2 + m.a[1] / 2.0
+    quad = Z.z0 * x * x + 2 * Z.z1 * x * y + Z.z2 * y * y
+    lin = x * m.b[0] + y * m.b[1]
+    if z is not None:
+        lin = lin + 2 * (x * z[0] + y * z[1])
+    return x, y, np.exp(1j * pi * (quad + lin))
+
+
 def theta(m: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig(),
           z: Sequence[complex] | None = None) -> complex:
     """Theta series value; the default z = 0 gives the constant.
@@ -96,28 +111,14 @@ def theta(m: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig(),
     """
     if z is None and not m.is_even():
         return 0.0 + 0.0j
-    _require_converged(Z, cfg)
-    g1, g2 = _lattice(cfg)
-    x = g1 + m.a[0] / 2.0
-    y = g2 + m.a[1] / 2.0
-    quad = Z.z0 * x * x + 2 * Z.z1 * x * y + Z.z2 * y * y
-    lin = x * m.b[0] + y * m.b[1]
-    if z is not None:
-        lin = lin + 2 * (x * z[0] + y * z[1])
-    return complex(np.exp(1j * pi * (quad + lin)).sum())
+    return complex(_summands(m, Z, cfg, z)[2].sum())
 
 
 def theta_grad(n: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> np.ndarray:
     """z-gradient of the theta series at z = 0; zero for even characteristics."""
     if n.is_even():
         return np.zeros(2, dtype=complex)
-    _require_converged(Z, cfg)
-    g1, g2 = _lattice(cfg)
-    x = g1 + n.a[0] / 2.0
-    y = g2 + n.a[1] / 2.0
-    quad = Z.z0 * x * x + 2 * Z.z1 * x * y + Z.z2 * y * y
-    lin = x * n.b[0] + y * n.b[1]
-    e = np.exp(1j * pi * (quad + lin))
+    x, y, e = _summands(n, Z, cfg)
     c = 2j * pi
     return np.array([complex((c * x * e).sum()), complex((c * y * e).sum())])
 

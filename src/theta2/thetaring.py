@@ -276,11 +276,11 @@ def _nullspace(vecs: list[dict], field) -> list[list]:
 
 
 def _sign_vector(vec: list, field) -> list[int] | None:
-    """Normalize a nullspace vector to entries in {-1, +1}, or None."""
-    ref = next((x for x in vec if field.normalize(x)), None)
-    if ref is None:
+    """Scale a nullspace vector so that its first entry is +1; its entries
+    as signs in {-1, +1}, or None if some entry is not a unit sign."""
+    if not field.normalize(vec[0]):
         return None
-    inv = field.inv(ref)
+    inv = field.inv(vec[0])
     out = []
     one = field.normalize(field.convert(1))
     minus = field.normalize(field.convert(-1))
@@ -337,12 +337,7 @@ class RelationOracle:
         null = _nullspace(vecs, field)
         if len(null) != 1:
             return None
-        signs = _sign_vector(null[0], field)
-        if signs is None:
-            return None
-        if signs[0] < 0:
-            signs = [-s for s in signs]
-        return signs
+        return _sign_vector(null[0], field)
 
     def build_relation(self, kind: str, indices: tuple,
                        terms: Sequence[tuple[int, tuple[int, ...]]]) -> RelationRecord:
@@ -484,16 +479,13 @@ def sextets(oracle: RelationOracle | None = None) -> list[list[SForm]]:
     return out
 
 
-def extr_b(oracle: RelationOracle | None = None,
-           blocks: list[list[SForm]] | None = None) -> list[RelationRecord]:
+def extr_b(oracle: RelationOracle | None = None) -> list[RelationRecord]:
     """The 72 five-term relations: one per sextet and cancelled member."""
     oracle = oracle or default_oracle()
-    if blocks is None and "extr_b" in oracle._memo:
+    if "extr_b" in oracle._memo:
         return oracle._memo["extr_b"]
-    derived_blocks = blocks is None
-    blocks = blocks if blocks is not None else sextets(oracle)
     out = []
-    for block in blocks:
+    for block in sextets(oracle):
         sid = block[0].sextet_id
         evens = [s.even_set for s in sorted(block, key=lambda s: s.odd_index)]
         for cancel in range(1, 7):
@@ -508,8 +500,7 @@ def extr_b(oracle: RelationOracle | None = None,
                 raise DerivationError(
                     f"five-term relation ({sid},{cancel}) has wrong degree")
             out.append(rec)
-    if derived_blocks:
-        oracle._memo["extr_b"] = out
+    oracle._memo["extr_b"] = out
     return out
 
 
@@ -807,8 +798,6 @@ class StructurePipeline:
             signs = _sign_vector(null[0], field)
             if signs is None:
                 raise DerivationError("orbit candidate has non-unit coefficients")
-            if signs[0] < 0:
-                signs = [-s for s in signs]
             polys: dict[int, GradedPoly] = {}
             for (comp, exps), s in zip(p_terms, signs):
                 numer = tuple(a - b for a, b in zip(exps, clear))

@@ -111,3 +111,21 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["catalog", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--points", "0", "verify", "numeric"],
+    ["--points", "0", "verify", "brackets"],
+    ["verify", "numeric", "--points", "-1"],
+    ["--radius", "0", "verify", "numeric"],
+    ["--eps", "0", "verify", "numeric"],
+    ["--eps", "-0.5", "verify", "numeric"],
+    ["--jobs", "0", "structure"],
+])
+def test_bad_numeric_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "internal error" not in captured.out + captured.err
+    assert "usage:" in captured.err

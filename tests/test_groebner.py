@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -18,12 +19,10 @@ from theta2.groebner import (
     MonomialOrder,
     buchberger,
     buchberger_engine,
-    hilbert_series,
     hilbert_series_engine,
     intersect,
     kernel_of_presentation_map,
     module_quotient,
-    normal_form,
     to_engine,
 )
 from theta2.symbolic import GradedPoly, HilbertSeries, ModuleElement, poly_to_text
@@ -161,6 +160,14 @@ def test_module_quotient_by_one_is_identity():
     assert q.same_module(base)
 
 
+def test_module_quotient_rejects_non_monomial():
+    x, y = V(2, 0), V(2, 1)
+    base = buchberger([x * y])
+    for f in (x + y, GradedPoly.zero(2)):
+        with pytest.raises(ValueError, match="nonzero monomial"):
+            module_quotient(base, f)
+
+
 def test_module_quotient_general_matches_monomial_path():
     # the syzygy route and the rotated-basis route agree on homogeneous input
     rng = random.Random(4)
@@ -237,7 +244,7 @@ def test_hilbert_series_free_ring():
 def test_hilbert_series_single_relation():
     x, y = V(2, 0), V(2, 1)
     basis = buchberger([x * y])
-    hs = hilbert_series(basis, (0,))
+    hs = basis.hilbert_series()
     # k[x,y]/(xy): dimension 1, 2, 2, 2, ...
     assert hs.expand(4) == [1, 2, 2, 2, 2]
 
@@ -310,7 +317,7 @@ def test_hilbert_series_matches_exact_linear_algebra(seed):
     if not gens:
         pytest.skip("degenerate sample")
     basis = buchberger(gens)
-    dims = hilbert_series(basis, (0,)).expand(6)
+    dims = basis.hilbert_series().expand(6)
     for d in range(7):
         assert dims[d] == _slice_codimension(gens, d, n)
 
@@ -369,6 +376,25 @@ def test_cache_truncated_entry_is_a_miss(tmp_path):
     cache.store(key, basis)
     assert cache.load(key, basis.order, QQ, basis.shifts).same_module(basis)
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+
+
+@pytest.mark.parametrize("payload", [
+    {"elements": ["1*x"]},                 # unknown variable
+    {"elements": ["1*t1 | 1*t2"]},         # wrong rank
+    {"elements": 5},
+    {"elements": [5]},
+    [1, 2],
+])
+def test_cache_malformed_entry_is_a_miss(tmp_path, payload):
+    x, y = V(2, 0), V(2, 1)
+    basis = buchberger([x * x - y * y, x * y])
+    cache = BasisCache(str(tmp_path))
+    key = BasisCache.key("toy", ["a"], [], basis.order, QQ)
+    with open(cache.path(key), "w") as fh:
+        json.dump(payload, fh)
+    assert cache.load(key, basis.order, QQ, basis.shifts) is None
+    cache.store(key, basis)
+    assert cache.load(key, basis.order, QQ, basis.shifts).same_module(basis)
 
 
 def test_monomial_order_packing_roundtrip():
@@ -436,6 +462,25 @@ def test_packed_lcm_is_exponentwise_max(data):
     ea, eb = order.encode_mono(a), order.encode_mono(b)
     assert order.mono_lcm(ea, eb) == order.encode_mono(top)
     assert order.mono_divides(ea, eb) == all(x <= y for x, y in zip(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_key_mul_delta_multiplies_terms(data):
+    ntags = data.draw(st.sampled_from([0, 1]))
+    rank = data.draw(st.sampled_from([1, 6]))
+    order = MonomialOrder(4, rank=rank, ntags=ntags,
+                          fblock=data.draw(st.sampled_from([0, rank])))
+    # exponents of a and b sum below 64 per variable and to at most 255 in all
+    a = tuple(data.draw(st.integers(0, 31)) for _ in range(4 + ntags))
+    b = tuple(data.draw(st.integers(0, 63 - e)) for e in a)
+    comp = data.draw(st.integers(0, rank - 1))
+    ea, eb = order.encode_mono(a), order.encode_mono(b)
+    key = order.term_key(ea, comp)
+    moved = key + order.key_mul_delta(eb)
+    assert moved == order.term_key(order.mono_mul(ea, eb), comp)
+    assert order.split_key(moved) == (order.mono_mul(ea, eb), comp)
+    assert moved - order.key_mul_delta(eb) == key
 
 
 @settings(max_examples=120, deadline=None)
