@@ -21,7 +21,6 @@ from .thetaring import (
     StructurePipeline,
     all_relations,
     catalog_json,
-    default_oracle,
     bracket_modules,
 )
 
@@ -59,7 +58,7 @@ def _pipeline(mode: str, cache_dir: str | None) -> StructurePipeline:
 
 
 def _cfg(args) -> numerics.EvalConfig:
-    return numerics.EvalConfig(radius=args.radius, target_eps=args.eps, seed=args.seed)
+    return numerics.EvalConfig(radius=args.radius, target_eps=args.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +68,10 @@ def _cfg(args) -> numerics.EvalConfig:
 def _suite_numeric(args) -> list[dict]:
     cfg = _cfg(args)
     points = numerics.sample_siegel(args.seed, args.points)
-    oracle = default_oracle()
     checks = []
 
     groups = [("riemann-quartics", [("", q) for q in thetaring.riemann_ideal()], 1e-9)]
-    rels = all_relations(oracle)
+    rels = all_relations()
     for kind in ("RelD", "ExtrA", "ExtrB"):
         groups.append((f"relations-{kind.lower()}",
                        [(str(r.indices), r.element) for r in rels if r.kind == kind],
@@ -112,8 +110,7 @@ def _suite_numeric(args) -> list[dict]:
     })
 
     # truncation self-consistency at a stricter radius
-    cfg_hi = numerics.EvalConfig(radius=cfg.radius + 4, target_eps=cfg.target_eps,
-                                 seed=cfg.seed)
+    cfg_hi = numerics.EvalConfig(radius=cfg.radius + 4, target_eps=cfg.target_eps)
     worst = 0.0
     for Z in points[: min(3, len(points))]:
         for m in chars.EVEN_CHARS:
@@ -131,7 +128,7 @@ def _kernel_report(mode: str, cache_dir: str | None) -> dict:
     pipe = _pipeline(mode, cache_dir)
     field = pipe.field
     kernel = pipe.total_kernel()
-    rels = all_relations(default_oracle())
+    rels = all_relations()
     missing = [str(r.indices) for r in rels if not kernel.contains(r.element)]
     return {
         "name": f"catalog-in-kernel[{field.name}]",
@@ -326,6 +323,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -337,7 +341,7 @@ def _add_common_flags(ap: argparse.ArgumentParser, suppress: bool) -> None:
     # flags are accepted both before and after the subcommand; the
     # subcommand copy suppresses defaults so it never clobbers earlier values
     d = (lambda k: argparse.SUPPRESS) if suppress else _FLAG_DEFAULTS.get
-    ap.add_argument("--seed", type=int, default=d("seed"))
+    ap.add_argument("--seed", type=nonnegative_int, default=d("seed"))
     ap.add_argument("--points", type=positive_int, default=d("points"))
     ap.add_argument("--radius", type=positive_int, default=d("radius"))
     ap.add_argument("--eps", type=positive_float, default=d("eps"))

@@ -53,7 +53,6 @@ class SiegelPoint:
 class EvalConfig:
     radius: int = 10
     target_eps: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         if self.radius < 1 or self.target_eps <= 0:

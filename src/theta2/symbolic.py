@@ -399,17 +399,8 @@ class HilbertSeries:
         return HilbertSeries(_trim(tuple(num)), d, s)
 
     def same_rational_function(self, other: "HilbertSeries") -> bool:
-        """Exact equality as rational functions (cross-multiplied)."""
-        a, b = self.reduced(), other.reduced()
-        if a.shift != b.shift:
-            # fold negative shifts by comparing t^|s|-multiplied forms
-            m = min(a.shift, b.shift)
-            a = HilbertSeries((0,) * (a.shift - m) + a.numerator, a.denom_exp, 0)
-            b = HilbertSeries((0,) * (b.shift - m) + b.numerator, b.denom_exp, 0)
-        d = max(a.denom_exp, b.denom_exp)
-        na = _mul_one_minus_t_power(a.numerator, d - a.denom_exp)
-        nb = _mul_one_minus_t_power(b.numerator, d - b.denom_exp)
-        return _trim(na) == _trim(nb)
+        """Exact equality as rational functions: the difference is zero."""
+        return not (self - other).numerator
 
     def to_text(self, var: str = "t") -> str:
         parts = []

@@ -3,11 +3,13 @@
 The ring is Q[t1..t10] modulo the twenty quartic relations; the module of
 interest is presented on six generators T1..T6 (the gradient images, each
 of degree 1).  This module derives the relation catalogs (20 three-term,
-30 four-term, 72 five-term), certifies them with the multiplication oracle,
-computes the full relation kernel as a colon module, intersects the fifteen
-localized modules, handles the extra generator with its 360-element orbit,
-and produces the Hilbert series of the intersection, plus the two
-second-kind presentations with their series.
+30 four-term, 72 five-term) and certifies them with the multiplication
+oracle: there is one oracle per process, and each catalog is derived once
+per process and returned as a tuple.  It then computes the full relation
+kernel as a colon module, intersects the fifteen localized modules, handles
+the extra generator with its 360-element orbit, and produces the Hilbert
+series of the intersection, plus the two second-kind presentations with
+their series.
 """
 
 from __future__ import annotations
@@ -136,9 +138,9 @@ class SForm:
     odd_index: int
     even_set: frozenset[int]
     sextet_id: int
-
-    def exponents(self) -> tuple[int, ...]:
-        return _exps(sorted(self.even_set))
+    # (odd label, exponents) of each term of the certified five-term
+    # relation of this sextet in which this form is cancelled
+    cancel_terms: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def riemann_ideal() -> list[GradedPoly]:
@@ -163,21 +165,14 @@ def d_table() -> tuple[DTableEntry, ...]:
 
 
 def d_entry(i: int, j: int) -> DTableEntry:
-    if not i < j:
-        raise ValueError("d_entry expects i < j")
-    return d_table()[list(itertools.combinations(range(1, 7), 2)).index((i, j))]
+    for entry in d_table():
+        if entry.pair == (i, j):
+            return entry
+    raise ValueError(f"no determinant entry ({i}, {j}); need 1 <= i < j <= 6")
 
 
 @lru_cache(maxsize=1)
-def _rel_d_cached() -> tuple[RelationRecord, ...]:
-    return tuple(_derive_rel_d())
-
-
-def rel_d() -> list[RelationRecord]:
-    return list(_rel_d_cached())
-
-
-def _derive_rel_d() -> list[RelationRecord]:
+def rel_d() -> tuple[RelationRecord, ...]:
     """The twenty three-term relations, one per odd triple.
 
     For a triple i<j<k the combination D(i,j) T_k - D(i,k) T_j + D(j,k) T_i
@@ -209,7 +204,7 @@ def _derive_rel_d() -> list[RelationRecord]:
         if not (elem.is_homogeneous() and elem.degree() == 4):
             raise DerivationError(f"three-term relation ({i},{j},{k}) has wrong degree")
         out.append(RelationRecord("RelD", (i, j, k), elem))
-    return out
+    return tuple(out)
 
 
 def ideal_times_free() -> list[ModuleElement]:
@@ -275,6 +270,17 @@ def _nullspace(vecs: list[dict], field) -> list[list]:
     return basis
 
 
+def _multiples_nullspace(basis: EngineBasis,
+                         multiples: Sequence[tuple[int, tuple[int, ...]]]) -> list[list]:
+    """Nullspace of the normal forms of the monomial multiples x^e * T_comp,
+    given as (0-based component, exponents) pairs."""
+    order, field = basis.order, basis.field
+    one = field.convert(1)
+    vecs = [basis.normal_form({order.term_key(order.encode_mono(exps), comp): one})
+            for comp, exps in multiples]
+    return _nullspace(vecs, field)
+
+
 def _sign_vector(vec: list, field) -> list[int] | None:
     """Scale a nullspace vector so that its first entry is +1; its entries
     as signs in {-1, +1}, or None if some entry is not a unit sign."""
@@ -299,22 +305,14 @@ class RelationOracle:
     """Membership oracle: an element is a relation iff its chi5 multiple lies
     in the module spanned by the three-term relations plus the ideal layer.
 
-    Sign patterns are decided with the first field and certified under every
-    field supplied (two distinct primes by default).
+    Sign patterns are decided over GF(p1) and certified under GF(p1) and
+    GF(p2).
     """
 
-    def __init__(self, fields: Sequence = (GFP1, GFP2)):
-        self.fields = tuple(fields)
+    def __init__(self):
+        self.fields = (GFP1, GFP2)
         self.order = MonomialOrder(NVARS, rank=RANK)
         self._bases = [kernel_seed_basis(f) for f in self.fields]
-        self._memo: dict = {}
-
-    def _chi5_nf(self, base: EngineBasis, field, term_exps: tuple[int, ...],
-                 comp: int, coeff: int = 1) -> dict:
-        elem = ModuleElement.generator(
-            NVARS, RANK, comp - 1, shifts=SHIFTS,
-            coeff=GradedPoly.monomial(NVARS, _addexp(CHI5_EXPS, term_exps), coeff))
-        return base.normal_form(to_engine(elem, self.order, field))
 
     def certify(self, element: ModuleElement) -> bool:
         """chi5 * element reduces to zero under every field."""
@@ -331,13 +329,11 @@ class RelationOracle:
         combination is read off; exactly one pattern may pass.  The first
         entry is normalized to +1.
         """
-        field = self.fields[0]
-        vecs = [self._chi5_nf(self._bases[0], field, exps, comp)
-                for comp, exps in terms]
-        null = _nullspace(vecs, field)
+        null = _multiples_nullspace(
+            self._bases[0], [(comp - 1, _addexp(CHI5_EXPS, exps)) for comp, exps in terms])
         if len(null) != 1:
             return None
-        return _sign_vector(null[0], field)
+        return _sign_vector(null[0], self.fields[0])
 
     def build_relation(self, kind: str, indices: tuple,
                        terms: Sequence[tuple[int, tuple[int, ...]]]) -> RelationRecord:
@@ -356,6 +352,7 @@ class RelationOracle:
 
 @lru_cache(maxsize=1)
 def default_oracle() -> RelationOracle:
+    """The one oracle of this process; every catalog is derived with it."""
     return RelationOracle()
 
 
@@ -363,16 +360,15 @@ def default_oracle() -> RelationOracle:
 # Four-term and five-term relation catalogs
 # ---------------------------------------------------------------------------
 
-def extr_a(oracle: RelationOracle | None = None) -> list[RelationRecord]:
+@lru_cache(maxsize=1)
+def extr_a() -> tuple[RelationRecord, ...]:
     """One four-term relation per ordered pair of distinct odd labels.
 
     The term for T_i squares the unique theta dividing both D(i, alpha) and
     D(alpha, beta); signs come from the oracle, normalized so the first
     term is positive.
     """
-    oracle = oracle or default_oracle()
-    if "extr_a" in oracle._memo:
-        return oracle._memo["extr_a"]
+    oracle = default_oracle()
     out = []
     for a, b in itertools.permutations(range(1, 7), 2):
         qab = set(d_entry(min(a, b), max(a, b)).quadruple)
@@ -388,8 +384,7 @@ def extr_a(oracle: RelationOracle | None = None) -> list[RelationRecord]:
         if rec.element.degree() != 7:
             raise DerivationError(f"four-term relation ({a},{b}) has wrong degree")
         out.append(rec)
-    oracle._memo["extr_a"] = out
-    return out
+    return tuple(out)
 
 
 def _balanced_blocks() -> list[tuple[frozenset[int], ...]]:
@@ -441,72 +436,59 @@ def _extr_b_assignments(block: Sequence[frozenset[int]], cancel: int) -> dict[in
     return out
 
 
-def sextets(oracle: RelationOracle | None = None) -> list[list[SForm]]:
+@lru_cache(maxsize=1)
+def sextets() -> tuple[tuple[SForm, ...], ...]:
     """The unique partition of the 72 five-factor forms into 12 sextets.
 
     Candidates are the balanced blocks; a block survives only if all six
-    cancellations admit an oracle-certified five-term relation.  The search
-    must produce exactly 12 blocks partitioning all 72 forms.
+    cancellations admit an oracle-certified five-term relation, whose terms
+    its forms keep.  The search must produce exactly 12 blocks partitioning
+    all 72 forms.
     """
-    oracle = oracle or default_oracle()
-    if "sextets" in oracle._memo:
-        return oracle._memo["sextets"]
+    oracle = default_oracle()
     valid = []
     for block in _balanced_blocks():
-        ok = True
+        certified = []
         for cancel in range(1, 7):
             ms = _extr_b_assignments(block, cancel)
             if ms is None:
-                ok = False
                 break
-            terms = [(oi, _addexp(_sq(ms[oi]), _exps(sorted(block[oi - 1]))))
-                     for oi in range(1, 7) if oi != cancel]
+            terms = tuple((oi, _addexp(_sq(ms[oi]), _exps(block[oi - 1])))
+                          for oi in range(1, 7) if oi != cancel)
             if oracle.solve_signs(terms) is None:
-                ok = False
                 break
-        if ok:
-            valid.append(block)
+            certified.append(terms)
+        else:
+            valid.append((block, certified))
     if len(valid) != 12:
         raise DerivationError(f"sextet search found {len(valid)} blocks, not 12")
-    used = {(oi, d) for b in valid for oi, d in enumerate(b, 1)}
+    used = {(oi, d) for b, _ in valid for oi, d in enumerate(b, 1)}
     if len(used) != 72:
         raise DerivationError("sextet blocks do not partition the 72 forms")
-    valid.sort(key=lambda b: tuple(sorted(b[0])))
-    out = []
-    for sid, block in enumerate(valid, 1):
-        out.append([SForm(oi, block[oi - 1], sid) for oi in range(1, 7)])
-    oracle._memo["sextets"] = out
-    return out
+    valid.sort(key=lambda v: tuple(sorted(v[0][0])))
+    return tuple(
+        tuple(SForm(oi, block[oi - 1], sid, certified[oi - 1]) for oi in range(1, 7))
+        for sid, (block, certified) in enumerate(valid, 1))
 
 
-def extr_b(oracle: RelationOracle | None = None) -> list[RelationRecord]:
+@lru_cache(maxsize=1)
+def extr_b() -> tuple[RelationRecord, ...]:
     """The 72 five-term relations: one per sextet and cancelled member."""
-    oracle = oracle or default_oracle()
-    if "extr_b" in oracle._memo:
-        return oracle._memo["extr_b"]
+    oracle = default_oracle()
     out = []
-    for block in sextets(oracle):
-        sid = block[0].sextet_id
-        evens = [s.even_set for s in sorted(block, key=lambda s: s.odd_index)]
-        for cancel in range(1, 7):
-            ms = _extr_b_assignments(evens, cancel)
-            if ms is None:
-                raise DerivationError(
-                    f"sextet {sid}, cancel {cancel}: squared-theta rule failed")
-            terms = [(oi, _addexp(_sq(ms[oi]), _exps(sorted(evens[oi - 1]))))
-                     for oi in range(1, 7) if oi != cancel]
-            rec = oracle.build_relation("ExtrB", (sid, cancel), terms)
+    for block in sextets():
+        for s in block:
+            rec = oracle.build_relation("ExtrB", (s.sextet_id, s.odd_index), s.cancel_terms)
             if rec.element.degree() != 8:
                 raise DerivationError(
-                    f"five-term relation ({sid},{cancel}) has wrong degree")
+                    f"five-term relation ({s.sextet_id},{s.odd_index}) has wrong degree")
             out.append(rec)
-    oracle._memo["extr_b"] = out
-    return out
+    return tuple(out)
 
 
-def all_relations(oracle: RelationOracle | None = None) -> list[RelationRecord]:
-    oracle = oracle or default_oracle()
-    return rel_d() + extr_a(oracle) + extr_b(oracle)
+@lru_cache(maxsize=1)
+def all_relations() -> tuple[RelationRecord, ...]:
+    return rel_d() + extr_a() + extr_b()
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +536,10 @@ def symplectic_label_permutations() -> tuple[tuple[tuple[int, ...], tuple[int, .
     gens_m.append(block([[1, 1], [0, 1]], Z2, Z2, [[1, 0], [1, 1]]))
     gens_m.append(block([[0, 1], [1, 0]], Z2, Z2, [[0, 1], [1, 0]]))
 
-    all_chars = chars.EVEN_CHARS + chars.ODD_CHARS
-    index = {m: i for i, m in enumerate(all_chars)}
+    index = {m: i for i, m in enumerate(chars.ALL_CHARS)}
     gen_perms = []
     for M in gens_m:
-        p = tuple(index[_char_action(M, m)] for m in all_chars)
+        p = tuple(index[_char_action(M, m)] for m in chars.ALL_CHARS)
         if sorted(p) != list(range(16)) or any((i < 10) != (p[i] < 10) for i in range(16)):
             raise DerivationError("symplectic generator does not permute labels")
         gen_perms.append(p)
@@ -634,21 +615,14 @@ class StructurePipeline:
     one cache directory.
     """
 
-    def __init__(self, field=GFP1, cache_dir: str | None = None,
-                 oracle: RelationOracle | None = None):
+    def __init__(self, field=GFP1, cache_dir: str | None = None):
         self.field = field
         self.order = MonomialOrder(NVARS, rank=RANK)
         self.cache = BasisCache(cache_dir)
-        self._oracle = oracle
         self._store: dict = {}
         self._keys: dict = {}
 
     # -- plumbing -----------------------------------------------------------
-
-    def oracle(self) -> RelationOracle:
-        if self._oracle is None:
-            self._oracle = default_oracle()
-        return self._oracle
 
     def _key(self, tag: str, gens: Sequence[ModuleElement],
              parents: Sequence[str] = ()) -> str:
@@ -699,7 +673,7 @@ class StructurePipeline:
 
     def catalog_span(self) -> GroebnerBasis:
         """Span of the 122 catalog relations plus the ideal layer."""
-        gens = [r.element for r in all_relations(self.oracle())] + ideal_times_free()
+        gens = [r.element for r in all_relations()] + ideal_times_free()
         return self._cached_basis(
             "catalog_span", self._key("catalog_span", gens),
             lambda: buchberger_engine(self._engine(gens), self.order, self.field))
@@ -769,7 +743,6 @@ class StructurePipeline:
                 terms.append((ci, exps, c))
         denom = base.denominator
         cm = self.chi5_m()
-        field = self.field
         seen: dict = {}
         for even_map, odd_map in symplectic_label_permutations():
             p_denom = self._permute_exps(denom, even_map)
@@ -783,19 +756,13 @@ class StructurePipeline:
             support = tuple(p_terms)
             if support in seen:
                 continue
-            vecs = []
-            for comp, exps in p_terms:
-                elem = ModuleElement.generator(
-                    NVARS, RANK, comp, shifts=SHIFTS,
-                    coeff=GradedPoly.monomial(NVARS, exps))
-                vecs.append(cm.engine.normal_form(to_engine(elem, self.order, field)))
-            null = _nullspace(vecs, field)
+            null = _multiples_nullspace(cm.engine, p_terms)
             if not null:
                 seen[support] = None
                 continue
             if len(null) > 1:
                 raise DerivationError("orbit candidate admits a relation space of dim > 1")
-            signs = _sign_vector(null[0], field)
+            signs = _sign_vector(null[0], self.field)
             if signs is None:
                 raise DerivationError("orbit candidate has non-unit coefficients")
             polys: dict[int, GradedPoly] = {}
@@ -938,7 +905,7 @@ def bracket_modules() -> dict:
 # Catalog JSON
 # ---------------------------------------------------------------------------
 
-def catalog_json(which: str, oracle: RelationOracle | None = None) -> dict:
+def catalog_json(which: str) -> dict:
     """Build the requested catalog with per-entry verification status."""
     if which == "chars":
         return chars.catalog()
@@ -953,19 +920,18 @@ def catalog_json(which: str, oracle: RelationOracle | None = None) -> dict:
         return {"relations": [
             {"indices": list(r.indices), "element": element_to_text(r.element)}
             for r in rel_d()]}
-    oracle = oracle or default_oracle()
     if which == "extra":
         return {"relations": [
             {"indices": list(r.indices), "element": element_to_text(r.element),
              "certified": True}
-            for r in extr_a(oracle)]}
+            for r in extr_a()]}
     if which == "sextets":
         return {"blocks": [
             [{"odd": s.odd_index, "evens": sorted(s.even_set)} for s in block]
-            for block in sextets(oracle)]}
+            for block in sextets()]}
     if which == "extrb":
         return {"relations": [
             {"sextet": r.indices[0], "cancelled": r.indices[1],
              "element": element_to_text(r.element), "certified": True}
-            for r in extr_b(oracle)]}
+            for r in extr_b()]}
     raise ValueError(f"unknown catalog {which!r}")

@@ -3,8 +3,8 @@ import os
 import pytest
 
 from theta2.groebner import GFP1, GFP2
-from theta2.numerics import EvalConfig, sample_siegel
-from theta2.thetaring import RelationOracle, StructurePipeline
+from theta2.numerics import sample_siegel
+from theta2.thetaring import StructurePipeline, default_oracle
 
 
 @pytest.fixture(scope="session")
@@ -20,24 +20,19 @@ def cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def oracle():
-    return RelationOracle()
+    return default_oracle()
 
 
 @pytest.fixture(scope="session")
-def pipe_p1(cache_dir, oracle):
-    return StructurePipeline(GFP1, cache_dir, oracle=oracle)
+def pipe_p1(cache_dir):
+    return StructurePipeline(GFP1, cache_dir)
 
 
 @pytest.fixture(scope="session")
-def pipe_p2(cache_dir, oracle):
-    return StructurePipeline(GFP2, cache_dir, oracle=oracle)
+def pipe_p2(cache_dir):
+    return StructurePipeline(GFP2, cache_dir)
 
 
 @pytest.fixture(scope="session")
-def eval_cfg():
-    return EvalConfig(radius=10, target_eps=1e-12, seed=7)
-
-
-@pytest.fixture(scope="session")
-def points(eval_cfg):
-    return sample_siegel(eval_cfg.seed, 10)
+def points():
+    return sample_siegel(7, 10)

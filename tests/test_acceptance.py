@@ -36,7 +36,7 @@ from theta2.thetaring import (
     bracket_modules,
 )
 
-CFG = EvalConfig(radius=10, target_eps=1e-12, seed=7)
+CFG = EvalConfig(radius=10, target_eps=1e-12)
 
 
 def report(criterion: int, description: str, ok: bool, detail: str = ""):
@@ -74,14 +74,14 @@ def test_criterion_2_kernel_equals_catalog_span(pipe_p1, pipe_p2):
 
 # -- criterion 3: numeric soundness of every relation ---------------------------------
 
-def test_criterion_3_relation_residuals(points, oracle):
+def test_criterion_3_relation_residuals(points):
     worst = 0.0
     count = 0
     for q in riemann_ideal():
         for Z in points:
             worst = max(worst, relation_residual(q, Z, CFG))
         count += 1
-    for r in all_relations(oracle):
+    for r in all_relations():
         for Z in points:
             worst = max(worst, relation_residual(r.element, Z, CFG))
         count += 1
@@ -111,13 +111,13 @@ def test_criterion_4_dtable_certification(points):
 
 # -- criterion 5: combinatorial counts ---------------------------------------------------
 
-def test_criterion_5_combinatorics(oracle):
+def test_criterion_5_combinatorics():
     evens = sum(1 for m in chars.all_characteristics() if m.is_even())
     odds = 16 - evens
     quads_ok = all(len(chars.azygetic_quadruple(i, j)) == 4
                    for i, j in combinations(range(1, 7), 2))
     decomp_counts = [len(chars.five_term_decompositions(i)) for i in range(1, 7)]
-    blocks = sextets(oracle)
+    blocks = sextets()
     balanced = all(
         sum(k in s.even_set for s in block) == 3
         for block in blocks for k in range(1, 11))

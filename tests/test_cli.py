@@ -121,6 +121,7 @@ def test_usage_error_exit_code(capsys):
     ["--eps", "0", "verify", "numeric"],
     ["--eps", "-0.5", "verify", "numeric"],
     ["--jobs", "0", "structure"],
+    ["--seed", "-1", "verify", "numeric"],
 ])
 def test_bad_numeric_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

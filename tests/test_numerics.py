@@ -22,7 +22,7 @@ from theta2.numerics import (
 from theta2.symbolic import GradedPoly, ModuleElement, clear_denominator
 from theta2.thetaring import d_table, extr_h, rel_d, riemann_ideal
 
-CFG = EvalConfig(radius=10, target_eps=1e-12, seed=7)
+CFG = EvalConfig(radius=10, target_eps=1e-12)
 I_POINT = SiegelPoint(1j, 0.0, 1j)
 
 
@@ -45,7 +45,7 @@ def test_even_gradient_is_zero():
 
 
 def test_radius_self_consistency(points):
-    hi = EvalConfig(radius=CFG.radius + 4, target_eps=CFG.target_eps, seed=CFG.seed)
+    hi = EvalConfig(radius=CFG.radius + 4, target_eps=CFG.target_eps)
     for Z in points[:3]:
         for m in EVEN_CHARS[:4]:
             assert abs(theta(m, Z, CFG) - theta(m, Z, hi)) < CFG.target_eps

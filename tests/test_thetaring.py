@@ -28,11 +28,11 @@ from theta2.thetaring import (
     NVARS,
     SHIFTS,
     DTableEntry,
-    RelationOracle,
     StructurePipeline,
     catalog_json,
     d_entry,
     d_table,
+    default_oracle,
     extr_a,
     extr_b,
     extr_h,
@@ -44,7 +44,7 @@ from theta2.thetaring import (
     bracket_modules,
 )
 
-CFG = EvalConfig(radius=10, target_eps=1e-12, seed=7)
+CFG = EvalConfig(radius=10, target_eps=1e-12)
 
 
 def P(text):
@@ -116,8 +116,8 @@ def test_rel_d_first_triple_coefficients():
 
 # -- four-term relations --------------------------------------------------------
 
-def test_extr_a_count_and_pair_5_6(oracle):
-    rels = extr_a(oracle)
+def test_extr_a_count_and_pair_5_6():
+    rels = extr_a()
     assert len(rels) == 30
     assert all(r.element.degree() == 7 for r in rels)
     r56 = next(r for r in rels if r.indices == (5, 6))
@@ -131,9 +131,9 @@ def test_extr_a_count_and_pair_5_6(oracle):
     assert r56.element == printed or r56.element == -printed
 
 
-def test_extr_a_squared_theta_rule(oracle):
+def test_extr_a_squared_theta_rule():
     # the squared factor for each term divides both determinant products
-    r = next(r for r in extr_a(oracle) if r.indices == (5, 6))
+    r = next(r for r in extr_a() if r.indices == (5, 6))
     squares = {}
     for i, p in enumerate(r.element.components, 1):
         if p.is_zero():
@@ -143,8 +143,8 @@ def test_extr_a_squared_theta_rule(oracle):
     assert squares == {1: [6], 2: [5], 3: [8], 4: [7]}
 
 
-def test_extr_a_numeric(points, oracle):
-    for r in extr_a(oracle)[:6]:
+def test_extr_a_numeric(points):
+    for r in extr_a()[:6]:
         assert relation_residual(r.element, points[0], CFG) < 1e-9
 
 
@@ -154,8 +154,8 @@ WORKED_BLOCK = {1: {3, 5, 6, 8, 9}, 2: {1, 2, 4, 8, 9}, 4: {2, 5, 7, 8, 10},
                6: {4, 6, 7, 9, 10}, 3: {1, 3, 4, 5, 10}, 5: {1, 2, 3, 6, 7}}
 
 
-def test_sextets_partition(oracle):
-    blocks = sextets(oracle)
+def test_sextets_partition():
+    blocks = sextets()
     assert len(blocks) == 12
     seen = set()
     for block in blocks:
@@ -170,29 +170,29 @@ def test_sextets_partition(oracle):
     assert len(seen) == 72
 
 
-def test_sextets_contain_worked_block(oracle):
-    blocks = sextets(oracle)
+def test_sextets_contain_worked_block():
+    blocks = sextets()
     target = {(oi, frozenset(ev)) for oi, ev in WORKED_BLOCK.items()}
     assert any({(s.odd_index, s.even_set) for s in block} == target
                for block in blocks)
 
 
-def test_extr_b_count_and_degrees(oracle):
-    rels = extr_b(oracle)
+def test_extr_b_count_and_degrees():
+    rels = extr_b()
     assert len(rels) == 72
     assert all(r.element.degree() == 8 for r in rels)
     assert len({r.indices for r in rels}) == 72
 
 
-def test_extr_b_worked_example(oracle):
+def test_extr_b_worked_example():
     # cancelling the (odd 5, {1,2,3,6,7}) member of the worked block gives
     # t8^2 S1 - t9^2 S2 + t5^2 S3 - t4^2 S4 + t10^2 S5
-    blocks = sextets(oracle)
+    blocks = sextets()
     target = {(oi, frozenset(ev)) for oi, ev in WORKED_BLOCK.items()}
     block = next(b for b in blocks
                  if {(s.odd_index, s.even_set) for s in b} == target)
     sid = block[0].sextet_id
-    rec = next(r for r in extr_b(oracle) if r.indices == (sid, 5))
+    rec = next(r for r in extr_b() if r.indices == (sid, 5))
     printed = elem({
         1: "1*t3*t5*t6*t8^3*t9",        # t8^2 * S(odd1)
         2: "-1*t1*t2*t4*t8*t9^3",       # -t9^2 * S(odd2)
@@ -203,13 +203,13 @@ def test_extr_b_worked_example(oracle):
     assert rec.element == printed or rec.element == -printed
 
 
-def test_extr_b_numeric(points, oracle):
-    for r in extr_b(oracle)[:6]:
+def test_extr_b_numeric(points):
+    for r in extr_b()[:6]:
         assert relation_residual(r.element, points[0], CFG) < 1e-9
 
 
 def test_relation_records_certified(oracle):
-    for r in extr_a(oracle)[:3] + extr_b(oracle)[:3]:
+    for r in extr_a()[:3] + extr_b()[:3]:
         assert oracle.certify(r.element)
     assert all(oracle.certify(r.element) for r in rel_d())
 
@@ -250,9 +250,9 @@ def test_extr_h_shape_and_degrees():
 
 # -- pipeline ----------------------------------------------------------------------
 
-def test_total_kernel_contains_all_catalog_relations(pipe_p1, oracle):
+def test_total_kernel_contains_all_catalog_relations(pipe_p1):
     kernel = pipe_p1.total_kernel()
-    for r in rel_d() + extr_a(oracle)[:5] + extr_b(oracle)[:5]:
+    for r in rel_d() + extr_a()[:5] + extr_b()[:5]:
         assert kernel.contains(r.element)
 
 
@@ -296,7 +296,7 @@ def test_m_pair_membership(pipe_p1):
 
 
 def test_kernel_seed_shared_with_oracle():
-    assert RelationOracle((GFP1,))._bases[0] is StructurePipeline(GFP1).kernel_seed().engine
+    assert default_oracle()._bases[0] is StructurePipeline(GFP1).kernel_seed().engine
 
 
 def _counting_loads(monkeypatch, serve=None):
