@@ -1,7 +1,7 @@
 """Command-line front end: catalog derivation, verification suites, the
 structure pipeline.  Reports are JSON with a fixed schema; exit code 0
-means every check passed, 1 a verification failure, 2 a usage, internal
-or derivation error.
+means every check passed, 1 a verification failure, 2 a usage, internal,
+derivation or evaluation error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import chars, numerics, thetaring
+from . import numerics, thetaring
 from .errors import DerivationError, EvaluationError, VerificationFailure
 from .groebner import FIELDS
 from .thetaring import (
@@ -68,6 +68,7 @@ def _cfg(args) -> numerics.EvalConfig:
 def _suite_numeric(args) -> list[dict]:
     cfg = _cfg(args)
     points = numerics.sample_siegel(args.seed, args.points)
+    tables = [numerics.point_values(Z, cfg) for Z in points]
     checks = []
 
     groups = [("riemann-quartics", [("", q) for q in thetaring.riemann_ideal()], 1e-9)]
@@ -79,8 +80,8 @@ def _suite_numeric(args) -> list[dict]:
     for name, items, tol in groups:
         worst = 0.0
         for _, e in items:
-            for Z in points:
-                worst = max(worst, numerics.relation_residual(e, Z, cfg))
+            for table in tables:
+                worst = max(worst, numerics.relation_residual(e, table))
         checks.append({
             "name": name,
             "count": len(items),
@@ -89,7 +90,7 @@ def _suite_numeric(args) -> list[dict]:
             "status": "pass" if worst < tol else "fail",
         })
 
-    ratios = numerics.dtable_ratios(points, cfg)
+    ratios = numerics.dtable_ratios(tables)
     worst_dev = 0.0
     sign_ok = True
     for entry in thetaring.d_table():
@@ -112,9 +113,10 @@ def _suite_numeric(args) -> list[dict]:
     # truncation self-consistency at a stricter radius
     cfg_hi = numerics.EvalConfig(radius=cfg.radius + 4, target_eps=cfg.target_eps)
     worst = 0.0
-    for Z in points[: min(3, len(points))]:
-        for m in chars.EVEN_CHARS:
-            worst = max(worst, abs(numerics.theta(m, Z, cfg) - numerics.theta(m, Z, cfg_hi)))
+    for table in tables[:3]:
+        hi = numerics.theta_values(table.point, cfg_hi)
+        for lo_value, hi_value in zip(table.thetas.tolist(), hi.tolist()):
+            worst = max(worst, abs(lo_value - hi_value))
     checks.append({
         "name": "radius-self-consistency",
         "max_difference": worst,
@@ -382,8 +384,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DerivationError, EvaluationError) as exc:
+    except DerivationError as exc:
         print(f"derivation error: {exc}", file=sys.stderr)
+        return 2
+    except EvaluationError as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
         return 2
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -6,6 +6,11 @@ constants, the weight-5 product form, and evaluation of arbitrary catalog
 elements at sampled points.  Truncated lattice sums with an explicit tail
 bound; points are sampled with lambda_min(Im Z) >= 1 so radius 10 is far
 below double precision already.
+
+Catalog elements are evaluated from a per-point table, `PointValues`: the
+ten even constants and the six odd gradients, computed once per point
+after one tail-bound check and one lattice build.  Every residual and
+determinant ratio at that point reads the same table.
 """
 
 from __future__ import annotations
@@ -80,18 +85,19 @@ def _require_converged(Z: SiegelPoint, cfg: EvalConfig) -> None:
             f"at radius {cfg.radius}")
 
 
-def _lattice(cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+def _checked_lattice(Z: SiegelPoint, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The radius lattice, after the convergence check at Z."""
+    _require_converged(Z, cfg)
     r = np.arange(-cfg.radius, cfg.radius + 1)
     g1, g2 = np.meshgrid(r, r, indexing="ij")
     return g1.ravel().astype(float), g2.ravel().astype(float)
 
 
-def _summands(m: Characteristic, Z: SiegelPoint, cfg: EvalConfig,
-              z: Sequence[complex] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _series_terms(m: Characteristic, Z: SiegelPoint, lattice: tuple[np.ndarray, np.ndarray],
+                  z: Sequence[complex] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shifted lattice coordinates x, y and the exponential terms e of the
-    theta series with characteristic m, after the convergence check."""
-    _require_converged(Z, cfg)
-    g1, g2 = _lattice(cfg)
+    theta series with characteristic m."""
+    g1, g2 = lattice
     x = g1 + m.a[0] / 2.0
     y = g2 + m.a[1] / 2.0
     quad = Z.z0 * x * x + 2 * Z.z1 * x * y + Z.z2 * y * y
@@ -99,6 +105,21 @@ def _summands(m: Characteristic, Z: SiegelPoint, cfg: EvalConfig,
     if z is not None:
         lin = lin + 2 * (x * z[0] + y * z[1])
     return x, y, np.exp(1j * pi * (quad + lin))
+
+
+def _grad_sum(n: Characteristic, Z: SiegelPoint,
+              lattice: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    x, y, e = _series_terms(n, Z, lattice)
+    c = 2j * pi
+    return np.array([complex((c * x * e).sum()), complex((c * y * e).sum())])
+
+
+def _even_values(Z: SiegelPoint, lattice: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    return np.array([complex(_series_terms(m, Z, lattice)[2].sum()) for m in EVEN_CHARS])
+
+
+def _odd_gradients(Z: SiegelPoint, lattice: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    return np.array([_grad_sum(n, Z, lattice) for n in ODD_CHARS])
 
 
 def theta(m: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig(),
@@ -110,16 +131,14 @@ def theta(m: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig(),
     """
     if z is None and not m.is_even():
         return 0.0 + 0.0j
-    return complex(_summands(m, Z, cfg, z)[2].sum())
+    return complex(_series_terms(m, Z, _checked_lattice(Z, cfg), z)[2].sum())
 
 
 def theta_grad(n: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> np.ndarray:
     """z-gradient of the theta series at z = 0; zero for even characteristics."""
     if n.is_even():
         return np.zeros(2, dtype=complex)
-    x, y, e = _summands(n, Z, cfg)
-    c = 2j * pi
-    return np.array([complex((c * x * e).sum()), complex((c * y * e).sum())])
+    return _grad_sum(n, Z, _checked_lattice(Z, cfg))
 
 
 def theta_second(a: Sequence[int], Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> complex:
@@ -131,18 +150,39 @@ def theta_second(a: Sequence[int], Z: SiegelPoint, cfg: EvalConfig = EvalConfig(
 SECOND_KIND_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def second_kind_values(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> np.ndarray:
-    return np.array([theta_second(a, Z, cfg) for a in SECOND_KIND_ORDER])
-
-
 def theta_values(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> np.ndarray:
     """The ten even first-kind constants in canonical order."""
-    return np.array([theta(m, Z, cfg) for m in EVEN_CHARS])
+    return _even_values(Z, _checked_lattice(Z, cfg))
 
 
 def grad_values(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> np.ndarray:
     """The six gradients in canonical order, shape (6, 2)."""
-    return np.array([theta_grad(n, Z, cfg) for n in ODD_CHARS])
+    return _odd_gradients(Z, _checked_lattice(Z, cfg))
+
+
+@dataclass(frozen=True)
+class PointValues:
+    """Everything a catalog element needs at one point: the ten even
+    constants and the six gradients (shape (6, 2)).  `point_values` makes
+    both arrays read-only, so one table can serve every element."""
+
+    point: SiegelPoint
+    thetas: np.ndarray
+    grads: np.ndarray
+
+
+def point_values(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> PointValues:
+    """The value table of Z: one tail-bound check, one lattice, 16 sums."""
+    lattice = _checked_lattice(Z, cfg)
+    thetas = _even_values(Z, lattice)
+    grads = _odd_gradients(Z, lattice)
+    thetas.flags.writeable = False
+    grads.flags.writeable = False
+    return PointValues(Z, thetas, grads)
+
+
+def _table(Z: PointValues | SiegelPoint, cfg: EvalConfig) -> PointValues:
+    return Z if isinstance(Z, PointValues) else point_values(Z, cfg)
 
 
 def chi5(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> complex:
@@ -174,27 +214,24 @@ def _mono_value(values: np.ndarray, exps: Sequence[int]) -> complex:
     return v
 
 
-def eval_element(e: ModuleElement | GradedPoly, binding: str, Z: SiegelPoint,
+def eval_element(e: ModuleElement | GradedPoly, Z: PointValues | SiegelPoint,
                  cfg: EvalConfig = EvalConfig()):
     """Evaluate a catalog element at a point.
 
-    binding "theta" substitutes the ten even first-kind constants (rank-6
-    elements additionally pair component i with gradient i); "theta2"
-    substitutes the four second-kind constants.  Returns (value, scale)
-    where scale sums the magnitudes of the individual terms, so residuals
-    can be reported relative to the cancellation mass.
+    The ten even first-kind constants are substituted for the variables;
+    rank-6 elements additionally pair component i with gradient i.  Z is a
+    point's value table, or a bare point whose table is built with cfg
+    first.  Returns (value, scale) where scale sums the magnitudes of the
+    individual terms, so residuals can be reported relative to the
+    cancellation mass.
     """
-    if binding == "theta":
-        values = theta_values(Z, cfg)
-        nvars = 10
-    elif binding == "theta2":
-        values = second_kind_values(Z, cfg)
-        nvars = 4
-    else:
-        raise ValueError(f"unknown binding {binding!r}")
+    if e.nvars != len(EVEN_CHARS):
+        raise ValueError("variable count does not match the ten theta constants")
+    if isinstance(e, ModuleElement) and e.rank != len(ODD_CHARS):
+        raise ValueError("vector evaluation expects rank 6 over the gradients")
+    table = _table(Z, cfg)
+    values = table.thetas
     if isinstance(e, GradedPoly):
-        if e.nvars != nvars:
-            raise ValueError("variable count does not match binding")
         total = 0.0 + 0.0j
         scale = 0.0
         for exps, c in e.terms.items():
@@ -202,11 +239,7 @@ def eval_element(e: ModuleElement | GradedPoly, binding: str, Z: SiegelPoint,
             total += term
             scale += abs(term)
         return total, scale
-    if e.nvars != nvars:
-        raise ValueError("variable count does not match binding")
-    if binding != "theta" or e.rank != 6:
-        raise ValueError("vector evaluation expects rank 6 over the gradients")
-    grads = grad_values(Z, cfg)
+    grads = table.grads
     total = np.zeros(2, dtype=complex)
     scale = 0.0
     for i, p in enumerate(e.components):
@@ -224,10 +257,10 @@ def eval_element(e: ModuleElement | GradedPoly, binding: str, Z: SiegelPoint,
     return total, scale
 
 
-def relation_residual(e: ModuleElement | GradedPoly, Z: SiegelPoint,
-                      cfg: EvalConfig = EvalConfig(), binding: str = "theta") -> float:
+def relation_residual(e: ModuleElement | GradedPoly, Z: PointValues | SiegelPoint,
+                      cfg: EvalConfig = EvalConfig()) -> float:
     """Relative residual |value| / sum of term magnitudes."""
-    value, scale = eval_element(e, binding, Z, cfg)
+    value, scale = eval_element(e, Z, cfg)
     mag = float(np.linalg.norm(value)) if isinstance(value, np.ndarray) else abs(value)
     if scale == 0.0:
         return 0.0
@@ -238,20 +271,21 @@ def relation_residual(e: ModuleElement | GradedPoly, Z: SiegelPoint,
 # Gradient determinant table certification
 # ---------------------------------------------------------------------------
 
-def dtable_ratios(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConfig()):
+def dtable_ratios(points: Sequence[PointValues | SiegelPoint], cfg: EvalConfig = EvalConfig()):
     """Ratios det(grad_j, grad_i) / (pi^2 * quadruple product) for i < j.
 
     The column order (grad_j, grad_i) is the orientation under which the
     printed sign table comes out exactly; with the series convention used
-    here det(grad_i, grad_j) carries the opposite global sign.  Returns
+    here det(grad_i, grad_j) carries the opposite global sign.  Points are
+    value tables or bare points, as in `eval_element`.  Returns
     {(i, j): list of complex ratios over the points}.
     """
     from .chars import azygetic_quadruple
 
     out: dict[tuple[int, int], list[complex]] = {}
     for Z in points:
-        thetas = theta_values(Z, cfg)
-        grads = grad_values(Z, cfg)
+        table = _table(Z, cfg)
+        thetas, grads = table.thetas, table.grads
         for i in range(1, 7):
             for j in range(i + 1, 7):
                 quad = azygetic_quadruple(i, j)

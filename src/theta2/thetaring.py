@@ -139,8 +139,10 @@ class SForm:
     even_set: frozenset[int]
     sextet_id: int
     # (odd label, exponents) of each term of the certified five-term
-    # relation of this sextet in which this form is cancelled
+    # relation of this sextet in which this form is cancelled, and the
+    # signs the oracle solved for those terms
     cancel_terms: tuple[tuple[int, tuple[int, ...]], ...]
+    cancel_signs: tuple[int, ...]
 
 
 def riemann_ideal() -> list[GradedPoly]:
@@ -341,6 +343,12 @@ class RelationOracle:
         if signs is None:
             raise DerivationError(
                 f"{kind}{indices}: no unique sign pattern passes the oracle")
+        return self.signed_relation(kind, indices, terms, signs)
+
+    def signed_relation(self, kind: str, indices: tuple,
+                        terms: Sequence[tuple[int, tuple[int, ...]]],
+                        signs: Sequence[int]) -> RelationRecord:
+        """The relation with the given term signs, certified under every field."""
         comps = {comp: GradedPoly.monomial(NVARS, exps, s)
                  for (comp, exps), s in zip(terms, signs)}
         elem = ModuleElement(
@@ -455,9 +463,10 @@ def sextets() -> tuple[tuple[SForm, ...], ...]:
                 break
             terms = tuple((oi, _addexp(_sq(ms[oi]), _exps(block[oi - 1])))
                           for oi in range(1, 7) if oi != cancel)
-            if oracle.solve_signs(terms) is None:
+            signs = oracle.solve_signs(terms)
+            if signs is None:
                 break
-            certified.append(terms)
+            certified.append((terms, tuple(signs)))
         else:
             valid.append((block, certified))
     if len(valid) != 12:
@@ -467,18 +476,20 @@ def sextets() -> tuple[tuple[SForm, ...], ...]:
         raise DerivationError("sextet blocks do not partition the 72 forms")
     valid.sort(key=lambda v: tuple(sorted(v[0][0])))
     return tuple(
-        tuple(SForm(oi, block[oi - 1], sid, certified[oi - 1]) for oi in range(1, 7))
+        tuple(SForm(oi, block[oi - 1], sid, *certified[oi - 1]) for oi in range(1, 7))
         for sid, (block, certified) in enumerate(valid, 1))
 
 
 @lru_cache(maxsize=1)
 def extr_b() -> tuple[RelationRecord, ...]:
-    """The 72 five-term relations: one per sextet and cancelled member."""
+    """The 72 five-term relations: one per sextet and cancelled member,
+    with the signs the sextet search solved."""
     oracle = default_oracle()
     out = []
     for block in sextets():
         for s in block:
-            rec = oracle.build_relation("ExtrB", (s.sextet_id, s.odd_index), s.cancel_terms)
+            rec = oracle.signed_relation("ExtrB", (s.sextet_id, s.odd_index),
+                                         s.cancel_terms, s.cancel_signs)
             if rec.element.degree() != 8:
                 raise DerivationError(
                     f"five-term relation ({s.sextet_id},{s.odd_index}) has wrong degree")

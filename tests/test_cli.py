@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from theta2 import numerics
 from theta2.cli import main
 
 
@@ -60,6 +61,33 @@ def test_verify_numeric_deterministic(capsys):
     _, first = run(capsys, "--seed", "3", "--points", "2", "verify", "numeric")
     _, second = run(capsys, "--seed", "3", "--points", "2", "verify", "numeric")
     assert first == second
+
+
+def test_verify_numeric_evaluates_each_point_once(capsys, monkeypatch):
+    # three points at the configured radius plus the same three at the
+    # stricter self-consistency radius: one tail-bound check per pair
+    counts = {"theta_values": 0, "grad_values": 0, "tail_bound": 0}
+    for name in counts:
+        original = getattr(numerics, name)
+
+        def counting(*a, _name=name, _original=original, **k):
+            counts[_name] += 1
+            return _original(*a, **k)
+
+        monkeypatch.setattr(numerics, name, counting)
+    code, _ = run(capsys, "--seed", "7", "--points", "3", "verify", "numeric")
+    assert code == 0
+    assert counts["theta_values"] <= 2 * 3
+    assert counts["grad_values"] <= 2 * 3
+    assert counts["tail_bound"] == 2 * 3
+
+
+def test_truncation_failure_is_an_evaluation_error(capsys):
+    code = main(["--radius", "1", "--points", "2", "verify", "numeric"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "evaluation error: truncation tail" in captured.err
+    assert "internal error" not in captured.out + captured.err
 
 
 def test_verify_brackets(capsys):

@@ -8,10 +8,12 @@ from theta2.chars import EVEN_CHARS, ODD_CHARS
 from theta2.errors import EvaluationError
 from theta2.numerics import (
     EvalConfig,
+    PointValues,
     SiegelPoint,
     chi5,
     dtable_ratios,
     eval_element,
+    point_values,
     relation_residual,
     sample_siegel,
     theta,
@@ -20,7 +22,7 @@ from theta2.numerics import (
     second_kind_checks,
 )
 from theta2.symbolic import GradedPoly, ModuleElement, clear_denominator
-from theta2.thetaring import d_table, extr_h, rel_d, riemann_ideal
+from theta2.thetaring import all_relations, d_table, extr_h, rel_d, riemann_ideal
 
 CFG = EvalConfig(radius=10, target_eps=1e-12)
 I_POINT = SiegelPoint(1j, 0.0, 1j)
@@ -119,8 +121,8 @@ def test_eval_element_denominator_identity(points):
     e = extr_h()
     numerator = ModuleElement(e.components, e.shifts)
     Z = points[0]
-    tagged, _ = eval_element(e, "theta", Z, CFG)
-    plain, _ = eval_element(numerator, "theta", Z, CFG)
+    tagged, _ = eval_element(e, Z, CFG)
+    plain, _ = eval_element(numerator, Z, CFG)
     vals = numerics.theta_values(Z, CFG)
     dval = vals[1] * vals[4]
     assert np.allclose(tagged * dval, plain, rtol=1e-10)
@@ -129,9 +131,74 @@ def test_eval_element_denominator_identity(points):
 def test_eval_element_rejects_binding_mismatch(points):
     p = GradedPoly.variable(4, 0)
     with pytest.raises(ValueError):
-        eval_element(p, "theta", points[0], CFG)
+        eval_element(p, points[0], CFG)
+
+
+# -- per-point value tables ----------------------------------------------------
+
+
+def test_point_values_match_per_characteristic_series(points):
+    for Z in points[:2]:
+        table = point_values(Z, CFG)
+        assert table.point == Z
+        assert list(table.thetas) == [theta(m, Z, CFG) for m in EVEN_CHARS]
+        assert np.array_equal(table.grads, [theta_grad(n, Z, CFG) for n in ODD_CHARS])
+
+
+def test_point_values_are_read_only(points):
+    table = point_values(points[0], CFG)
     with pytest.raises(ValueError):
-        eval_element(p, "bogus", points[0], CFG)
+        table.thetas[0] = 0
+    with pytest.raises(ValueError):
+        table.grads[0, 0] = 0
+
+
+def test_table_residuals_equal_per_element_evaluation(points):
+    # the old path evaluated theta_values and grad_values afresh for every
+    # element; the shared table must give the same floats, not close ones
+    elements = riemann_ideal() + [r.element for r in all_relations()]
+    assert len(elements) == 142
+    for Z in points[:2]:
+        table = point_values(Z, CFG)
+        for e in elements:
+            fresh = PointValues(Z, numerics.theta_values(Z, CFG), numerics.grad_values(Z, CFG))
+            expected = relation_residual(e, fresh)
+            assert relation_residual(e, table) == expected
+            assert relation_residual(e, Z, CFG) == expected
+
+
+def test_dtable_ratios_tables_equal_bare_points(points):
+    tables = [point_values(Z, CFG) for Z in points[:3]]
+    assert dtable_ratios(tables) == dtable_ratios(points[:3], CFG)
+
+
+def test_tail_bound_checked_once_per_table(monkeypatch):
+    calls = []
+    original = numerics.tail_bound
+
+    def counting(lambda_min, radius):
+        calls.append(radius)
+        return original(lambda_min, radius)
+
+    monkeypatch.setattr(numerics, "tail_bound", counting)
+    point_values(I_POINT, CFG)
+    assert calls == [CFG.radius]
+    # the public single-series functions still check on every call
+    calls.clear()
+    theta(EVEN_CHARS[0], I_POINT, CFG)
+    theta_grad(ODD_CHARS[0], I_POINT, CFG)
+    theta_second((0, 0), I_POINT, CFG)
+    assert calls == [CFG.radius] * 3
+
+
+def test_point_values_checks_before_any_sum(monkeypatch):
+    sums = []
+    original = numerics._series_terms
+    monkeypatch.setattr(numerics, "_series_terms",
+                        lambda *a, **k: sums.append(1) or original(*a, **k))
+    with pytest.raises(EvaluationError):
+        point_values(I_POINT, EvalConfig(radius=2, target_eps=1e-14))
+    assert sums == []
 
 
 def test_dtable_certification(points):

@@ -28,6 +28,7 @@ from theta2.thetaring import (
     NVARS,
     SHIFTS,
     DTableEntry,
+    RelationOracle,
     StructurePipeline,
     catalog_json,
     d_entry,
@@ -201,6 +202,34 @@ def test_extr_b_worked_example():
         3: "1*t1*t3*t4*t5*t10^3",       # +t10^2 * S(odd3)
     })
     assert rec.element == printed or rec.element == -printed
+
+
+def test_extr_b_reuses_sextet_signs(monkeypatch):
+    # the sextet search solves every five-term sign pattern once; extr_b
+    # only assembles and certifies, and its relations do not change
+    blocks = sextets()
+    warm = extr_b()
+    calls = []
+    original = RelationOracle.solve_signs
+
+    def counting(self, terms):
+        calls.append(terms)
+        return original(self, terms)
+
+    monkeypatch.setattr(RelationOracle, "solve_signs", counting)
+    rebuilt = extr_b.__wrapped__()
+    assert calls == []
+    assert rebuilt == warm
+    s = blocks[0][0]
+    assert list(s.cancel_signs) == original(default_oracle(), s.cancel_terms)
+
+
+def test_signed_relation_still_certifies():
+    s = sextets()[0][0]
+    flipped = (s.cancel_signs[0], -s.cancel_signs[1]) + s.cancel_signs[2:]
+    with pytest.raises(DerivationError):
+        default_oracle().signed_relation("ExtrB", (s.sextet_id, s.odd_index),
+                                         s.cancel_terms, flipped)
 
 
 def test_extr_b_numeric(points):
