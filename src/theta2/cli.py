@@ -1,7 +1,7 @@
 """Command-line front end: catalog derivation, verification suites, the
 structure pipeline.  Reports are JSON with a fixed schema; exit code 0
-means every check passed, 1 a verification failure, 2 a usage, internal,
-derivation or evaluation error.
+means every check passed, 1 a report whose status is "fail", 2 a usage,
+internal, derivation or evaluation error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics, thetaring
-from .errors import DerivationError, EvaluationError, VerificationFailure
+from .errors import DerivationError, EvaluationError
 from .groebner import FIELDS
 from .thetaring import (
     GRADIENT_MODULE_SERIES,
@@ -390,9 +390,6 @@ def main(argv: list[str] | None = None) -> int:
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 2
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001  CI contract: 2 = internal error
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

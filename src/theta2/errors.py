@@ -5,9 +5,5 @@ class DerivationError(RuntimeError):
     """An internal derivation produced inconsistent data (a bug, not bad input)."""
 
 
-class VerificationFailure(AssertionError):
-    """A certification check did not pass."""
-
-
 class EvaluationError(ArithmeticError):
     """A numerical evaluation could not meet its accuracy target."""

@@ -17,6 +17,11 @@ Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
 either over the rationals or over two distinct primes.
 
+BasisCache keeps reduced bases on disk in the engine's own form: a sha256
+digest line, then JSON with each element's packed term keys and
+coefficients.  An entry whose digest or basis shape does not check out is
+a miss, so a corrupt file is recomputed rather than trusted.
+
 Block invariant.  Each ring-variable block of a packed monomial holds
 C - e with 0 <= e < C = 64, so its value lies in 1..C and the guard bit
 (the top bit of the block) stays free; tag blocks hold e itself, also
@@ -36,17 +41,12 @@ from bisect import insort
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import DerivationError
-from .symbolic import (
-    GradedPoly,
-    HilbertSeries,
-    ModuleElement,
-    element_from_text,
-    element_to_text,
-)
+from .symbolic import GradedPoly, HilbertSeries, ModuleElement
 
 # ---------------------------------------------------------------------------
 # Coefficient fields
@@ -995,14 +995,66 @@ def kernel_of_presentation_map(targets: Sequence[ModuleElement],
 # Disk cache for reduced bases
 # ---------------------------------------------------------------------------
 
-# bump whenever engine output or a stage's derivation could change: the keys
-# cover generators, not code, and entries of older versions are never read
-CACHE_VERSION = 1
+# bump whenever engine output, a stage's derivation or the entry format could
+# change: the keys cover generators, not code, and entries of older versions
+# are never read
+CACHE_VERSION = 2
+
+
+def _decode_coeff(c, field):
+    """A stored coefficient: a residue 0 < c < p, or a rational [n, d] in
+    lowest terms with d > 0 and n nonzero."""
+    if field.p is None:
+        n, d = c
+        if type(n) is int and type(d) is int and n and d > 0 and gcd(n, d) == 1:
+            return Fraction(n, d)
+    elif type(c) is int and 0 < c < field.p:
+        return c
+    raise ValueError(f"coefficient {c!r} out of range")
+
+
+def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
+    """Element dicts from a cache payload's element list.
+
+    Raises ValueError unless they have the shape of a reduced basis in
+    order: no empty element or repeated key, every component below the
+    rank, monic leads in strictly ascending key order, and no lead dividing
+    another in its component.  A lead's divisors in its component lie
+    below it, so each lead is tested against the earlier ones only."""
+    limit = 1 << (order.mono_bits + _CB + 1)
+    floor = _CMAX - order.rank          # key & _CMAX above it: component < rank
+    gall = order._gall
+    words: dict[int, list[int]] = defaultdict(list)   # divisor words of leads
+    out = []
+    prev = -1
+    for terms in raw:
+        elem = {k: _decode_coeff(c, field) for k, c in terms}
+        if not elem or len(elem) != len(terms) or not all(
+                type(k) is int and 0 <= k < limit and k & _CMAX > floor for k in elem):
+            raise ValueError("malformed element")
+        lead = max(elem)
+        if lead <= prev or elem[lead] != 1:
+            raise ValueError("leads not ascending, or not monic")
+        prev = lead
+        enc, comp = order.split_key(lead)
+        tw = order.target_word(enc)
+        group = words[comp]
+        if any(((dw - tw) & gall) == gall for dw in group):
+            raise ValueError("a lead divides a later lead")
+        group.append(order.divisor_word(enc))
+        out.append(elem)
+    return out
 
 
 class BasisCache:
     """Reduced bases on disk, keyed by tag, own generators, parent keys,
-    order, field and CACHE_VERSION; a key never needs a basis loaded."""
+    order, field and CACHE_VERSION; a key never needs a basis loaded.
+
+    An entry is the sha256 hex digest of its payload, a newline, then the
+    payload: JSON {"elements": [[[key, coeff], ...], ...]} holding the
+    engine's element dicts unchanged, with packed term keys and each
+    coefficient as a GF(p) residue or a rational [numerator, denominator].
+    """
 
     def __init__(self, directory: str | None):
         self.directory = directory
@@ -1025,31 +1077,34 @@ class BasisCache:
     def path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".json")
 
-    def load(self, key: str, order: MonomialOrder, field,
-             shifts: tuple[int, ...]) -> GroebnerBasis | None:
-        """The stored basis; None if missing or malformed (e.g. truncated)."""
+    def load(self, key: str, order: MonomialOrder, field) -> list[dict] | None:
+        """The stored basis elements; None (a miss, which the stage recomputes
+        and overwrites) if the entry is missing, its digest does not match,
+        or its payload does not decode to a reduced basis in order."""
         if not self.directory:
             return None
-        path = self.path(key)
-        if not os.path.exists(path):
+        try:
+            with open(self.path(key), "rb") as fh:
+                digest, _, payload = fh.read().partition(b"\n")
+        except FileNotFoundError:
+            return None
+        if hashlib.sha256(payload).hexdigest().encode() != digest:
             return None
         try:
-            with open(path) as fh:
-                lines = json.load(fh)["elements"]
-            elems = [to_engine(element_from_text(line, order.nvars, order.rank,
-                                                 shifts=(1,) * order.rank), order, field)
-                     for line in lines]
-        except (ValueError, TypeError, KeyError, AttributeError):
-            # JSONDecodeError is a ValueError; the stage recomputes and overwrites
+            return _decode_basis(json.loads(payload)["elements"], order, field)
+        except (ValueError, TypeError, KeyError):
+            # JSONDecodeError is a ValueError
             return None
-        return GroebnerBasis(EngineBasis(elems, order, field), shifts)
 
-    def store(self, key: str, gb: GroebnerBasis) -> None:
+    def store(self, key: str, elements: list[dict]) -> None:
         """Write to a temporary file, then rename: readers never see a partial entry."""
         if not self.directory:
             return
-        lines = [element_to_text(e) for e in gb.elements()]
+        payload = json.dumps({"elements": [
+            [[k, [c.numerator, c.denominator] if isinstance(c, Fraction) else c]
+             for k, c in e.items()] for e in elements]},
+            separators=(",", ":")).encode()
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"elements": lines}, fh)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload)
         os.replace(tmp, self.path(key))

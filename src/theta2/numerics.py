@@ -10,7 +10,9 @@ below double precision already.
 Catalog elements are evaluated from a per-point table, `PointValues`: the
 ten even constants and the six odd gradients, computed once per point
 after one tail-bound check and one lattice build.  Every residual and
-determinant ratio at that point reads the same table.
+determinant ratio at that point reads the same table.  The second-kind
+bracket checks likewise run one tail-bound check and build one lattice
+per sample point, shared by all of that point's finite differences.
 """
 
 from __future__ import annotations
@@ -335,12 +337,18 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
     on the off-diagonal, stated here because any consistent convention
     passes the ratio and identity tests.
     """
-    f_funcs = [lambda W, a=a: theta_second(a, W, cfg) for a in SECOND_KIND_ORDER]
+    chars = [Characteristic((a[0], a[1]), (0, 0)) for a in SECOND_KIND_ORDER]
 
     constants = []
     bracket_resid = []
     triple_resid = []
     for Z in points:
+        # theta_second at every point the differences visit, from one check
+        # and one lattice: every finite-difference shift is real, so each
+        # shifted W has Im(2W) == Im(2Z) bit for bit and the same tail bound
+        lattice = _checked_lattice(Z.scaled(2.0), cfg)
+        f_funcs = [lambda W, m=m: complex(_series_terms(m, W.scaled(2.0), lattice)[2].sum())
+                   for m in chars]
         f = np.array([fn(Z) for fn in f_funcs])
         df = np.array([_fd_gradient_richardson(fn, Z) for fn in f_funcs])
 

@@ -643,15 +643,14 @@ class StructurePipeline:
         return self._keys[tag]
 
     def _cached_basis(self, tag: str, key: str, build) -> GroebnerBasis:
-        if tag in self._store:
-            return self._store[tag]
-        hit = self.cache.load(key, self.order, self.field, SHIFTS)
-        if hit is None:
-            elements = build()
-            hit = GroebnerBasis(EngineBasis(elements, self.order, self.field), SHIFTS)
-            self.cache.store(key, hit)
-        self._store[tag] = hit
-        return hit
+        if tag not in self._store:
+            elements = self.cache.load(key, self.order, self.field)
+            if elements is None:
+                elements = build()
+                self.cache.store(key, elements)
+            self._store[tag] = GroebnerBasis(EngineBasis(elements, self.order, self.field),
+                                             SHIFTS)
+        return self._store[tag]
 
     def _kernel_key(self) -> str:
         return self._key("total_kernel", kernel_seed_generators())

@@ -96,6 +96,30 @@ def test_verify_brackets(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_verify_brackets_checks_each_point_once(capsys, monkeypatch):
+    # one tail-bound check for the point's finite differences, one for chi5
+    calls = []
+    original = numerics.tail_bound
+
+    def counting(*a, **k):
+        calls.append(a)
+        return original(*a, **k)
+
+    monkeypatch.setattr(numerics, "tail_bound", counting)
+    code, _ = run(capsys, "--points", "2", "verify", "brackets")
+    assert code == 0
+    assert len(calls) <= 2 * 2
+
+
+def test_failed_check_exits_1(capsys):
+    # radius 10 and 14 agree to rounding, far above this eps
+    code, out = run(capsys, "--eps", "1e-100", "--points", "1", "verify", "numeric")
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    assert report["first_failure"] == "radius-self-consistency"
+
+
 def test_verify_allrel_and_cache_warm_equals_cold(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     args = ("--coeff-mode", "p1", "--cache-dir", cache, "verify", "allrel")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -351,50 +352,127 @@ def test_zero_generators_dropped():
     assert len(basis) == 1
 
 
-def test_cache_roundtrip(tmp_path):
+def _toy_basis(field=QQ):
     x, y = V(2, 0), V(2, 1)
-    basis = buchberger([x * x - y * y, x * y])
+    return buchberger([x * x - y * y - y * y - y * y, x * y], field=field)
+
+
+def _write_entry(cache, key, payload, digest=None):
+    """Write an entry by hand; digest None means the payload's true digest."""
+    body = json.dumps(payload, separators=(",", ":")).encode()
+    digest = digest or hashlib.sha256(body).hexdigest()
+    with open(cache.path(key), "wb") as fh:
+        fh.write(digest.encode() + b"\n" + body)
+
+
+def _read_entry(cache, key):
+    with open(cache.path(key), "rb") as fh:
+        digest, _, body = fh.read().partition(b"\n")
+    return digest.decode(), json.loads(body)
+
+
+def test_cache_roundtrip(tmp_path):
     cache = BasisCache(str(tmp_path))
-    key = BasisCache.key("toy", ["a", "b"], [], basis.order, QQ)
-    cache.store(key, basis)
-    loaded = cache.load(key, basis.order, QQ, basis.shifts)
-    assert loaded is not None
-    assert loaded.same_module(basis)
-    assert loaded.structure_fingerprint() == basis.structure_fingerprint()
+    for field, ctype in ((QQ, Fraction), (GFP1, int)):
+        basis = _toy_basis(field)
+        elements = basis.engine.elements
+        key = BasisCache.key("toy", ["a", "b"], [], basis.order, field)
+        cache.store(key, elements)
+        loaded = cache.load(key, basis.order, field)
+        assert loaded == elements
+        assert {type(c) for e in loaded for c in e.values()} == {ctype}
+        assert any(len(e) > 1 for e in loaded)
 
 
 def test_cache_truncated_entry_is_a_miss(tmp_path):
-    x, y = V(2, 0), V(2, 1)
-    basis = buchberger([x * x - y * y, x * y])
+    basis = _toy_basis()
     cache = BasisCache(str(tmp_path))
     key = BasisCache.key("toy", ["a"], [], basis.order, QQ)
-    cache.store(key, basis)
+    cache.store(key, basis.engine.elements)
     path = cache.path(key)
     with open(path, "r+") as fh:
         fh.truncate(len(fh.read()) // 2)
-    assert cache.load(key, basis.order, QQ, basis.shifts) is None
-    cache.store(key, basis)
-    assert cache.load(key, basis.order, QQ, basis.shifts).same_module(basis)
+    assert cache.load(key, basis.order, QQ) is None
+    cache.store(key, basis.engine.elements)
+    assert cache.load(key, basis.order, QQ) == basis.engine.elements
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
 
 
+@pytest.mark.parametrize("field_name", ["q", "p1"])
+def test_cache_changed_coefficient_is_a_miss(tmp_path, field_name):
+    # a payload that still decodes to a valid basis shape, under the old digest
+    field = gb.FIELDS[field_name]
+    basis = _toy_basis(field)
+    cache = BasisCache(str(tmp_path))
+    key = BasisCache.key("toy", ["a"], [], basis.order, field)
+    cache.store(key, basis.engine.elements)
+    digest, payload = _read_entry(cache, key)
+    _write_entry(cache, key, payload, digest)
+    assert cache.load(key, basis.order, field) == basis.engine.elements
+    elem = next(e for e in payload["elements"] if len(e) > 1)
+    term = min(elem)                      # a tail term; the lead stays monic
+    term[1] = [-2, 1] if field is QQ else 2
+    _write_entry(cache, key, payload, digest)
+    assert cache.load(key, basis.order, field) is None
+    cache.store(key, basis.engine.elements)
+    assert cache.load(key, basis.order, field) == basis.engine.elements
+
+
+@pytest.mark.parametrize("field_name,damage", [
+    ("p1", "unsorted"), ("p1", "divisible"), ("p1", "component"), ("p1", "monic"),
+    ("p1", "zero"), ("p1", "range"), ("q", "zero"), ("q", "lowest"), ("q", "denominator"),
+])
+def test_cache_entry_not_a_reduced_basis_is_a_miss(tmp_path, field_name, damage):
+    # each payload is written with its true digest, so only the shape check
+    # can see the damage
+    field = gb.FIELDS[field_name]
+    basis = _toy_basis(field)
+    order, elements = basis.order, basis.engine.elements
+    cache = BasisCache(str(tmp_path))
+    key = BasisCache.key("toy", ["a"], [], order, field)
+    cache.store(key, elements)
+    _, payload = _read_entry(cache, key)
+    raw = payload["elements"]
+    lead = max(raw[-1])
+    tail = min(next(e for e in raw if len(e) > 1))
+    if damage == "unsorted":
+        raw.reverse()
+    elif damage == "divisible":
+        # x times the first lead, above the last lead: still ascending
+        x = order.key_mul_delta(order.encode_mono((1, 0)))
+        raw.append([[max(raw[0])[0] + x, lead[1]]])
+        assert raw[-1][0][0] > lead[0]
+    elif damage == "component":
+        tail[0] -= 1                      # component 0 -> 1, the rank
+    elif damage == "monic":
+        lead[1] = 2
+    else:
+        tail[1] = {"zero": [0, 1] if field is QQ else 0, "range": field.p,
+                   "lowest": [-6, 2], "denominator": [3, -1]}[damage]
+    _write_entry(cache, key, payload)
+    assert cache.load(key, order, field) is None
+    cache.store(key, elements)
+    assert cache.load(key, order, field) == elements
+
+
 @pytest.mark.parametrize("payload", [
-    {"elements": ["1*x"]},                 # unknown variable
-    {"elements": ["1*t1 | 1*t2"]},         # wrong rank
+    {"elements": ["1*x"]},                 # element text of the old format
+    {"elements": ["1*t1 | 1*t2"]},
     {"elements": 5},
     {"elements": [5]},
     [1, 2],
 ])
 def test_cache_malformed_entry_is_a_miss(tmp_path, payload):
-    x, y = V(2, 0), V(2, 1)
-    basis = buchberger([x * x - y * y, x * y])
+    basis = _toy_basis()
     cache = BasisCache(str(tmp_path))
     key = BasisCache.key("toy", ["a"], [], basis.order, QQ)
     with open(cache.path(key), "w") as fh:
-        json.dump(payload, fh)
-    assert cache.load(key, basis.order, QQ, basis.shifts) is None
-    cache.store(key, basis)
-    assert cache.load(key, basis.order, QQ, basis.shifts).same_module(basis)
+        json.dump(payload, fh)                # no digest line
+    assert cache.load(key, basis.order, QQ) is None
+    _write_entry(cache, key, payload)         # its true digest
+    assert cache.load(key, basis.order, QQ) is None
+    cache.store(key, basis.engine.elements)
+    assert cache.load(key, basis.order, QQ) == basis.engine.elements
 
 
 def test_monomial_order_packing_roundtrip():

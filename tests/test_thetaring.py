@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -329,7 +330,7 @@ def test_kernel_seed_shared_with_oracle():
 
 
 def _counting_loads(monkeypatch, serve=None):
-    """Record the key of every BasisCache.load; serve a fixed basis if given."""
+    """Record the key of every BasisCache.load; serve fixed elements if given."""
     keys = []
     real = BasisCache.load
 
@@ -350,8 +351,26 @@ def test_m_pair_warm_is_one_load(pipe_p1, cache_dir, monkeypatch):
     assert len(keys) == 1
 
 
+def test_m_pair_entry_loads_back_and_survives_corruption(pipe_p1, cache_dir):
+    warm = pipe_p1.m_pair(1, 2)
+    key = pipe_p1._keys["m_pair_1_2"]
+    cache = BasisCache(cache_dir)
+    assert cache.load(key, pipe_p1.order, GFP1) == warm.engine.elements
+    # one tail coefficient changed, digest line kept: a miss, then rebuilt
+    with open(cache.path(key), "rb") as fh:
+        digest, _, body = fh.read().partition(b"\n")
+    payload = json.loads(body)
+    term = min(next(e for e in payload["elements"] if len(e) > 1))
+    term[1] = term[1] % (GFP1.p - 1) + 1
+    with open(cache.path(key), "wb") as fh:
+        fh.write(digest + b"\n" + json.dumps(payload, separators=(",", ":")).encode())
+    assert cache.load(key, pipe_p1.order, GFP1) is None
+    assert StructurePipeline(GFP1, cache_dir).m_pair(1, 2).same_module(warm)
+    assert cache.load(key, pipe_p1.order, GFP1) == warm.engine.elements
+
+
 def test_cache_version_changes_m_pair_key(pipe_p1, monkeypatch):
-    keys = _counting_loads(monkeypatch, serve=pipe_p1.m_pair(1, 2))
+    keys = _counting_loads(monkeypatch, serve=pipe_p1.m_pair(1, 2).engine.elements)
     StructurePipeline(GFP1).m_pair(1, 2)
     monkeypatch.setattr(groebner, "CACHE_VERSION", groebner.CACHE_VERSION + 1)
     StructurePipeline(GFP1).m_pair(1, 2)
