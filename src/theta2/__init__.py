@@ -15,10 +15,6 @@ from .groebner import (
     QQ,
     GroebnerBasis,
     MonomialOrder,
-    buchberger,
-    intersect,
-    kernel_of_presentation_map,
-    module_quotient,
 )
 from .symbolic import (
     GradedPoly,

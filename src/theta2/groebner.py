@@ -9,9 +9,11 @@ and a dominating component block (syzygies) extend the same key; only
 MonomialOrder knows its layout.
 
 The engine provides reduced Groebner bases, normal forms, module quotients
-(colon), intersections via a degree-zero tag variable, syzygy-based kernels
-of presentation maps, and Hilbert series of graded quotients computed from
-lead-term modules.
+(colon) by a monomial through rotated bases, intersections via a degree-zero
+tag variable, and Hilbert series of graded quotients computed from
+lead-term modules.  syzygy_engine computes the same colon by a second,
+independent route (syzygies under a block order); nothing in the pipeline
+calls it, and it stays as the reference the colon is checked against.
 
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
@@ -326,20 +328,6 @@ def to_engine(e: ModuleElement | GradedPoly, order: MonomialOrder, field) -> dic
             if v:
                 out[order.term_key(order.encode_mono(exps + pad), ci)] = v
     return out
-
-
-def from_engine(elem: dict, order: MonomialOrder, field,
-                shifts: Sequence[int] | None = None) -> ModuleElement:
-    """Convert back to a symbolic element, lifting coefficients via the field."""
-    rank = order.rank
-    comps: list[dict] = [dict() for _ in range(rank)]
-    for key, c in elem.items():
-        enc, comp = order.split_key(key)
-        exps = order.decode_mono(enc)[: order.nvars]
-        comps[comp][exps] = field.lift(c)
-    polys = tuple(GradedPoly(order.nvars, t) for t in comps)
-    shifts = tuple(shifts) if shifts is not None else (1,) * rank
-    return ModuleElement(polys, shifts)
 
 
 class _Row:
@@ -755,8 +743,6 @@ def intersect_engine(mods: list[list[dict]], order: MonomialOrder, field) -> lis
         raise ValueError("need at least one submodule")
     work = sorted(mods, key=len)
     cur = work[0]
-    if len(work) == 1:
-        return buchberger_engine(cur, order, field)
     for nxt in work[1:]:
         cur = intersect_pair_engine(cur, nxt, order, field)
     return cur
@@ -893,14 +879,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.engine.elements)
 
-    def elements(self) -> list[ModuleElement]:
-        return [from_engine(e, self.order, self.field, self.shifts)
-                for e in self.engine.elements]
-
-    def normal_form(self, e: ModuleElement | GradedPoly) -> ModuleElement:
-        nf = self.engine.normal_form(to_engine(e, self.order, self.field))
-        return from_engine(nf, self.order, self.field, self.shifts)
-
     def contains(self, e: ModuleElement | GradedPoly) -> bool:
         return self.engine.contains(to_engine(e, self.order, self.field))
 
@@ -916,79 +894,6 @@ class GroebnerBasis:
         if self.order.descriptor != other.order.descriptor:
             raise ValueError("bases use different orders")
         return self.engine.elements == other.engine.elements
-
-
-def _default_order(items: Sequence[ModuleElement | GradedPoly]) -> tuple[MonomialOrder, tuple[int, ...]]:
-    first = items[0]
-    if isinstance(first, GradedPoly):
-        return MonomialOrder(first.nvars, rank=1), (0,)
-    return MonomialOrder(first.nvars, rank=first.rank), tuple(first.shifts)
-
-
-def buchberger(gens: Sequence[ModuleElement | GradedPoly],
-               order: MonomialOrder | None = None,
-               field=QQ,
-               shifts: Sequence[int] | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by gens."""
-    if not gens:
-        raise ValueError("need at least one generator (possibly zero)")
-    if order is None:
-        order, inferred = _default_order(gens)
-        shifts = tuple(shifts) if shifts is not None else inferred
-    else:
-        shifts = tuple(shifts) if shifts is not None else (1,) * order.rank
-    engine_gens = [to_engine(g, order, field) for g in gens]
-    basis = buchberger_engine(engine_gens, order, field)
-    return GroebnerBasis(EngineBasis(basis, order, field), shifts)
-
-
-def module_quotient(gb: GroebnerBasis, f: GradedPoly) -> GroebnerBasis:
-    """(M : f) = all T with f*T in M, for a nonzero monomial f."""
-    if len(f.terms) != 1:
-        raise ValueError("colon needs a nonzero monomial")
-    order, field = gb.order, gb.field
-    ((exps, _),) = f.terms.items()
-    basis = module_quotient_engine(gb.engine.elements, exps, order, field)
-    return GroebnerBasis(EngineBasis(basis, order, field), gb.shifts)
-
-
-def intersect(subs: Sequence[GroebnerBasis]) -> GroebnerBasis:
-    """Intersection of submodules given by their Groebner bases."""
-    if not subs:
-        raise ValueError("need at least one submodule")
-    first = subs[0]
-    for s in subs[1:]:
-        if s.order.descriptor != first.order.descriptor:
-            raise ValueError("submodules live in different ambient orders")
-    basis = intersect_engine([s.engine.elements for s in subs],
-                             first.order, first.field)
-    return GroebnerBasis(EngineBasis(basis, first.order, first.field), first.shifts)
-
-
-def kernel_of_presentation_map(targets: Sequence[ModuleElement],
-                               modulo: GroebnerBasis | None = None) -> GroebnerBasis:
-    """Syzygies of the targets inside F/K: kernel of e_i -> targets_i.
-
-    modulo supplies K by its Groebner basis and the field; None means K = 0
-    over the rationals.
-    """
-    if not targets:
-        raise ValueError("need at least one target")
-    rank = targets[0].rank
-    order = MonomialOrder(targets[0].nvars, rank=rank)
-    if modulo is not None:
-        order = modulo.order
-        field = modulo.field
-        kern = modulo.engine.elements
-    else:
-        field = QQ
-        kern = []
-    tgt = [to_engine(t, order, field) for t in targets]
-    syz = syzygy_engine(tgt, kern, order, field)
-    sy_order = MonomialOrder(order.nvars, rank=len(targets), varseq=order.varseq)
-    basis = buchberger_engine([], sy_order, field, seed=syz)
-    shifts = tuple(t.degree() if not t.is_zero() else 0 for t in targets)
-    return GroebnerBasis(EngineBasis(basis, sy_order, field), shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,7 +1002,8 @@ class BasisCache:
             return None
 
     def store(self, key: str, elements: list[dict]) -> None:
-        """Write to a temporary file, then rename: readers never see a partial entry."""
+        """Write to a temporary file, then rename: readers never see a partial
+        entry.  If either step fails the temporary file is removed."""
         if not self.directory:
             return
         payload = json.dumps({"elements": [
@@ -1105,6 +1011,10 @@ class BasisCache:
              for k, c in e.items()] for e in elements]},
             separators=(",", ":")).encode()
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload)
-        os.replace(tmp, self.path(key))
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload)
+            os.replace(tmp, self.path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise

@@ -143,12 +143,6 @@ def theta_grad(n: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig()
     return _grad_sum(n, Z, _checked_lattice(Z, cfg))
 
 
-def theta_second(a: Sequence[int], Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> complex:
-    """Second-kind constant: first-kind value with characteristic (a, 0) at 2Z."""
-    m = Characteristic((a[0], a[1]), (0, 0))
-    return theta(m, Z.scaled(2.0), cfg)
-
-
 SECOND_KIND_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -183,10 +177,6 @@ def point_values(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> PointValues:
     return PointValues(Z, thetas, grads)
 
 
-def _table(Z: PointValues | SiegelPoint, cfg: EvalConfig) -> PointValues:
-    return Z if isinstance(Z, PointValues) else point_values(Z, cfg)
-
-
 def chi5(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> complex:
     return complex(np.prod(theta_values(Z, cfg)))
 
@@ -216,22 +206,18 @@ def _mono_value(values: np.ndarray, exps: Sequence[int]) -> complex:
     return v
 
 
-def eval_element(e: ModuleElement | GradedPoly, Z: PointValues | SiegelPoint,
-                 cfg: EvalConfig = EvalConfig()):
-    """Evaluate a catalog element at a point.
+def eval_element(e: ModuleElement | GradedPoly, table: PointValues):
+    """Evaluate a catalog element at a point, given the point's value table.
 
     The ten even first-kind constants are substituted for the variables;
-    rank-6 elements additionally pair component i with gradient i.  Z is a
-    point's value table, or a bare point whose table is built with cfg
-    first.  Returns (value, scale) where scale sums the magnitudes of the
-    individual terms, so residuals can be reported relative to the
-    cancellation mass.
+    rank-6 elements additionally pair component i with gradient i.  Returns
+    (value, scale) where scale sums the magnitudes of the individual terms,
+    so residuals can be reported relative to the cancellation mass.
     """
     if e.nvars != len(EVEN_CHARS):
         raise ValueError("variable count does not match the ten theta constants")
     if isinstance(e, ModuleElement) and e.rank != len(ODD_CHARS):
         raise ValueError("vector evaluation expects rank 6 over the gradients")
-    table = _table(Z, cfg)
     values = table.thetas
     if isinstance(e, GradedPoly):
         total = 0.0 + 0.0j
@@ -259,10 +245,9 @@ def eval_element(e: ModuleElement | GradedPoly, Z: PointValues | SiegelPoint,
     return total, scale
 
 
-def relation_residual(e: ModuleElement | GradedPoly, Z: PointValues | SiegelPoint,
-                      cfg: EvalConfig = EvalConfig()) -> float:
+def relation_residual(e: ModuleElement | GradedPoly, table: PointValues) -> float:
     """Relative residual |value| / sum of term magnitudes."""
-    value, scale = eval_element(e, Z, cfg)
+    value, scale = eval_element(e, table)
     mag = float(np.linalg.norm(value)) if isinstance(value, np.ndarray) else abs(value)
     if scale == 0.0:
         return 0.0
@@ -273,20 +258,19 @@ def relation_residual(e: ModuleElement | GradedPoly, Z: PointValues | SiegelPoin
 # Gradient determinant table certification
 # ---------------------------------------------------------------------------
 
-def dtable_ratios(points: Sequence[PointValues | SiegelPoint], cfg: EvalConfig = EvalConfig()):
+def dtable_ratios(tables: Sequence[PointValues]):
     """Ratios det(grad_j, grad_i) / (pi^2 * quadruple product) for i < j.
 
     The column order (grad_j, grad_i) is the orientation under which the
     printed sign table comes out exactly; with the series convention used
-    here det(grad_i, grad_j) carries the opposite global sign.  Points are
-    value tables or bare points, as in `eval_element`.  Returns
-    {(i, j): list of complex ratios over the points}.
+    here det(grad_i, grad_j) carries the opposite global sign.  Takes one
+    value table per point; returns {(i, j): list of complex ratios over the
+    points}.
     """
     from .chars import azygetic_quadruple
 
     out: dict[tuple[int, int], list[complex]] = {}
-    for Z in points:
-        table = _table(Z, cfg)
+    for table in tables:
         thetas, grads = table.thetas, table.grads
         for i in range(1, 7):
             for j in range(i + 1, 7):
@@ -343,8 +327,9 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
     bracket_resid = []
     triple_resid = []
     for Z in points:
-        # theta_second at every point the differences visit, from one check
-        # and one lattice: every finite-difference shift is real, so each
+        # the second-kind constants (first kind with characteristic (a, 0) at
+        # 2W) at every point W the differences visit, from one check and one
+        # lattice: every finite-difference shift is real, so each
         # shifted W has Im(2W) == Im(2Z) bit for bit and the same tail bound
         lattice = _checked_lattice(Z.scaled(2.0), cfg)
         f_funcs = [lambda W, m=m: complex(_series_terms(m, W.scaled(2.0), lattice)[2].sum())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -16,52 +17,58 @@ from theta2.groebner import (
     QQ,
     BasisCache,
     EngineBasis,
-    GroebnerBasis,
     MonomialOrder,
-    buchberger,
     buchberger_engine,
     hilbert_series_engine,
-    intersect,
-    kernel_of_presentation_map,
-    module_quotient,
+    intersect_engine,
+    module_quotient_engine,
+    syzygy_engine,
     to_engine,
 )
-from theta2.symbolic import GradedPoly, HilbertSeries, ModuleElement, poly_to_text
+from theta2.symbolic import GradedPoly, HilbertSeries, ModuleElement
+
+ORDER2 = MonomialOrder(2)
+ORDER3 = MonomialOrder(3)
 
 
 def V(n, i):
     return GradedPoly.variable(n, i)
 
 
+def E(items, order, field=QQ):
+    """Engine dicts of symbolic elements in the given order and field."""
+    return [to_engine(e, order, field) for e in items]
+
+
 def test_trivial_basis_two_variables():
     x, y = V(2, 0), V(2, 1)
-    basis = buchberger([x, y])
-    polys = [e.components[0] for e in basis.elements()]
-    assert polys == [y, x] or polys == [x, y]
+    # leads ascend: y < x in graded reverse lex
+    assert buchberger_engine(E([x, y], ORDER2), ORDER2, QQ) == E([y, x], ORDER2)
 
 
 def test_textbook_membership():
     x, y = V(2, 0), V(2, 1)
     one = GradedPoly.constant(2, 1)
-    basis = buchberger([x * x - one, x * y - one])
-    assert basis.contains(y - x)
-    assert not basis.contains(x)
-    assert basis.normal_form(y - x).is_zero()
+    basis = EngineBasis(buchberger_engine(E([x * x - one, x * y - one], ORDER2), ORDER2, QQ),
+                        ORDER2, QQ)
+    [diff, xe] = E([y - x, x], ORDER2)
+    assert basis.contains(diff)
+    assert not basis.contains(xe)
+    assert basis.normal_form(diff) == {}
 
 
 def test_buchberger_idempotent():
     x, y, z = (V(3, i) for i in range(3))
     gens = [x * y - z * z, y * y + x * z, x * x * z - y * z * z]
-    first = buchberger(gens)
-    again = buchberger([e.components[0] for e in first.elements()])
-    assert first.same_module(again)
+    first = buchberger_engine(E(gens, ORDER3), ORDER3, QQ)
+    assert buchberger_engine(first, ORDER3, QQ) == first
 
 
 def test_normal_form_of_irreducible_monomial():
     x, y = V(2, 0), V(2, 1)
-    basis = buchberger([x * x, x * y])
-    p = y * y * y
-    assert basis.normal_form(p).components[0] == p
+    basis = EngineBasis(buchberger_engine(E([x * x, x * y], ORDER2), ORDER2, QQ), ORDER2, QQ)
+    [p] = E([y * y * y], ORDER2)
+    assert basis.normal_form(p) == p
 
 
 @settings(max_examples=25, deadline=None)
@@ -79,15 +86,16 @@ def test_membership_coherence_random_combinations(seed):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return
-    basis = buchberger(gens)
+    basis = EngineBasis(buchberger_engine(E(gens, ORDER3), ORDER3, QQ), ORDER3, QQ)
     combo = GradedPoly.zero(n)
     for g in gens:
         c = {tuple(rng.randint(0, 1) for _ in range(n)): Fraction(rng.randint(-2, 2))}
         combo = combo + g * GradedPoly(n, c)
-    assert basis.contains(combo)
+    assert basis.contains(to_engine(combo, ORDER3, QQ))
 
 
 def _sympy_basis(gens, n):
+    """sympy's reduced grevlex basis as engine dicts, sorted by lead key."""
     import sympy as sp
     from sympy.polys.groebnertools import groebner as spg
 
@@ -102,10 +110,9 @@ def _sympy_basis(gens, n):
             q += sp.Rational(c.numerator, c.denominator) * mono
         converted.append(q)
     out = spg([q for q in converted if q != ring.zero], ring)
-    return sorted(
-        sorted((tuple(m), Fraction(int(c.numerator), int(c.denominator)))
-               for m, c in p.terms())
-        for p in out)
+    polys = [GradedPoly(n, {tuple(m): Fraction(int(c.numerator), int(c.denominator))
+                            for m, c in p.terms()}) for p in out]
+    return sorted(E(polys, MonomialOrder(n)), key=max)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 5, 9])
@@ -124,49 +131,33 @@ def test_reduced_basis_matches_sympy(seed):
             gens.append(GradedPoly(n, terms))
     if not gens:
         pytest.skip("degenerate sample")
-    mine = buchberger(gens)
-    mine_terms = sorted(
-        sorted(e.components[0].terms.items()) for e in mine.elements())
-    assert mine_terms == _sympy_basis(gens, n)
+    order = MonomialOrder(n)
+    assert buchberger_engine(E(gens, order), order, QQ) == _sympy_basis(gens, n)
 
 
 def test_koszul_syzygy():
     x, y = V(2, 0), V(2, 1)
-    targets = [ModuleElement((x,), (0,)), ModuleElement((y,), (0,))]
-    k = kernel_of_presentation_map(targets)
-    elems = k.elements()
-    assert len(elems) == 1
-    comps = [p for p in elems[0].components]
-    assert {poly_to_text(c, ["x", "y"]) for c in comps} == {"-1*y", "1*x"} or \
-           {poly_to_text(c, ["x", "y"]) for c in comps} == {"1*y", "-1*x"}
+    syz = syzygy_engine(E([x, y], ORDER2), [], ORDER2, QQ)
+    # the one syzygy y*e0 - x*e1, monic at its lead x*e1
+    assert syz == E([ModuleElement((-y, x), (1, 1))], MonomialOrder(2, rank=2))
 
 
 def test_kernel_of_free_targets_is_zero():
+    order = MonomialOrder(2, rank=2)
     targets = [ModuleElement.generator(2, 2, i, shifts=(1, 1)) for i in range(2)]
-    k = kernel_of_presentation_map(targets)
-    assert len(k) == 0
+    assert syzygy_engine(E(targets, order), [], order, QQ) == []
 
 
 def test_module_quotient_monomial_toy():
     x, y = V(2, 0), V(2, 1)
-    base = buchberger([x * y])
-    q = module_quotient(base, x)
-    assert [e.components[0] for e in q.elements()] == [y]
+    base = buchberger_engine(E([x * y], ORDER2), ORDER2, QQ)
+    assert module_quotient_engine(base, (1, 0), ORDER2, QQ) == E([y], ORDER2)
 
 
 def test_module_quotient_by_one_is_identity():
     x, y = V(2, 0), V(2, 1)
-    base = buchberger([x * x + y * y, x * y])
-    q = module_quotient(base, GradedPoly.constant(2, 1))
-    assert q.same_module(base)
-
-
-def test_module_quotient_rejects_non_monomial():
-    x, y = V(2, 0), V(2, 1)
-    base = buchberger([x * y])
-    for f in (x + y, GradedPoly.zero(2)):
-        with pytest.raises(ValueError, match="nonzero monomial"):
-            module_quotient(base, f)
+    base = buchberger_engine(E([x * x + y * y, x * y], ORDER2), ORDER2, QQ)
+    assert module_quotient_engine(base, (0, 0), ORDER2, QQ) == base
 
 
 def test_module_quotient_general_matches_monomial_path():
@@ -187,73 +178,69 @@ def test_module_quotient_general_matches_monomial_path():
             terms[tuple(e)] = Fraction(rng.choice([-1, 1, 2]))
         comps[c] = GradedPoly(n, terms)
         gens.append(ModuleElement(tuple(comps), (1, 1)))
-    base = buchberger(gens, order=order, field=QQ, shifts=(1, 1))
-    f_mono = GradedPoly.monomial(n, (1, 0, 0))
-    fast = module_quotient(base, f_mono)
+    base = buchberger_engine(E(gens, order), order, QQ)
+    fast = module_quotient_engine(base, (1, 0, 0), order, QQ)
 
+    f_mono = GradedPoly.monomial(n, (1, 0, 0))
     targets = [ModuleElement.generator(n, 2, i, shifts=(1, 1), coeff=f_mono)
                for i in range(2)]
-    syz = kernel_of_presentation_map(targets, modulo=base)
-    slow = buchberger([e for e in syz.elements()] or
-                      [ModuleElement.zero(n, 2, (1, 1))],
-                      order=order, field=QQ, shifts=(1, 1))
-    assert fast.same_module(slow)
+    slow = buchberger_engine(syzygy_engine(E(targets, order), base, order, QQ), order, QQ)
+    assert fast == slow
     # every generator of the colon multiplies back into the module
-    for e in fast.elements():
-        assert base.contains(e.mul_poly(f_mono))
+    by_x = order.key_mul_delta(order.encode_mono((1, 0, 0)))
+    prepared = EngineBasis(base, order, QQ)
+    for e in fast:
+        assert prepared.contains({k + by_x: c for k, c in e.items()})
 
 
 def test_intersect_single_and_pair():
     x, y = V(2, 0), V(2, 1)
-    a = buchberger([x])
-    b = buchberger([y])
-    assert intersect([a]).same_module(a)
-    meet = intersect([a, b])
-    assert [e.components[0] for e in meet.elements()] == [x * y]
+    a = buchberger_engine(E([x], ORDER2), ORDER2, QQ)
+    b = buchberger_engine(E([y], ORDER2), ORDER2, QQ)
+    assert intersect_engine([a], ORDER2, QQ) == a
+    assert intersect_engine([a, b], ORDER2, QQ) == E([x * y], ORDER2)
 
 
 def test_intersect_symmetric_and_associative():
     x, y, z = (V(3, i) for i in range(3))
-    a = buchberger([x * y - z * z])
-    b = buchberger([y])
-    c = buchberger([x + z])
-    ab = intersect([a, b])
-    ba = intersect([b, a])
-    assert ab.same_module(ba)
-    left = intersect([intersect([a, b]), c])
-    right = intersect([a, intersect([b, c])])
-    assert left.same_module(right)
+    a, b, c = (buchberger_engine(E([g], ORDER3), ORDER3, QQ)
+               for g in (x * y - z * z, y, x + z))
+
+    def meet(*mods):
+        return intersect_engine(list(mods), ORDER3, QQ)
+
+    assert meet(a, b) == meet(b, a)
+    assert meet(meet(a, b), c) == meet(a, meet(b, c))
 
 
 def test_intersection_members_reduce_in_both():
     x, y = V(2, 0), V(2, 1)
-    a = buchberger([x * x, y * y * x])
-    b = buchberger([x * y + y * y])
-    meet = intersect([a, b])
-    for e in meet.elements():
-        assert a.contains(e)
-        assert b.contains(e)
+    a = buchberger_engine(E([x * x, y * y * x], ORDER2), ORDER2, QQ)
+    b = buchberger_engine(E([x * y + y * y], ORDER2), ORDER2, QQ)
+    meet = intersect_engine([a, b], ORDER2, QQ)
+    assert meet
+    for e in meet:
+        assert EngineBasis(a, ORDER2, QQ).contains(e)
+        assert EngineBasis(b, ORDER2, QQ).contains(e)
 
 
 def test_hilbert_series_free_ring():
-    free = GroebnerBasis(EngineBasis([], MonomialOrder(4), QQ), (0,))
-    hs = free.hilbert_series()
+    hs = hilbert_series_engine([], MonomialOrder(4), (0,))
     assert hs.expand(5) == [1, 4, 10, 20, 35, 56]
     assert hs.denom_exp == 4
 
 
 def test_hilbert_series_single_relation():
     x, y = V(2, 0), V(2, 1)
-    basis = buchberger([x * y])
-    hs = basis.hilbert_series()
+    basis = buchberger_engine(E([x * y], ORDER2), ORDER2, QQ)
+    hs = hilbert_series_engine(basis, ORDER2, (0,))
     # k[x,y]/(xy): dimension 1, 2, 2, 2, ...
     assert hs.expand(4) == [1, 2, 2, 2, 2]
 
 
 def test_hilbert_series_module_shifts():
     # free rank-2 module with generator degrees 1 and 2
-    free = GroebnerBasis(EngineBasis([], MonomialOrder(2, rank=2), QQ), (1, 2))
-    hs = free.hilbert_series()
+    hs = hilbert_series_engine([], MonomialOrder(2, rank=2), (1, 2))
     assert hs.expand(4) == [0, 1, 3, 5, 7]
 
 
@@ -317,8 +304,8 @@ def test_hilbert_series_matches_exact_linear_algebra(seed):
             gens.append(GradedPoly(n, terms))
     if not gens:
         pytest.skip("degenerate sample")
-    basis = buchberger(gens)
-    dims = basis.hilbert_series().expand(6)
+    basis = buchberger_engine(E(gens, ORDER3), ORDER3, QQ)
+    dims = hilbert_series_engine(basis, ORDER3, (0,)).expand(6)
     for d in range(7):
         assert dims[d] == _slice_codimension(gens, d, n)
 
@@ -338,23 +325,23 @@ def test_prime_field_structure_agreement_on_random_module():
             terms[tuple(e)] = Fraction(rng.choice([-2, -1, 1, 3]))
         comps[rng.randint(0, 1)] = GradedPoly(n, terms)
         gens.append(ModuleElement(tuple(comps), (1, 1)))
-    runs = {}
+    shapes = []
     for field in (QQ, GFP1, GFP2):
-        basis = buchberger(gens, order=MonomialOrder(n, rank=2), field=field,
-                           shifts=(1, 1))
-        runs[field.name] = basis.structure_fingerprint()
-    assert len(set(runs.values())) == 1
+        basis = buchberger_engine(E(gens, order1, field), order1, field)
+        shapes.append(EngineBasis(basis, order1, field).structure())
+    assert shapes[0] == shapes[1] == shapes[2]
 
 
 def test_zero_generators_dropped():
     x = V(2, 0)
-    basis = buchberger([GradedPoly.zero(2), x])
-    assert len(basis) == 1
+    assert len(buchberger_engine(E([GradedPoly.zero(2), x], ORDER2), ORDER2, QQ)) == 1
 
 
 def _toy_basis(field=QQ):
+    """A reduced basis in ORDER2 with a tail term."""
     x, y = V(2, 0), V(2, 1)
-    return buchberger([x * x - y * y - y * y - y * y, x * y], field=field)
+    return buchberger_engine(E([x * x - y * y - y * y - y * y, x * y], ORDER2, field),
+                             ORDER2, field)
 
 
 def _write_entry(cache, key, payload, digest=None):
@@ -374,11 +361,10 @@ def _read_entry(cache, key):
 def test_cache_roundtrip(tmp_path):
     cache = BasisCache(str(tmp_path))
     for field, ctype in ((QQ, Fraction), (GFP1, int)):
-        basis = _toy_basis(field)
-        elements = basis.engine.elements
-        key = BasisCache.key("toy", ["a", "b"], [], basis.order, field)
+        elements = _toy_basis(field)
+        key = BasisCache.key("toy", ["a", "b"], [], ORDER2, field)
         cache.store(key, elements)
-        loaded = cache.load(key, basis.order, field)
+        loaded = cache.load(key, ORDER2, field)
         assert loaded == elements
         assert {type(c) for e in loaded for c in e.values()} == {ctype}
         assert any(len(e) > 1 for e in loaded)
@@ -387,14 +373,14 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_truncated_entry_is_a_miss(tmp_path):
     basis = _toy_basis()
     cache = BasisCache(str(tmp_path))
-    key = BasisCache.key("toy", ["a"], [], basis.order, QQ)
-    cache.store(key, basis.engine.elements)
+    key = BasisCache.key("toy", ["a"], [], ORDER2, QQ)
+    cache.store(key, basis)
     path = cache.path(key)
     with open(path, "r+") as fh:
         fh.truncate(len(fh.read()) // 2)
-    assert cache.load(key, basis.order, QQ) is None
-    cache.store(key, basis.engine.elements)
-    assert cache.load(key, basis.order, QQ) == basis.engine.elements
+    assert cache.load(key, ORDER2, QQ) is None
+    cache.store(key, basis)
+    assert cache.load(key, ORDER2, QQ) == basis
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
 
 
@@ -404,18 +390,18 @@ def test_cache_changed_coefficient_is_a_miss(tmp_path, field_name):
     field = gb.FIELDS[field_name]
     basis = _toy_basis(field)
     cache = BasisCache(str(tmp_path))
-    key = BasisCache.key("toy", ["a"], [], basis.order, field)
-    cache.store(key, basis.engine.elements)
+    key = BasisCache.key("toy", ["a"], [], ORDER2, field)
+    cache.store(key, basis)
     digest, payload = _read_entry(cache, key)
     _write_entry(cache, key, payload, digest)
-    assert cache.load(key, basis.order, field) == basis.engine.elements
+    assert cache.load(key, ORDER2, field) == basis
     elem = next(e for e in payload["elements"] if len(e) > 1)
     term = min(elem)                      # a tail term; the lead stays monic
     term[1] = [-2, 1] if field is QQ else 2
     _write_entry(cache, key, payload, digest)
-    assert cache.load(key, basis.order, field) is None
-    cache.store(key, basis.engine.elements)
-    assert cache.load(key, basis.order, field) == basis.engine.elements
+    assert cache.load(key, ORDER2, field) is None
+    cache.store(key, basis)
+    assert cache.load(key, ORDER2, field) == basis
 
 
 @pytest.mark.parametrize("field_name,damage", [
@@ -426,8 +412,7 @@ def test_cache_entry_not_a_reduced_basis_is_a_miss(tmp_path, field_name, damage)
     # each payload is written with its true digest, so only the shape check
     # can see the damage
     field = gb.FIELDS[field_name]
-    basis = _toy_basis(field)
-    order, elements = basis.order, basis.engine.elements
+    order, elements = ORDER2, _toy_basis(field)
     cache = BasisCache(str(tmp_path))
     key = BasisCache.key("toy", ["a"], [], order, field)
     cache.store(key, elements)
@@ -465,14 +450,29 @@ def test_cache_entry_not_a_reduced_basis_is_a_miss(tmp_path, field_name, damage)
 def test_cache_malformed_entry_is_a_miss(tmp_path, payload):
     basis = _toy_basis()
     cache = BasisCache(str(tmp_path))
-    key = BasisCache.key("toy", ["a"], [], basis.order, QQ)
+    key = BasisCache.key("toy", ["a"], [], ORDER2, QQ)
     with open(cache.path(key), "w") as fh:
         json.dump(payload, fh)                # no digest line
-    assert cache.load(key, basis.order, QQ) is None
+    assert cache.load(key, ORDER2, QQ) is None
     _write_entry(cache, key, payload)         # its true digest
-    assert cache.load(key, basis.order, QQ) is None
-    cache.store(key, basis.engine.elements)
-    assert cache.load(key, basis.order, QQ) == basis.engine.elements
+    assert cache.load(key, ORDER2, QQ) is None
+    cache.store(key, basis)
+    assert cache.load(key, ORDER2, QQ) == basis
+
+
+def test_cache_failed_store_leaves_no_temp_file(tmp_path, monkeypatch):
+    cache = BasisCache(str(tmp_path))
+    key = BasisCache.key("toy", ["a"], [], ORDER2, QQ)
+
+    def full_disk(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError):
+        cache.store(key, _toy_basis())
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+    assert cache.load(key, ORDER2, QQ) is None
 
 
 def test_monomial_order_packing_roundtrip():
@@ -497,10 +497,6 @@ def test_grevlex_tie_break_matches_definition():
     assert xy > xz > zz
 
 
-def _monomial_ideal_terms(basis):
-    return sorted(sorted(e.components[0].terms.items()) for e in basis.elements())
-
-
 def _power_pair(n):
     # x^n + y^n, x*y^n: the S-polynomial is y^(2n)
     return [GradedPoly(2, {(n, 0): Fraction(1), (0, n): Fraction(1)}),
@@ -512,18 +508,18 @@ def _power_pair(n):
 def test_exponent_overflow_raises(n, field):
     # y^64 and y^80 do not fit a packed block; the engine must not wrap them
     with pytest.raises(DerivationError):
-        buchberger(_power_pair(n), field=field)
+        buchberger_engine(E(_power_pair(n), ORDER2, field), ORDER2, field)
 
 
 def test_largest_packable_power_pair_matches_sympy():
     gens = _power_pair(31)
-    assert _monomial_ideal_terms(buchberger(gens)) == _sympy_basis(gens, 2)
+    assert buchberger_engine(E(gens, ORDER2), ORDER2, QQ) == _sympy_basis(gens, 2)
 
 
 def test_degree_80_ideal_matches_sympy():
     # products above degree 64 are fine while every exponent stays below 64
     gens = [GradedPoly.monomial(2, (40, 30)), GradedPoly.monomial(2, (30, 40))]
-    assert _monomial_ideal_terms(buchberger(gens)) == _sympy_basis(gens, 2)
+    assert buchberger_engine(E(gens, ORDER2), ORDER2, QQ) == _sympy_basis(gens, 2)
 
 
 _EXPONENT = st.one_of(st.sampled_from([0, 63]), st.integers(0, 63))

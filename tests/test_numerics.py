@@ -18,7 +18,6 @@ from theta2.numerics import (
     sample_siegel,
     theta,
     theta_grad,
-    theta_second,
     second_kind_checks,
 )
 from theta2.symbolic import GradedPoly, ModuleElement, clear_denominator
@@ -68,9 +67,6 @@ def test_gradient_matches_finite_differences(points):
 
 
 def test_second_kind_is_first_kind_at_doubled_point():
-    v = theta_second((0, 0), I_POINT, CFG)
-    direct = theta(EVEN_CHARS[0], I_POINT.scaled(2.0), CFG)
-    assert v == direct
     assert numerics.SECOND_KIND_ORDER == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -104,34 +100,35 @@ def test_tail_bound_controls_radius():
 
 
 def test_riemann_quartics_vanish(points):
+    tables = [point_values(Z, CFG) for Z in points[:4]]
     for q in riemann_ideal():
-        for Z in points[:4]:
-            assert relation_residual(q, Z, CFG) < 1e-9
+        for table in tables:
+            assert relation_residual(q, table) < 1e-9
 
 
 def test_rel_d_relations_vanish(points):
+    tables = [point_values(Z, CFG) for Z in points[:4]]
     rels = rel_d()
     for r in rels[:5]:
-        for Z in points[:4]:
-            assert relation_residual(r.element, Z, CFG) < 1e-9
+        for table in tables:
+            assert relation_residual(r.element, table) < 1e-9
 
 
 def test_eval_element_denominator_identity(points):
     # (element/m) * value(m) equals the numerator evaluation exactly
     e = extr_h()
     numerator = ModuleElement(e.components, e.shifts)
-    Z = points[0]
-    tagged, _ = eval_element(e, Z, CFG)
-    plain, _ = eval_element(numerator, Z, CFG)
-    vals = numerics.theta_values(Z, CFG)
-    dval = vals[1] * vals[4]
+    table = point_values(points[0], CFG)
+    tagged, _ = eval_element(e, table)
+    plain, _ = eval_element(numerator, table)
+    dval = table.thetas[1] * table.thetas[4]
     assert np.allclose(tagged * dval, plain, rtol=1e-10)
 
 
 def test_eval_element_rejects_binding_mismatch(points):
     p = GradedPoly.variable(4, 0)
     with pytest.raises(ValueError):
-        eval_element(p, points[0], CFG)
+        eval_element(p, point_values(points[0], CFG))
 
 
 # -- per-point value tables ----------------------------------------------------
@@ -164,12 +161,6 @@ def test_table_residuals_equal_per_element_evaluation(points):
             fresh = PointValues(Z, numerics.theta_values(Z, CFG), numerics.grad_values(Z, CFG))
             expected = relation_residual(e, fresh)
             assert relation_residual(e, table) == expected
-            assert relation_residual(e, Z, CFG) == expected
-
-
-def test_dtable_ratios_tables_equal_bare_points(points):
-    tables = [point_values(Z, CFG) for Z in points[:3]]
-    assert dtable_ratios(tables) == dtable_ratios(points[:3], CFG)
 
 
 def test_tail_bound_checked_once_per_table(monkeypatch):
@@ -187,8 +178,7 @@ def test_tail_bound_checked_once_per_table(monkeypatch):
     calls.clear()
     theta(EVEN_CHARS[0], I_POINT, CFG)
     theta_grad(ODD_CHARS[0], I_POINT, CFG)
-    theta_second((0, 0), I_POINT, CFG)
-    assert calls == [CFG.radius] * 3
+    assert calls == [CFG.radius] * 2
 
 
 def test_point_values_checks_before_any_sum(monkeypatch):
@@ -202,7 +192,7 @@ def test_point_values_checks_before_any_sum(monkeypatch):
 
 
 def test_dtable_certification(points):
-    ratios = dtable_ratios(points, CFG)
+    ratios = dtable_ratios([point_values(Z, CFG) for Z in points])
     for entry in d_table():
         vals = np.array(ratios[entry.pair])
         assert np.abs(vals - entry.sign).max() < 1e-8
@@ -226,10 +216,10 @@ def test_dtable_orientation_note(points):
 
 
 def test_resampling_invariance():
-    other = sample_siegel(12345, 3)
+    tables = [point_values(Z, CFG) for Z in sample_siegel(12345, 3)]
     for q in riemann_ideal()[:3]:
-        for Z in other:
-            assert relation_residual(q, Z, CFG) < 1e-9
+        for table in tables:
+            assert relation_residual(q, table) < 1e-9
 
 
 def test_second_kind_checks(points):

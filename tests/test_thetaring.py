@@ -11,11 +11,12 @@ from theta2.groebner import (
     GFP1,
     QQ,
     BasisCache,
+    EngineBasis,
     MonomialOrder,
     buchberger_engine,
     to_engine,
 )
-from theta2.numerics import EvalConfig, relation_residual, sample_siegel
+from theta2.numerics import EvalConfig, point_values, relation_residual, sample_siegel
 from theta2.symbolic import (
     GradedPoly,
     ModuleElement,
@@ -82,11 +83,12 @@ def test_d_table_quadruples_match_combinatorics():
 
 
 def test_riemann_basis_contains_fourth_power_difference():
-    from theta2.groebner import buchberger
-
-    basis = buchberger(riemann_ideal(), field=QQ)
-    assert basis.contains(P("1*t7^4 - 1*t8^4 - 1*t9^4 + 1*t10^4"))
-    assert basis.normal_form(P("1*t7^4 - 1*t8^4 - 1*t9^4 + 1*t10^4")).is_zero()
+    order = MonomialOrder(NVARS)
+    basis = EngineBasis(buchberger_engine([to_engine(q, order, QQ) for q in riemann_ideal()],
+                                          order, QQ), order, QQ)
+    quartic = to_engine(P("1*t7^4 - 1*t8^4 - 1*t9^4 + 1*t10^4"), order, QQ)
+    assert basis.contains(quartic)
+    assert basis.normal_form(quartic) == {}
 
 
 def test_extr_b_assignment_rule_on_worked_block():
@@ -110,10 +112,10 @@ def test_rel_d_first_triple_coefficients():
     # numerically (the prose rendering of this relation elsewhere misprints it)
     r = next(r for r in rel_d() if r.indices == (1, 2, 3))
     assert r.element == elem({1: "1*t1*t4*t6", 2: "-1*t2*t3*t5", 3: "1*t8*t9*t10"})
-    Z = sample_siegel(7, 1)[0]
-    assert relation_residual(r.element, Z, CFG) < 1e-9
+    table = point_values(sample_siegel(7, 1)[0], CFG)
+    assert relation_residual(r.element, table) < 1e-9
     wrong = elem({1: "1*t1*t4*t6", 2: "-1*t2*t3*t5", 3: "-1*t8*t9*t10"})
-    assert relation_residual(wrong, Z, CFG) > 1e-3
+    assert relation_residual(wrong, table) > 1e-3
 
 
 # -- four-term relations --------------------------------------------------------
@@ -146,8 +148,9 @@ def test_extr_a_squared_theta_rule():
 
 
 def test_extr_a_numeric(points):
+    table = point_values(points[0], CFG)
     for r in extr_a()[:6]:
-        assert relation_residual(r.element, points[0], CFG) < 1e-9
+        assert relation_residual(r.element, table) < 1e-9
 
 
 # -- sextets and five-term relations ---------------------------------------------
@@ -234,8 +237,9 @@ def test_signed_relation_still_certifies():
 
 
 def test_extr_b_numeric(points):
+    table = point_values(points[0], CFG)
     for r in extr_b()[:6]:
-        assert relation_residual(r.element, points[0], CFG) < 1e-9
+        assert relation_residual(r.element, table) < 1e-9
 
 
 def test_relation_records_certified(oracle):
@@ -448,7 +452,6 @@ def test_symmetric_square_relation_membership():
     order = MonomialOrder(4, rank=6)
     basis = buchberger_engine(
         [to_engine(r, order, QQ) for r in wm["plus"]["relations"]], order, QQ)
-    from theta2.groebner import EngineBasis
     eng = EngineBasis(basis, order, QQ)
     f = [GradedPoly.variable(4, i) for i in range(4)]
     pair_index = {(1, 2): 3, (1, 3): 4, (2, 3): 5}
