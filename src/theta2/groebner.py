@@ -15,6 +15,11 @@ lead-term modules.  syzygy_engine computes the same colon by a second,
 independent route (syzygies under a block order); nothing in the pipeline
 calls it, and it stays as the reference the colon is checked against.
 
+An intersection of two reduced bases first tests whether the first lies
+in the second (each of its elements reduces to zero) and if so returns it
+as it is: a fold step that changes nothing costs one containment check,
+not an elimination.
+
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
 either over the rationals or over two distinct primes.
@@ -709,7 +714,19 @@ def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrd
 
 def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
                           field) -> list[dict]:
-    """Generators of <a> intersect <b> via one degree-zero tag variable."""
+    """Reduced basis of <a> intersect <b> via one degree-zero tag variable.
+
+    Both inputs must be reduced bases in order, as every caller passes.
+    If every element of a reduces to zero modulo b, then <a> lies in <b>
+    (a zero remainder proves membership for any b) and the intersection
+    is <a>.  Its reduced basis is unique, and a is that basis only because
+    a is reduced already, so a itself is returned with no elimination.
+    The check stops at the first nonzero remainder, so a step that does
+    change the basis pays little for it.
+    """
+    b_basis = EngineBasis(b, order, field)
+    if all(b_basis.contains(e) for e in a):
+        return a
     ext = order.variant(ntags=1)
     tag_delta = ext.key_mul_delta(ext.encode_mono((0,) * order.nvars + (1,)))
     gens = []

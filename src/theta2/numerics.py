@@ -40,6 +40,9 @@ class SiegelPoint:
         if self.lambda_min() <= 0:
             raise ValueError("imaginary part not positive definite")
 
+    def entries(self) -> tuple[complex, complex, complex]:
+        return (self.z0, self.z1, self.z2)
+
     def matrix(self) -> np.ndarray:
         return np.array([[self.z0, self.z1], [self.z1, self.z2]])
 
@@ -51,9 +54,6 @@ class SiegelPoint:
 
     def scaled(self, factor: float) -> "SiegelPoint":
         return SiegelPoint(self.z0 * factor, self.z1 * factor, self.z2 * factor)
-
-    def shifted(self, dz0=0.0, dz1=0.0, dz2=0.0) -> "SiegelPoint":
-        return SiegelPoint(self.z0 + dz0, self.z1 + dz1, self.z2 + dz2)
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,17 @@ def _checked_lattice(Z: SiegelPoint, cfg: EvalConfig) -> tuple[np.ndarray, np.nd
     return g1.ravel().astype(float), g2.ravel().astype(float)
 
 
-def _series_terms(m: Characteristic, Z: SiegelPoint, lattice: tuple[np.ndarray, np.ndarray],
+def _series_terms(m: Characteristic, entries: tuple[complex, complex, complex],
+                  lattice: tuple[np.ndarray, np.ndarray],
                   z: Sequence[complex] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shifted lattice coordinates x, y and the exponential terms e of the
-    theta series with characteristic m."""
+    theta series with characteristic m, at the matrix with the given
+    entries (z0, z1, z2); the caller has checked it with the lattice."""
+    z0, z1, z2 = entries
     g1, g2 = lattice
     x = g1 + m.a[0] / 2.0
     y = g2 + m.a[1] / 2.0
-    quad = Z.z0 * x * x + 2 * Z.z1 * x * y + Z.z2 * y * y
+    quad = z0 * x * x + 2 * z1 * x * y + z2 * y * y
     lin = x * m.b[0] + y * m.b[1]
     if z is not None:
         lin = lin + 2 * (x * z[0] + y * z[1])
@@ -111,13 +114,14 @@ def _series_terms(m: Characteristic, Z: SiegelPoint, lattice: tuple[np.ndarray, 
 
 def _grad_sum(n: Characteristic, Z: SiegelPoint,
               lattice: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    x, y, e = _series_terms(n, Z, lattice)
+    x, y, e = _series_terms(n, Z.entries(), lattice)
     c = 2j * pi
     return np.array([complex((c * x * e).sum()), complex((c * y * e).sum())])
 
 
 def _even_values(Z: SiegelPoint, lattice: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    return np.array([complex(_series_terms(m, Z, lattice)[2].sum()) for m in EVEN_CHARS])
+    entries = Z.entries()
+    return np.array([complex(_series_terms(m, entries, lattice)[2].sum()) for m in EVEN_CHARS])
 
 
 def _odd_gradients(Z: SiegelPoint, lattice: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -133,7 +137,7 @@ def theta(m: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig(),
     """
     if z is None and not m.is_even():
         return 0.0 + 0.0j
-    return complex(_series_terms(m, Z, _checked_lattice(Z, cfg), z)[2].sum())
+    return complex(_series_terms(m, Z.entries(), _checked_lattice(Z, cfg), z)[2].sum())
 
 
 def theta_grad(n: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> np.ndarray:
@@ -286,21 +290,22 @@ def dtable_ratios(tables: Sequence[PointValues]):
 # Second-kind bracket and Jacobian checks
 # ---------------------------------------------------------------------------
 
-def _fd_gradient(func, Z: SiegelPoint, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences in the three matrix coordinates."""
+def _fd_gradient(func, w: tuple[complex, complex, complex], h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of func in the three matrix entries w."""
     out = []
     for c in range(3):
         dz = [0.0, 0.0, 0.0]
         dz[c] = h
-        fp = func(Z.shifted(*dz))
-        fm = func(Z.shifted(*[-d for d in dz]))
+        fp = func(tuple(x + d for x, d in zip(w, dz)))
+        fm = func(tuple(x + -d for x, d in zip(w, dz)))
         out.append((fp - fm) / (2 * h))
     return np.array(out)
 
 
-def _fd_gradient_richardson(func, Z: SiegelPoint, h: float = 1e-4) -> np.ndarray:
-    g1 = _fd_gradient(func, Z, h)
-    g2 = _fd_gradient(func, Z, h / 2)
+def _fd_gradient_richardson(func, w: tuple[complex, complex, complex],
+                            h: float = 1e-4) -> np.ndarray:
+    g1 = _fd_gradient(func, w, h)
+    g2 = _fd_gradient(func, w, h / 2)
     return (4 * g2 - g1) / 3
 
 
@@ -330,12 +335,15 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
         # the second-kind constants (first kind with characteristic (a, 0) at
         # 2W) at every point W the differences visit, from one check and one
         # lattice: every finite-difference shift is real, so each
-        # shifted W has Im(2W) == Im(2Z) bit for bit and the same tail bound
+        # shifted W has Im(2W) == Im(2Z) bit for bit and the same tail bound,
+        # so W is passed as bare entries and no point is built (or checked)
+        # per difference
         lattice = _checked_lattice(Z.scaled(2.0), cfg)
-        f_funcs = [lambda W, m=m: complex(_series_terms(m, W.scaled(2.0), lattice)[2].sum())
+        f_funcs = [lambda w, m=m: complex(
+                       _series_terms(m, tuple(x * 2.0 for x in w), lattice)[2].sum())
                    for m in chars]
-        f = np.array([fn(Z) for fn in f_funcs])
-        df = np.array([_fd_gradient_richardson(fn, Z) for fn in f_funcs])
+        f = np.array([fn(Z.entries()) for fn in f_funcs])
+        df = np.array([_fd_gradient_richardson(fn, Z.entries()) for fn in f_funcs])
 
         # (a) jacobian of the three quotients
         jac = np.zeros((3, 3), dtype=complex)

@@ -10,7 +10,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-import pytest
 
 from theta2 import chars
 from theta2.groebner import (
@@ -27,19 +26,15 @@ from theta2.numerics import (
     dtable_ratios,
     point_values,
     relation_residual,
-    sample_siegel,
     second_kind_checks,
 )
 from theta2.symbolic import graded_dimension
 from theta2.thetaring import (
-    CHI5_EXPS,
     GRADIENT_MODULE_SERIES,
     NVARS,
-    SHIFTS,
     StructurePipeline,
     all_relations,
     d_table,
-    extr_h,
     riemann_ideal,
     sextets,
     bracket_modules,

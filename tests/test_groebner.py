@@ -21,6 +21,7 @@ from theta2.groebner import (
     buchberger_engine,
     hilbert_series_engine,
     intersect_engine,
+    intersect_pair_engine,
     module_quotient_engine,
     syzygy_engine,
     to_engine,
@@ -222,6 +223,57 @@ def test_intersection_members_reduce_in_both():
     for e in meet:
         assert EngineBasis(a, ORDER2, QQ).contains(e)
         assert EngineBasis(b, ORDER2, QQ).contains(e)
+
+
+def _contained_pairs():
+    """(a, b, order) with <a> a proper submodule of <b>: an ideal pair and a
+    rank-2 module pair, both as reduced bases."""
+    x, y, z = (V(3, i) for i in range(3))
+    ideal = (buchberger_engine(E([x * y, x * z * z + y * y * y], ORDER3), ORDER3, QQ),
+             buchberger_engine(E([x, y * y * y], ORDER3), ORDER3, QQ), ORDER3)
+    u, v = V(2, 0), V(2, 1)
+    zero = GradedPoly.zero(2)
+    order = MonomialOrder(2, rank=2)
+    g1, g2 = ModuleElement((u, v), (1, 1)), ModuleElement((zero, u), (1, 1))
+    module = (buchberger_engine(E([g1.mul_poly(u) + g2.mul_poly(v), g1.mul_poly(v)],
+                                  order), order, QQ),
+              buchberger_engine(E([g1, g2], order), order, QQ), order)
+    return [ideal, module]
+
+
+@pytest.mark.parametrize("case", range(2), ids=["ideal", "rank-2 module"])
+def test_intersect_pair_returns_contained_basis(case):
+    a, b, order = _contained_pairs()[case]
+    assert len(a) > 1 and not all(EngineBasis(a, order, QQ).contains(e) for e in b)
+    # <a> lies in <b>: the containment check returns a itself, and the
+    # swapped call, which cannot skip, eliminates to the same reduced basis
+    assert intersect_pair_engine(a, b, order, QQ) is a
+    assert intersect_pair_engine(b, a, order, QQ) == a
+
+
+def test_intersect_pair_eliminates_when_not_contained():
+    x, y, z = (V(3, i) for i in range(3))
+    # z^2 lies in <z> and x*y does not, so the check fails on the second element
+    a = buchberger_engine(E([x * y, z * z], ORDER3), ORDER3, QQ)
+    b = buchberger_engine(E([z], ORDER3), ORDER3, QQ)
+    assert EngineBasis(b, ORDER3, QQ).contains(a[0])
+    meet = intersect_pair_engine(a, b, ORDER3, QQ)
+    assert meet == buchberger_engine(E([z * z, x * y * z], ORDER3), ORDER3, QQ)
+    assert intersect_pair_engine(b, a, ORDER3, QQ) == meet
+
+
+def test_intersect_fold_with_skipped_step_matches_other_order():
+    x, y, z = (V(3, i) for i in range(3))
+    a, b, c = (buchberger_engine(E(gens, ORDER3), ORDER3, QQ)
+               for gens in ([x + z], [y * y], [x * y + y * z, y * y * y]))
+    first = intersect_pair_engine(a, b, ORDER3, QQ)
+    # step 1 changes the basis, step 2 finds it inside c and skips
+    assert first != a
+    assert intersect_pair_engine(first, c, ORDER3, QQ) is first
+    fold = intersect_engine([a, b, c], ORDER3, QQ)
+    assert fold == first
+    other = intersect_pair_engine(intersect_pair_engine(c, b, ORDER3, QQ), a, ORDER3, QQ)
+    assert other == fold
 
 
 def test_hilbert_series_free_ring():

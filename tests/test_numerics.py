@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from theta2 import chars, numerics
+from theta2 import numerics
 from theta2.chars import EVEN_CHARS, ODD_CHARS
 from theta2.errors import EvaluationError
 from theta2.numerics import (
@@ -20,7 +20,7 @@ from theta2.numerics import (
     theta_grad,
     second_kind_checks,
 )
-from theta2.symbolic import GradedPoly, ModuleElement, clear_denominator
+from theta2.symbolic import GradedPoly, ModuleElement
 from theta2.thetaring import all_relations, d_table, extr_h, rel_d, riemann_ideal
 
 CFG = EvalConfig(radius=10, target_eps=1e-12)

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -22,7 +21,6 @@ from theta2.symbolic import (
     ModuleElement,
     clear_denominator,
     poly_from_text,
-    poly_to_text,
 )
 from theta2.thetaring import (
     CHI5_EXPS,
@@ -39,7 +37,6 @@ from theta2.thetaring import (
     extr_a,
     extr_b,
     extr_h,
-    ideal_times_free,
     rel_d,
     riemann_ideal,
     sextets,
