@@ -18,7 +18,11 @@ calls it, and it stays as the reference the colon is checked against.
 An intersection of two reduced bases first tests whether the first lies
 in the second (each of its elements reduces to zero) and if so returns it
 as it is: a fold step that changes nothing costs one containment check,
-not an elimination.
+not an elimination.  Otherwise only the elements in which the two bases
+differ are tagged.  The elements they share go into the elimination
+untagged, as the reduced basis of their span, for two reasons.  Each
+shared s equals t s + (1 - t) s, so it adds nothing to the tagged module.
+And a tag-free Groebner basis stays one under the tag elimination order.
 
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
@@ -723,17 +727,31 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     a is reduced already, so a itself is returned with no elimination.
     The check stops at the first nonzero remainder, so a step that does
     change the basis pays little for it.
+
+    Otherwise the elimination builds t<a> + (1 - t)<b> and keeps its
+    tag-free part.  Elements that appear in both a and b go in untagged,
+    as the reduced basis of their span; only the rest of each side is
+    tagged.  This builds the same tagged module, since s = t s + (1 - t) s
+    for each shared s.  And a tag-free Groebner basis in order is one in
+    the tagged order too, which is what lets it go in as a seed.
     """
     b_basis = EngineBasis(b, order, field)
     if all(b_basis.contains(e) for e in a):
         return a
+    b_by_lead = {max(e): e for e in b}
+    shared = [e for e in a if b_by_lead.get(max(e)) == e]
+    shared_leads = {max(e) for e in shared}
     ext = order.variant(ntags=1)
     tag_delta = ext.key_mul_delta(ext.encode_mono((0,) * order.nvars + (1,)))
     gens = []
     for e in a:
+        if max(e) in shared_leads:
+            continue
         ee = convert_element(e, order, ext)
         gens.append({k + tag_delta: c for k, c in ee.items()})
     for e in b:
+        if max(e) in shared_leads:
+            continue
         ee = convert_element(e, order, ext)
         g = dict(ee)
         for k, c in ee.items():
@@ -744,7 +762,9 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
             else:
                 g.pop(kk, None)
         gens.append(g)
-    basis = buchberger_engine(gens, ext, field)
+    seed = [convert_element(e, order, ext)
+            for e in buchberger_engine(shared, order, field)]
+    basis = buchberger_engine(gens, ext, field, seed=seed)
     out = []
     for e in basis:
         enc, _ = ext.split_key(max(e))

@@ -3,7 +3,8 @@
 Run with -s to see the lines; each criterion is also a hard assertion at its
 stated tolerance.  Exact checks use exact arithmetic; the heavy module
 computations run over two distinct word-sized primes, with a rational run
-of the kernel stage cross-checked coefficient by coefficient.
+of the kernel stage cross-checked coefficient by coefficient and a rational
+run of the whole structure checked against the closed form.
 """
 
 from fractions import Fraction
@@ -269,7 +270,7 @@ def test_criterion_9_cross_arithmetic(pipe_p1, pipe_p2, cache_dir):
                            == pipe_p2.total_kernel().hilbert_series().reduced())
 
     # rational run of the kernel stage: identical structure and coefficients
-    pipe_q = StructurePipeline(QQ)
+    pipe_q = StructurePipeline(QQ, cache_dir)
     tk_q = pipe_q.total_kernel()
     tk_p = pipe_p1.total_kernel()
     structure_equal = (tk_q.structure_fingerprint() == tk_p.structure_fingerprint())
@@ -277,12 +278,19 @@ def test_criterion_9_cross_arithmetic(pipe_p1, pipe_p2, cache_dir):
     coeff_equal = (tk_q.engine.elements
                    == [{k: GFP1.lift(c) for k, c in e.items()} for e in tk_p.engine.elements])
 
+    # the rest of the structure over Q, the exact proof: the chi5_m and
+    # generated bases have the GF(p1) shapes, and the series, orbit and
+    # both inclusions check out with no prime involved
+    rep_q = pipe_q.structure_report()
+    rational_structure = rep_q.ok() and rep_q.basis_fingerprints == fp1
+
     # determinism: a fresh recomputation without the disk cache agrees exactly
     pipe_p1_fresh = StructurePipeline(GFP1)
     recompute_equal = pipe_p1_fresh.total_kernel().same_module(tk_p)
 
     ok = (fp1 == fp2 and all_bases_equal and series_equal and kernel_series_equal
-          and structure_equal and coeff_equal and recompute_equal)
+          and structure_equal and coeff_equal and rational_structure and recompute_equal)
     report(9, "dual-prime runs agree on every reduced basis and series; the "
-              "rational kernel run matches coefficient for coefficient; "
-              "recomputation is deterministic", ok)
+              "rational kernel run matches coefficient for coefficient; the "
+              "rational structure run matches the closed form and the GF(p1) "
+              "basis shapes; recomputation is deterministic", ok)

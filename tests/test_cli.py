@@ -137,6 +137,23 @@ def test_verify_kernel_suite(capsys, cache_dir):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_verify_kernel_two_jobs_matches_one(capsys, cache_dir):
+    # --jobs 2 runs the two primes in a process pool sharing the cache
+    reports = []
+    for jobs in ("2", "1"):
+        code, out = run(capsys, "--jobs", jobs, "--coeff-mode", "dual",
+                        "--cache-dir", cache_dir, "verify", "kernel")
+        assert code == 0
+        reports.append(json.loads(out))
+    parallel, serial = reports
+    assert (serial["manifest"]["jobs"], parallel["manifest"]["jobs"]) == (1, 2)
+    serial["manifest"]["jobs"] = 2
+    assert parallel == serial
+    assert serial["status"] == "pass"
+    assert [c["name"] for c in serial["checks"]] == [
+        "catalog-in-kernel[p2147483647]", "catalog-in-kernel[p2147483629]"]
+
+
 def test_structure_report_command(capsys, cache_dir, pipe_p1):
     # pipe_p1 warms the on-disk cache for the heavy stages
     code, out = run(capsys, "--coeff-mode", "p1", "--cache-dir", cache_dir,

@@ -276,6 +276,47 @@ def test_intersect_fold_with_skipped_step_matches_other_order():
     assert other == fold
 
 
+def _is_intersection(meet, a, b, order, shifts):
+    """meet lies in <a> and <b>, and HS(F/meet) + HS(F/(a+b)) = HS(F/a) +
+    HS(F/b): for graded modules this proves meet is the intersection."""
+    in_a, in_b = EngineBasis(a, order, QQ), EngineBasis(b, order, QQ)
+    inside = all(in_a.contains(e) and in_b.contains(e) for e in meet)
+    total = buchberger_engine(b, order, QQ, seed=a)
+    hs = [hilbert_series_engine(g, order, shifts) for g in (meet, total, a, b)]
+    return inside and (hs[0] + hs[1]).same_rational_function(hs[2] + hs[3])
+
+
+def test_intersect_pair_seeds_shared_elements():
+    x, y, z = (V(3, i) for i in range(3))
+    a = buchberger_engine(E([x * x - y * z, x * y, y * y], ORDER3), ORDER3, QQ)
+    b = buchberger_engine(E([x * x - y * z, x * y, z * z * z], ORDER3), ORDER3, QQ)
+    shared = [e for e in a if e in b]
+    # x^2 - yz and xy are shared; their S-pair gives y^2 z, so the shared
+    # part is not a Groebner basis and its basis call does real work
+    assert len(shared) == 2 and buchberger_engine(shared, ORDER3, QQ) != shared
+    meet = intersect_pair_engine(a, b, ORDER3, QQ)
+    assert meet != a and meet != b
+    assert intersect_pair_engine(b, a, ORDER3, QQ) == meet
+    assert _is_intersection(meet, a, b, ORDER3, (0,))
+
+
+def test_intersect_pair_known_answers():
+    x, y, z = (V(3, i) for i in range(3))
+
+    def basis(*gens):
+        return buchberger_engine(E(gens, ORDER3), ORDER3, QQ)
+
+    # <x,z> and <y,z> share z; <x,z> and <y> share nothing
+    cases = [(basis(x, z), basis(y, z), basis(x * y, z)),
+             (basis(x, z), basis(y), basis(x * y, y * z))]
+    assert [sum(e in b for e in a) for a, b, _ in cases] == [1, 0]
+    for a, b, expected in cases:
+        meet = intersect_pair_engine(a, b, ORDER3, QQ)
+        assert meet == expected
+        assert intersect_pair_engine(b, a, ORDER3, QQ) == meet
+        assert _is_intersection(meet, a, b, ORDER3, (0,))
+
+
 def test_hilbert_series_free_ring():
     hs = hilbert_series_engine([], MonomialOrder(4), (0,))
     assert hs.expand(5) == [1, 4, 10, 20, 35, 56]

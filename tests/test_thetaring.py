@@ -13,6 +13,8 @@ from theta2.groebner import (
     EngineBasis,
     MonomialOrder,
     buchberger_engine,
+    hilbert_series_engine,
+    intersect_pair_engine,
     to_engine,
 )
 from theta2.numerics import EvalConfig, point_values, relation_residual, sample_siegel
@@ -387,6 +389,22 @@ def test_chi5_m_membership_and_series(pipe_p1):
     assert cm.contains(clear_denominator(extr_h(), CHI5_EXPS))
     series = pipe_p1.module_series().reduced()
     assert series.same_rational_function(GRADIENT_MODULE_SERIES)
+
+
+def test_fold_step_one_is_the_intersection(pipe_p1):
+    # M(1,3) meet M(1,6), the first fold step, checked without the
+    # elimination: the result lies in both modules and HS(F/(A meet B)) +
+    # HS(F/(A+B)) = HS(F/A) + HS(F/B), so it has the dimensions of the
+    # intersection in every degree and is the intersection
+    order, field = pipe_p1.order, pipe_p1.field
+    a, b = (pipe_p1.m_pair(i, j).engine for i, j in ((1, 3), (1, 6)))
+    meet = intersect_pair_engine(a.elements, b.elements, order, field)
+    assert meet != a.elements
+    assert all(a.contains(e) and b.contains(e) for e in meet)
+    total = buchberger_engine(b.elements, order, field, seed=a.elements)
+    hs = [hilbert_series_engine(g, order, SHIFTS)
+          for g in (meet, total, a.elements, b.elements)]
+    assert (hs[0] + hs[1]).same_rational_function(hs[2] + hs[3])
 
 
 def test_kernel_series_low_degrees(pipe_p1):
