@@ -18,11 +18,12 @@ calls it, and it stays as the reference the colon is checked against.
 An intersection of two reduced bases first tests whether the first lies
 in the second (each of its elements reduces to zero) and if so returns it
 as it is: a fold step that changes nothing costs one containment check,
-not an elimination.  Otherwise only the elements in which the two bases
-differ are tagged.  The elements they share go into the elimination
-untagged, as the reduced basis of their span, for two reasons.  Each
-shared s equals t s + (1 - t) s, so it adds nothing to the tagged module.
-And a tag-free Groebner basis stays one under the tag elimination order.
+not an elimination.  Otherwise one elimination runs, in which only the
+elements where the two bases differ are tagged; the elements they share
+go in untagged, since each shared s equals t s + (1 - t) s.  A tag-free
+term has the same key with or without the tag variable, and a tagged key
+exceeds every tag-free one, so the inputs go in as they are and the
+tag-free slice of the result is the reduced basis of the intersection.
 
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
@@ -162,7 +163,8 @@ class MonomialOrder:
     A term key is the packed monomial shifted left by _CB bits, the
     component's _CMAX - comp in those bits, and the fblock bit above the
     monomial; term_key, split_key and key_mul_delta are the only code that
-    relies on this layout.
+    relies on this layout.  Tag blocks sit above the degree field, so
+    without an fblock a tag-free term has the same key in every tag count.
     """
 
     def __init__(self, nvars: int, rank: int = 1, varseq: Sequence[int] | None = None,
@@ -291,6 +293,8 @@ class MonomialOrder:
         return (enc_factor - self.offset) << _CB
 
     def variant(self, **kw) -> "MonomialOrder":
+        """The same order with some constructor arguments replaced.  With
+        fblock 0, a change of ntags keeps every tag-free term's key."""
         args = dict(nvars=self.nvars, rank=self.rank, varseq=self.varseq,
                     ntags=self.ntags, fblock=self.fblock)
         args.update(kw)
@@ -302,18 +306,12 @@ class MonomialOrder:
 
 def convert_element(elem: dict, src: MonomialOrder, dst: MonomialOrder,
                     comp_offset: int = 0) -> dict:
-    """Re-encode an engine element between orders."""
+    """Re-encode an engine element between orders that differ in layout
+    (variable sequence, rank, component block), not in tag count."""
     out = {}
     for key, c in elem.items():
         enc, comp = src.split_key(key)
-        exps = src.decode_mono(enc)
-        if dst.ntags < src.ntags:
-            if any(exps[src.nvars + t] for t in range(src.ntags)):
-                raise ValueError("cannot drop nonzero tag exponents")
-            exps = exps[: src.nvars] + (0,) * dst.ntags
-        elif dst.ntags > src.ntags:
-            exps = exps + (0,) * (dst.ntags - src.ntags)
-        out[dst.term_key(dst.encode_mono(exps), comp + comp_offset)] = c
+        out[dst.term_key(dst.encode_mono(src.decode_mono(enc)), comp + comp_offset)] = c
     return out
 
 
@@ -678,11 +676,11 @@ def module_quotient_engine(gens: list[dict], mono_exps: Sequence[int],
     for var, e in enumerate(mono_exps):
         for _ in range(e):
             cur, cur_order = colon_by_variable(cur, var, cur_order, field)
-    final = [convert_element(x, cur_order, order) for x in cur]
     if cur_order.descriptor == order.descriptor:
         # a full rotation cycle lands back on the input order; still a basis
-        return buchberger_engine([], order, field, seed=final)
-    return buchberger_engine(final, order, field)
+        return buchberger_engine([], order, field, seed=cur)
+    return buchberger_engine([convert_element(x, cur_order, order) for x in cur],
+                             order, field)
 
 
 def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrder,
@@ -728,12 +726,16 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     The check stops at the first nonzero remainder, so a step that does
     change the basis pays little for it.
 
-    Otherwise the elimination builds t<a> + (1 - t)<b> and keeps its
-    tag-free part.  Elements that appear in both a and b go in untagged,
-    as the reduced basis of their span; only the rest of each side is
-    tagged.  This builds the same tagged module, since s = t s + (1 - t) s
-    for each shared s.  And a tag-free Groebner basis in order is one in
-    the tagged order too, which is what lets it go in as a seed.
+    Otherwise one elimination builds t<a> + (1 - t)<b> and keeps its
+    tag-free part.  Elements that appear in both a and b go in untagged;
+    only the rest of each side is tagged.  This builds the same tagged
+    module, since s = t s + (1 - t) s for each shared s.
+    order.variant(ntags=1) keys every tag-free term as order does, so
+    inputs and outputs need no conversion.  The tag dominates the key, so
+    an element of the reduced elimination basis with a tag-free lead has
+    only tag-free terms, and its tail is already reduced by every lead:
+    the tag-free slice is the reduced basis of the intersection in order.
+    order must carry no tag and no fblock, as every caller's does.
     """
     b_basis = EngineBasis(b, order, field)
     if all(b_basis.contains(e) for e in a):
@@ -742,36 +744,14 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     shared = [e for e in a if b_by_lead.get(max(e)) == e]
     shared_leads = {max(e) for e in shared}
     ext = order.variant(ntags=1)
-    tag_delta = ext.key_mul_delta(ext.encode_mono((0,) * order.nvars + (1,)))
-    gens = []
-    for e in a:
-        if max(e) in shared_leads:
-            continue
-        ee = convert_element(e, order, ext)
-        gens.append({k + tag_delta: c for k, c in ee.items()})
-    for e in b:
-        if max(e) in shared_leads:
-            continue
-        ee = convert_element(e, order, ext)
-        g = dict(ee)
-        for k, c in ee.items():
-            kk = k + tag_delta
-            v = field.normalize(g.get(kk, 0) - c)
-            if v:
-                g[kk] = v
-            else:
-                g.pop(kk, None)
-        gens.append(g)
-    seed = [convert_element(e, order, ext)
-            for e in buchberger_engine(shared, order, field)]
-    basis = buchberger_engine(gens, ext, field, seed=seed)
-    out = []
-    for e in basis:
-        enc, _ = ext.split_key(max(e))
-        if ext.tag_free(enc):
-            out.append(convert_element(e, ext, order))
-    # the tag-free slice of the elimination basis is a basis in the plain order
-    return buchberger_engine([], order, field, seed=out)
+    tag = ext.key_mul_delta(ext.encode_mono((0,) * order.nvars + (1,)))
+    gens = shared + [{k + tag: c for k, c in e.items()}
+                     for e in a if max(e) not in shared_leads]
+    # tagged and tag-free keys never collide, so (1 - t) b is a dict union
+    gens += [{**e, **{k + tag: field.neg(c) for k, c in e.items()}}
+             for e in b if max(e) not in shared_leads]
+    return [e for e in buchberger_engine(gens, ext, field)
+            if ext.tag_free(ext.split_key(max(e))[0])]
 
 
 def intersect_engine(mods: list[list[dict]], order: MonomialOrder, field) -> list[dict]:

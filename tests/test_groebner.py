@@ -286,18 +286,68 @@ def _is_intersection(meet, a, b, order, shifts):
     return inside and (hs[0] + hs[1]).same_rational_function(hs[2] + hs[3])
 
 
-def test_intersect_pair_seeds_shared_elements():
+def test_intersect_pair_shared_part_not_a_basis(monkeypatch):
     x, y, z = (V(3, i) for i in range(3))
     a = buchberger_engine(E([x * x - y * z, x * y, y * y], ORDER3), ORDER3, QQ)
     b = buchberger_engine(E([x * x - y * z, x * y, z * z * z], ORDER3), ORDER3, QQ)
     shared = [e for e in a if e in b]
     # x^2 - yz and xy are shared; their S-pair gives y^2 z, so the shared
-    # part is not a Groebner basis and its basis call does real work
+    # part is not a Groebner basis and the one elimination must complete it
     assert len(shared) == 2 and buchberger_engine(shared, ORDER3, QQ) != shared
-    meet = intersect_pair_engine(a, b, ORDER3, QQ)
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return buchberger_engine(*args, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(gb, "buchberger_engine", counted)
+        meet = intersect_pair_engine(a, b, ORDER3, QQ)
+    assert len(calls) == 1
     assert meet != a and meet != b
     assert intersect_pair_engine(b, a, ORDER3, QQ) == meet
     assert _is_intersection(meet, a, b, ORDER3, (0,))
+
+
+def _random_pair(rng):
+    """Reduced bases a, b of random graded ideals in 3 variables or rank-2
+    modules with shifts (0, 1), and their order and shifts.  Both contain a
+    common basis K, and every extra generator has a degree above all of K,
+    so K's elements stay in both reduced bases."""
+    rank = rng.choice([1, 2])
+    order = MonomialOrder(3, rank=rank)
+    shifts = (0, 1)[:rank]
+
+    def element(deg):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            comp = rng.randrange(rank)
+            e = [0, 0, 0]
+            for _ in range(deg - shifts[comp]):
+                e[rng.randrange(3)] += 1
+            terms[order.term_key(order.encode_mono(tuple(e)), comp)] = Fraction(
+                rng.choice([-3, -2, -1, 1, 2, 3]))
+        return terms
+
+    k = buchberger_engine([element(rng.randint(1, 2)) for _ in range(rng.randint(1, 2))],
+                          order, QQ)
+    top = max(order.mono_degree(order.split_key(t)[0]) + shifts[order.split_key(t)[1]]
+              for e in k for t in e)
+    a, b = (buchberger_engine(k + [element(top + rng.randint(1, 2))
+                                   for _ in range(rng.randint(1, 2))], order, QQ)
+            for _ in range(2))
+    return a, b, order, shifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_intersect_pair_random_shared_pairs(seed):
+    a, b, order, shifts = _random_pair(random.Random(seed))
+    assert any(e in b for e in a)
+    meet = intersect_pair_engine(a, b, order, QQ)
+    assert _is_intersection(meet, a, b, order, shifts)
+    assert buchberger_engine([], order, QQ, seed=meet) == meet
+    assert intersect_pair_engine(b, a, order, QQ) == meet
 
 
 def test_intersect_pair_known_answers():
@@ -648,6 +698,23 @@ def test_key_mul_delta_multiplies_terms(data):
     assert moved == order.term_key(order.mono_mul(ea, eb), comp)
     assert order.split_key(moved) == (order.mono_mul(ea, eb), comp)
     assert moved - order.key_mul_delta(eb) == key
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tag_free_keys_same_with_one_tag(data):
+    # the intersection feeds plain keys to its elimination and reads its
+    # tag-free slice back as plain keys, with no conversion either way
+    rank = data.draw(st.sampled_from([1, 6]))
+    order = MonomialOrder(4, rank=rank,
+                          varseq=data.draw(st.sampled_from([None, (2, 3, 0, 1)])))
+    ext = order.variant(ntags=1)
+    a, b = (tuple(data.draw(_EXPONENT) for _ in range(4)) for _ in range(2))
+    ca, cb = (data.draw(st.integers(0, rank - 1)) for _ in range(2))
+    key = order.term_key(order.encode_mono(a), ca)
+    assert ext.term_key(ext.encode_mono(a + (0,)), ca) == key
+    tagged = ext.term_key(ext.encode_mono(b + (data.draw(st.integers(1, 63)),)), cb)
+    assert tagged > key and not ext.tag_free(ext.split_key(tagged)[0])
 
 
 @settings(max_examples=120, deadline=None)
