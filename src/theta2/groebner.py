@@ -25,6 +25,15 @@ term has the same key with or without the tag variable, and a tagged key
 exceeds every tag-free one, so the inputs go in as they are and the
 tag-free slice of the result is the reduced basis of the intersection.
 
+S-pairs are selected by the ring degree of their lcm, then by the lcm
+key (the normal strategy).  Without tags the degree already leads the
+key, so this is the lcm key order itself.  In an elimination the tag
+leads the key, and by key alone every pair of two tag-free rows would pop
+before any tagged pair, whatever its degree; most of those reduce to
+zero.  Any fair selection order yields the same reduced basis, and the
+Gebauer-Moeller criteria do not depend on the order (Gebauer & Moeller
+1988; Giovini et al. 1991), so the selection changes only the work.
+
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
 either over the rationals or over two distinct primes.
@@ -180,6 +189,7 @@ class MonomialOrder:
             raise ValueError("varseq must be a permutation of the variables")
         k = nvars
         self.mono_bits = _B * (k + 1 + ntags)
+        self.pair_mask = (1 << self.mono_bits) - 1
         self._pos = [0] * k
         for blk, v in enumerate(self.varseq):
             self._pos[v] = blk
@@ -233,6 +243,13 @@ class MonomialOrder:
 
     def mono_degree(self, enc: int) -> int:
         return (enc >> self._deg_shift) & _BMASK
+
+    def pair_key(self, lcm: int) -> int:
+        """Selection key of an S-pair: the lcm's ring degree lifted above
+        the monomial, then the lcm itself, which key & pair_mask recovers.
+        Without tags the degree field already tops the monomial, so the
+        pair keys sort exactly as the lcms do."""
+        return lcm | (self.mono_degree(lcm) << self.mono_bits)
 
     def tag_free(self, enc: int) -> bool:
         return not (enc & self._tmask)
@@ -485,14 +502,17 @@ def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
     new pairs with equal lcm only the first survives.  For ideals the
     product criterion also drops new pairs whose leads are coprime.
 
-    queue is (heap, live, pending).  The heap orders (lcm, i, j) entries;
-    live holds the entries neither reduced nor pruned; pending groups the
-    pending pairs by lead component, so B scans only new's component.  A
-    pruned entry stays in the heap and is skipped when it is popped.
+    queue is (heap, live, pending).  The heap orders (pair key, i, j)
+    entries: order.pair_key puts the lcm's ring degree above the lcm, and
+    & order.pair_mask recovers the lcm.  live holds the entries neither
+    reduced nor pruned; pending groups the pending pairs by lead component,
+    so B scans only new's component.  A pruned entry stays in the heap and
+    is skipped when it is popped.
     """
     heap, live, pending = queue
     lcm = order.mono_lcm
     xmask, tmask, tmax, gall = order._xmask, order._tmask, order._tmax, order._gall
+    pmask = order.pair_mask
     nenc, ndw = new.enc, new.dw
     group = pending[new.comp]
     keep = []
@@ -500,7 +520,8 @@ def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
     for entry in group:
         if entry not in live:
             continue
-        lk, i, j = entry
+        sel, i, j = entry
+        lk = sel & pmask
         if (((ndw - ((lk & xmask) | (tmax - (lk & tmask)))) & gall) == gall
                 and lcm(rows[i].enc, nenc) != lk
                 and lcm(rows[j].enc, nenc) != lk):
@@ -530,7 +551,7 @@ def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
         seen.add(li)
         if product and li == order.mono_mul(rows[i].enc, nenc):
             continue
-        entry = (li, i, t)
+        entry = (order.pair_key(li), i, t)
         heappush(heap, entry)
         live.add(entry)
         group.append(entry)
@@ -543,6 +564,12 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
     seed may hold an already-computed Groebner basis under the same order
     and field; its internal S-pairs are skipped.  Returns element dicts
     sorted by ascending lead key; generators appearing as zero are dropped.
+
+    S-pairs are reduced by ascending ring degree of their lcm, then lcm
+    key (MonomialOrder.pair_key), which for an order without tags is the
+    lcm key order.  The selection order changes only the work: any fair
+    order gives the same reduced basis, and the pair criteria of
+    _update_pairs hold under every order.
     """
     rows: list[_Row] = []
     rows_by_comp: dict[int, list[_Row]] = defaultdict(list)
@@ -567,13 +594,14 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
         if red:
             insert(red, update=True)
 
+    pmask = order.pair_mask
     while heap:
         entry = heappop(heap)
         if entry not in live:
             continue
         live.remove(entry)
-        lk, i, j = entry
-        red = _normal_form(_spoly(rows[i], rows[j], lk, order, field),
+        sel, i, j = entry
+        red = _normal_form(_spoly(rows[i], rows[j], sel & pmask, order, field),
                            rows_by_comp, order, field)
         if red:
             insert(red, update=True)
@@ -735,8 +763,11 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     an element of the reduced elimination basis with a tag-free lead has
     only tag-free terms, and its tail is already reduced by every lead:
     the tag-free slice is the reduced basis of the intersection in order.
-    order must carry no tag and no fblock, as every caller's does.
+    order must carry no tag and no fblock, as every caller's does; any
+    other order raises ValueError.
     """
+    if order.ntags or order.fblock:
+        raise ValueError("intersection needs an order with no tag and no fblock")
     b_basis = EngineBasis(b, order, field)
     if all(b_basis.contains(e) for e in a):
         return a

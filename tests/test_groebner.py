@@ -276,6 +276,16 @@ def test_intersect_fold_with_skipped_step_matches_other_order():
     assert other == fold
 
 
+@pytest.mark.parametrize("kw", [{"ntags": 1}, {"fblock": 1}], ids=["tag", "fblock"])
+def test_intersect_pair_refuses_tagged_or_block_order(kw):
+    # a tagged order would be re-tagged, and an fblock changes tag-free keys
+    order = MonomialOrder(3, rank=2, **kw)
+    x, y, z = (V(3, i) for i in range(3))
+    a, b = (buchberger_engine(E(gens, order), order, QQ) for gens in ([x * y], [z]))
+    with pytest.raises(ValueError, match="no tag and no fblock"):
+        intersect_pair_engine(a, b, order, QQ)
+
+
 def _is_intersection(meet, a, b, order, shifts):
     """meet lies in <a> and <b>, and HS(F/meet) + HS(F/(a+b)) = HS(F/a) +
     HS(F/b): for graded modules this proves meet is the intersection."""
@@ -679,6 +689,30 @@ def test_packed_lcm_is_exponentwise_max(data):
     ea, eb = order.encode_mono(a), order.encode_mono(b)
     assert order.mono_lcm(ea, eb) == order.encode_mono(top)
     assert order.mono_divides(ea, eb) == all(x <= y for x, y in zip(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pair_key_is_degree_then_lcm(data):
+    # the pair heap pops by the lcm's ring degree, then by its key; without
+    # tags that is the lcm order itself, so only eliminations pop otherwise
+    ntags = data.draw(st.sampled_from([0, 1]))
+    order = MonomialOrder(4, rank=data.draw(st.sampled_from([1, 6])), ntags=ntags,
+                          varseq=data.draw(st.sampled_from([None, (2, 3, 0, 1)])))
+    exps = data.draw(st.lists(st.tuples(*[_EXPONENT] * (4 + ntags)),
+                              min_size=2, max_size=8, unique=True))
+    lcms = [order.encode_mono(e) for e in exps]
+    assert all(order.pair_key(lk) & order.pair_mask == lk for lk in lcms)
+    by_key = sorted(lcms, key=order.pair_key)
+    if not ntags:
+        assert by_key == sorted(lcms)
+        return
+    degree = {lk: sum(e[:4]) for lk, e in zip(lcms, exps)}
+    assert by_key == sorted(lcms, key=lambda lk: (degree[lk], lk))
+    # a lower ring degree pops first whatever the tag exponents
+    low, high = (order.encode_mono((0, 1, 0, 0, 63)),
+                 order.encode_mono((1, 0, 1, 0, 0)))
+    assert low > high and order.pair_key(low) < order.pair_key(high)
 
 
 @settings(max_examples=80, deadline=None)

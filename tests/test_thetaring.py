@@ -391,19 +391,31 @@ def test_chi5_m_membership_and_series(pipe_p1):
     assert series.same_rational_function(GRADIENT_MODULE_SERIES)
 
 
-def test_fold_step_one_is_the_intersection(pipe_p1):
-    # M(1,3) meet M(1,6), the first fold step, checked without the
-    # elimination: the result lies in both modules and HS(F/(A meet B)) +
-    # HS(F/(A+B)) = HS(F/A) + HS(F/B), so it has the dimensions of the
-    # intersection in every degree and is the intersection
+@pytest.fixture(scope="module")
+def fold_step_one(pipe_p1):
+    a, b = (pipe_p1.m_pair(i, j).engine.elements for i, j in ((1, 3), (1, 6)))
+    return a, b, intersect_pair_engine(a, b, pipe_p1.order, pipe_p1.field)
+
+
+@pytest.mark.parametrize("step", [1, 2], ids=["step1", "step2"])
+def test_fold_step_is_the_intersection(pipe_p1, fold_step_one, step):
+    # the two eliminating fold steps, M(1,3) meet M(1,6) and then that
+    # result meet M(3,5), each checked without the elimination: the result
+    # lies in both modules and HS(F/(A meet B)) + HS(F/(A+B)) = HS(F/A) +
+    # HS(F/B), so it has the dimensions of the intersection in every degree
+    # and is the intersection
     order, field = pipe_p1.order, pipe_p1.field
-    a, b = (pipe_p1.m_pair(i, j).engine for i, j in ((1, 3), (1, 6)))
-    meet = intersect_pair_engine(a.elements, b.elements, order, field)
-    assert meet != a.elements
-    assert all(a.contains(e) and b.contains(e) for e in meet)
-    total = buchberger_engine(b.elements, order, field, seed=a.elements)
-    hs = [hilbert_series_engine(g, order, SHIFTS)
-          for g in (meet, total, a.elements, b.elements)]
+    a, b, meet = fold_step_one
+    if step == 2:
+        a, b = meet, pipe_p1.m_pair(3, 5).engine.elements
+        meet = intersect_pair_engine(a, b, order, field)
+        # the later steps change nothing: step 2 already gives chi5_m
+        assert meet == pipe_p1.chi5_m().engine.elements
+    assert meet != a
+    in_a, in_b = EngineBasis(a, order, field), EngineBasis(b, order, field)
+    assert all(in_a.contains(e) and in_b.contains(e) for e in meet)
+    total = buchberger_engine(b, order, field, seed=a)
+    hs = [hilbert_series_engine(g, order, SHIFTS) for g in (meet, total, a, b)]
     assert (hs[0] + hs[1]).same_rational_function(hs[2] + hs[3])
 
 
