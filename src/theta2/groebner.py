@@ -34,6 +34,16 @@ zero.  Any fair selection order yields the same reduced basis, and the
 Gebauer-Moeller criteria do not depend on the order (Gebauer & Moeller
 1988; Giovini et al. 1991), so the selection changes only the work.
 
+Each component's rows sit in a _Bucket, an index that finds a term's
+reducer without scanning: per byte of the packed monomial, a table maps
+the target's byte to a bitmask of the rows whose lead fits it there, and
+the lowest bit of the AND of those masks is the first divisor in key
+order, the row a scan of the sorted rows would pick.  Normal forms pop
+from a heap of term keys only; the coefficients of the pending terms
+accumulate in a dict and are reduced modulo p once, when their key pops.
+The Buchberger loop, prepared bases, the final interreduction and the
+cache's shape check all find divisors this way.
+
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
 either over the rationals or over two distinct primes.
@@ -58,12 +68,13 @@ import hashlib
 import json
 import os
 import tempfile
-from bisect import insort
+from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import attrgetter
+from operator import and_, attrgetter, getitem
 from typing import Iterable, Sequence
 
 from .errors import DerivationError
@@ -358,7 +369,8 @@ class _Row:
     """A monic row plus the words of the engine's inline tests.
 
     dw is the lead's divisor word for the one-subtraction divisibility
-    test (MonomialOrder.divisor_word).  room holds the row's blockwise
+    test (MonomialOrder.divisor_word) of the B rule in _update_pairs; the
+    reducer lookups go through _Bucket instead.  room holds the row's blockwise
     exponent maximum over all its terms and its top term degree, troom its
     tag maximum, each offset so that one guard-bit test against a target
     monomial shows whether row * (target / lead) stays in packing range
@@ -378,6 +390,80 @@ class _Row:
 
 
 _row_key = attrgetter("key")
+
+# every lead fits the degree byte: divisibility is decided by the exponents
+_ANY = (-1,) * (_BMASK + 1)
+
+
+class _Bucket:
+    """The rows of one component, indexed by their leads for first-divisor
+    lookups.
+
+    rows holds them in ascending lead key order (keys holds the keys), and
+    the row at position i owns bit i of every mask.  tables has one table
+    per byte of the packed monomial, in enc.to_bytes(..., "little") order:
+    the ring blocks, the degree, then the tags.  The table of a block maps
+    the target's byte there (C - e for a ring block, e for a tag) to the
+    mask of the rows whose lead exponent in that block is at most e.
+    ANDing one entry per byte leaves exactly the rows whose lead divides
+    the target, and its lowest bit is the first of them in key order.  The
+    degree byte decides nothing and reads the shared table _ANY.  An entry
+    above every lead's exponent in its block (e >= tops[j]) is -1, "every
+    row", so an insert rewrites only the entries below the block's top.
+    """
+    __slots__ = ("rows", "keys", "tables", "tops", "nring", "nbytes")
+
+    def __init__(self, order: MonomialOrder):
+        k = order.nvars
+        self.rows: list = []
+        self.keys: list[int] = []
+        self.tables = ([[-1] * (_C + 1) for _ in range(k)] + [_ANY]
+                       + [[-1] * _C for _ in range(order.ntags)])
+        self.tops = [0] * len(self.tables)
+        self.nring = k
+        self.nbytes = len(self.tables)
+
+    def add(self, enc: int, key: int, row) -> None:
+        """Index row under its lead monomial enc and lead key; rows of equal
+        key keep their insertion order."""
+        pos = bisect_right(self.keys, key)
+        self.keys.insert(pos, key)
+        self.rows.insert(pos, row)
+        bit = 1 << pos
+        below = bit - 1
+        full = ((1 << len(self.rows)) - 1) ^ bit     # every other row
+        shift = pos < len(self.rows) - 1
+        raw = enc.to_bytes(self.nbytes, "little")
+        tops = self.tops
+        for j, t in enumerate(self.tables):
+            if t is _ANY:
+                continue
+            ring = j < self.nring
+            top = tops[j]
+            if shift:       # rows from pos up move one bit higher
+                for x in range(top):
+                    i = _C - x if ring else x
+                    m = t[i]
+                    t[i] = (m & below) | ((m >> pos) << (pos + 1))
+            e = _C - raw[j] if ring else raw[j]
+            if e < top:
+                for x in range(e, top):
+                    t[_C - x if ring else x] |= bit
+            else:
+                for x in range(top, e):
+                    t[_C - x if ring else x] = full
+                t[_C - e if ring else e] = full | bit
+                tops[j] = e + 1
+
+    def find(self, enc: int):
+        """The row of least lead key whose lead divides enc, or None: the
+        first divisor in key order, as a scan of the sorted rows finds it."""
+        m = reduce(and_, map(getitem, self.tables, enc.to_bytes(self.nbytes, "little")))
+        if m < 0:           # every table said "every row"
+            m &= (1 << len(self.rows)) - 1
+        if not m:
+            return None
+        return self.rows[(m & -m).bit_length() - 1]
 
 
 def _make_row(elem: dict, order: MonomialOrder, field, index: int) -> _Row:
@@ -426,45 +512,49 @@ def _check_room(row: _Row, target: int, order: MonomialOrder) -> None:
             f"{order.decode_mono(row.enc)} leaves the packing range")
 
 
-def _normal_form(elem: dict, rows_by_comp, order: MonomialOrder, field) -> dict:
-    """Full tail-reduced remainder of elem modulo the given rows."""
+def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
+                 field) -> dict:
+    """Full tail-reduced remainder of elem modulo the rows of buckets.
+
+    The heap holds negated term keys only, each key once; acc holds their
+    coefficients as plain sums of products, reduced modulo p (for a prime
+    field) once, when the key is popped.  A reducer's tail lies below its
+    lead, so every key it adds is below the popped one and a popped key
+    never comes back.  The reducer of a term is the first row of its
+    component, in key order, whose lead divides it (_Bucket.find)."""
     if not elem:
         return {}
+    p = field.p
     split = order.split_key
-    xmask, tmask, tmax, gall = order._xmask, order._tmask, order._tmax, order._gall
-    normalize = field.normalize
-    mul = field.mul
-    neg = field.neg
-    out: dict = {}
-    heap = [(-k, c) for k, c in elem.items()]
+    acc = dict(elem)
+    heap = [-k for k in acc]
     heapify(heap)
+    out: dict = {}
     while heap:
-        nk, c = heappop(heap)
-        while heap and heap[0][0] == nk:
-            c = c + heappop(heap)[1]
-        c = normalize(c)
+        key = -heappop(heap)
+        c = acc.pop(key)
+        if p is not None:
+            c %= p
         if not c:
             continue
-        key = -nk
         enc, comp = split(key)
-        row = None
-        # first divisor in key order; tw is order.target_word(enc), inline
-        tw = (enc & xmask) | (tmax - (enc & tmask))
-        for r in rows_by_comp.get(comp, ()):
-            if r.key > key:         # a lead above the term cannot divide it
-                break
-            if ((r.dw - tw) & gall) == gall:
-                row = r
-                break
+        bucket = buckets.get(comp)
+        row = bucket.find(enc) if bucket is not None else None
         if row is None:
             out[key] = c
             continue
         _check_room(row, enc, order)
         # same component, so the key difference is the multiplier's key delta
         delta = key - row.key
-        nc = neg(c)
+        nc = -c
         for tk, tc in row.tail:
-            heappush(heap, (-(tk + delta), mul(nc, tc)))
+            k = tk + delta
+            v = acc.get(k)
+            if v is None:
+                acc[k] = nc * tc
+                heappush(heap, -k)
+            else:
+                acc[k] = v + nc * tc
     return out
 
 
@@ -572,7 +662,7 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
     _update_pairs hold under every order.
     """
     rows: list[_Row] = []
-    rows_by_comp: dict[int, list[_Row]] = defaultdict(list)
+    buckets: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
     heap: list[tuple[int, int, int]] = []
     live: set[tuple[int, int, int]] = set()
     queue = (heap, live, defaultdict(list))
@@ -580,17 +670,17 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
     def insert(elem: dict, update: bool) -> None:
         row = _make_row(elem, order, field, len(rows))
         rows.append(row)
-        bucket = rows_by_comp[row.comp]
-        insort(bucket, row, key=_row_key)
+        bucket = buckets[row.comp]
+        bucket.add(row.enc, row.key, row)
         if update:
-            _update_pairs(rows, bucket, queue, row, order)
+            _update_pairs(rows, bucket.rows, queue, row, order)
 
     if seed:
         for elem in seed:
             if elem:
                 insert(elem, update=False)
     for elem in sorted((e for e in gens if e), key=max):
-        red = _normal_form(elem, rows_by_comp, order, field)
+        red = _normal_form(elem, buckets, order, field)
         if red:
             insert(red, update=True)
 
@@ -602,7 +692,7 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
         live.remove(entry)
         sel, i, j = entry
         red = _normal_form(_spoly(rows[i], rows[j], sel & pmask, order, field),
-                           rows_by_comp, order, field)
+                           buckets, order, field)
         if red:
             insert(red, update=True)
 
@@ -614,17 +704,15 @@ def _interreduce(rows: list[_Row], order: MonomialOrder, field) -> list[dict]:
 
     A lead never divides a term below it, so each row's own entry in the
     minimal rows cannot reduce its tail and need not be left out."""
-    gall = order._gall
-    minimal: dict[int, list[_Row]] = defaultdict(list)
+    minimal: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
     for row in sorted(rows, key=_row_key):
-        tw = order.target_word(row.enc)
-        group = minimal[row.comp]
-        if not any(((r.dw - tw) & gall) == gall for r in group):
-            group.append(row)
+        bucket = minimal[row.comp]
+        if bucket.find(row.enc) is None:
+            bucket.add(row.enc, row.key, row)
     out = []
     one = field.convert(1)
-    for group in minimal.values():
-        for row in group:
+    for bucket in minimal.values():
+        for row in bucket.rows:
             red = {row.key: one}
             red.update(_normal_form(dict(row.tail), minimal, order, field))
             out.append(red)
@@ -643,15 +731,13 @@ class EngineBasis:
         self.elements = elements
         self.order = order
         self.field = field
-        self._rows_by_comp: dict[int, list[_Row]] = defaultdict(list)
+        self._buckets: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
         for i, e in enumerate(elements):
             row = _make_row(e, order, field, i)
-            self._rows_by_comp[row.comp].append(row)
-        for bucket in self._rows_by_comp.values():
-            bucket.sort(key=lambda r: r.key)
+            self._buckets[row.comp].add(row.enc, row.key, row)
 
     def normal_form(self, elem: dict) -> dict:
-        return _normal_form(elem, self._rows_by_comp, self.order, self.field)
+        return _normal_form(elem, self._buckets, self.order, self.field)
 
     def contains(self, elem: dict) -> bool:
         return not self.normal_form(elem)
@@ -973,11 +1059,12 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
     order: no empty element or repeated key, every component below the
     rank, monic leads in strictly ascending key order, and no lead dividing
     another in its component.  A lead's divisors in its component lie
-    below it, so each lead is tested against the earlier ones only."""
+    below it, so each lead is looked up among the earlier ones only.  A
+    lead byte beyond the tables of _Bucket (a ring block above C, a tag
+    from C up) is no packed monomial and also raises ValueError."""
     limit = 1 << (order.mono_bits + _CB + 1)
     floor = _CMAX - order.rank          # key & _CMAX above it: component < rank
-    gall = order._gall
-    words: dict[int, list[int]] = defaultdict(list)   # divisor words of leads
+    leads: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
     out = []
     prev = -1
     for terms in raw:
@@ -990,11 +1077,13 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
             raise ValueError("leads not ascending, or not monic")
         prev = lead
         enc, comp = order.split_key(lead)
-        tw = order.target_word(enc)
-        group = words[comp]
-        if any(((dw - tw) & gall) == gall for dw in group):
-            raise ValueError("a lead divides a later lead")
-        group.append(order.divisor_word(enc))
+        bucket = leads[comp]
+        try:
+            if bucket.find(enc) is not None:
+                raise ValueError("a lead divides a later lead")
+            bucket.add(enc, lead, lead)
+        except IndexError:
+            raise ValueError("lead out of packing range") from None
         out.append(elem)
     return out
 

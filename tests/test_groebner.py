@@ -1,9 +1,12 @@
 import hashlib
+import heapq
 import json
 import os
 import random
 import sys
+from collections import defaultdict
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from theta2.errors import DerivationError
 from theta2.groebner import (
     GFP1,
     GFP2,
+    PRIME1,
     QQ,
     BasisCache,
     EngineBasis,
@@ -593,6 +597,21 @@ def test_cache_entry_not_a_reduced_basis_is_a_miss(tmp_path, field_name, damage)
     assert cache.load(key, order, field) == elements
 
 
+@pytest.mark.parametrize("block", [0, 1])
+def test_cache_lead_out_of_packing_range_is_a_miss(tmp_path, block):
+    # a ring block above C = 64 is no packed monomial: the shape check
+    # refuses the lead instead of indexing it
+    order, elements = ORDER2, _toy_basis(GFP1)
+    cache = BasisCache(str(tmp_path))
+    key = BasisCache.key("toy", ["a"], [], order, GFP1)
+    cache.store(key, elements)
+    _, payload = _read_entry(cache, key)
+    lead = max(payload["elements"][-1])
+    lead[0] |= 0x7f << (8 * block + 8)
+    _write_entry(cache, key, payload)
+    assert cache.load(key, order, GFP1) is None
+
+
 @pytest.mark.parametrize("payload", [
     {"elements": ["1*x"]},                 # element text of the old format
     {"elements": ["1*t1 | 1*t2"]},
@@ -713,6 +732,103 @@ def test_pair_key_is_degree_then_lcm(data):
     low, high = (order.encode_mono((0, 1, 0, 0, 63)),
                  order.encode_mono((1, 0, 1, 0, 0)))
     assert low > high and order.pair_key(low) < order.pair_key(high)
+
+
+def _index_order(data):
+    ntags = data.draw(st.sampled_from([0, 1]))
+    return MonomialOrder(4, rank=data.draw(st.sampled_from([1, 3])), ntags=ntags,
+                         varseq=data.draw(st.sampled_from([None, (2, 3, 0, 1)])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bucket_finds_first_divisor_in_key_order(data):
+    # rows go in out of key order; a lookup must return what a scan of the
+    # component's rows in key order returns first, and None exactly when
+    # no lead divides the target
+    order = _index_order(data)
+    width = order.nvars + order.ntags
+    small = st.integers(0, 3)
+    exps = st.tuples(*[st.one_of(small, _EXPONENT)] * width)
+    leads = data.draw(st.lists(st.tuples(exps, st.integers(0, order.rank - 1)),
+                               min_size=1, max_size=12, unique=True))
+    buckets = defaultdict(partial(gb._Bucket, order))
+    for i in data.draw(st.permutations(range(len(leads)))):
+        e, comp = leads[i]
+        buckets[comp].add(order.encode_mono(e), order.term_key(order.encode_mono(e), comp), i)
+    by_key = sorted(range(len(leads)),
+                    key=lambda i: order.term_key(order.encode_mono(leads[i][0]), leads[i][1]))
+    targets = data.draw(st.lists(exps, max_size=6)) + [(63,) * width]
+    # multiples of the leads, so that most targets have divisors
+    targets += [tuple(min(63, x + data.draw(small)) for x in e) for e, _ in leads]
+    for t in targets:
+        for comp in range(order.rank):
+            scan = next((i for i in by_key if leads[i][1] == comp
+                         and all(x <= y for x, y in zip(leads[i][0], t))), None)
+            assert buckets[comp].find(order.encode_mono(t)) == scan
+
+
+def _scan_normal_form(elem, rows, order, field):
+    """Reference normal form: a heap of (key, coefficient) entries, summed
+    when equal keys pop, and a scan of the rows in key order."""
+    by_key = sorted(rows, key=lambda r: r.key)
+    heap = [(-k, c) for k, c in elem.items()]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        nk, c = heapq.heappop(heap)
+        while heap and heap[0][0] == nk:
+            c = c + heapq.heappop(heap)[1]
+        c = field.normalize(c)
+        if not c:
+            continue
+        enc, comp = order.split_key(-nk)
+        row = next((r for r in by_key if r.comp == comp and order.mono_divides(r.enc, enc)),
+                   None)
+        if row is None:
+            out[-nk] = c
+            continue
+        gb._check_room(row, enc, order)
+        for tk, tc in row.tail:
+            heapq.heappush(heap, (-(tk + -nk - row.key), field.mul(field.neg(c), tc)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_normal_form_matches_heap_and_scan(data):
+    order = _index_order(data)
+    field = data.draw(st.sampled_from([QQ, GFP1]))
+    width = order.nvars + order.ntags
+    # small exponents keep the reduction short; 60 and 63 reach the packing
+    # range, where both sides must refuse the same product
+    exps = st.tuples(*[st.one_of(st.integers(0, 3), st.sampled_from([60, 63]))] * width)
+    near_p = st.one_of(st.integers(1, 3), st.integers(PRIME1 - 3, PRIME1 - 1))
+    coeff = near_p if field is GFP1 else st.builds(
+        Fraction, near_p.map(lambda n: data.draw(st.sampled_from([n, -n]))), st.integers(1, 3))
+
+    def element():
+        terms = data.draw(st.lists(st.tuples(exps, st.integers(0, order.rank - 1)),
+                                   min_size=1, max_size=4, unique=True))
+        return {order.term_key(order.encode_mono(e), comp): data.draw(coeff)
+                for e, comp in terms}
+
+    rows = {}
+    for elem in (element() for _ in range(data.draw(st.integers(1, 5)))):
+        rows.setdefault(max(elem), elem)        # one row per lead
+    rows = [gb._make_row(e, order, field, i) for i, e in enumerate(rows.values())]
+    buckets = defaultdict(partial(gb._Bucket, order))
+    for i in data.draw(st.permutations(range(len(rows)))):
+        buckets[rows[i].comp].add(rows[i].enc, rows[i].key, rows[i])
+    elem = element()
+    try:
+        expected = _scan_normal_form(elem, rows, order, field)
+    except DerivationError:
+        with pytest.raises(DerivationError):
+            gb._normal_form(elem, buckets, order, field)
+        return
+    # same terms in the same (descending) order: cache entries store dicts
+    assert list(gb._normal_form(elem, buckets, order, field).items()) == list(expected.items())
 
 
 @settings(max_examples=80, deadline=None)
