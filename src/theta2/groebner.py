@@ -725,18 +725,22 @@ def _interreduce(rows: list[_Row], order: MonomialOrder, field) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 class EngineBasis:
-    """A reduced basis prepared for fast repeated normal forms."""
+    """A reduced basis prepared for fast repeated normal forms.  Its rows
+    and their divisor index are built by the first normal form: most
+    stage bases are only read as element lists."""
 
     def __init__(self, elements: list[dict], order: MonomialOrder, field):
         self.elements = elements
         self.order = order
         self.field = field
-        self._buckets: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
-        for i, e in enumerate(elements):
-            row = _make_row(e, order, field, i)
-            self._buckets[row.comp].add(row.enc, row.key, row)
+        self._buckets: dict[int, _Bucket] | None = None
 
     def normal_form(self, elem: dict) -> dict:
+        if self._buckets is None:
+            self._buckets = defaultdict(partial(_Bucket, self.order))
+            for i, e in enumerate(self.elements):
+                row = _make_row(e, self.order, self.field, i)
+                self._buckets[row.comp].add(row.enc, row.key, row)
         return _normal_form(elem, self._buckets, self.order, self.field)
 
     def contains(self, elem: dict) -> bool:
