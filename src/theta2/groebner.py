@@ -369,12 +369,11 @@ class _Row:
     """A monic row plus the words of the engine's inline tests.
 
     dw is the lead's divisor word for the one-subtraction divisibility
-    test (MonomialOrder.divisor_word) of the B rule in _update_pairs; the
-    reducer lookups go through _Bucket instead.  room holds the row's blockwise
-    exponent maximum over all its terms and its top term degree, troom its
-    tag maximum, each offset so that one guard-bit test against a target
-    monomial shows whether row * (target / lead) stays in packing range
-    (see _check_room).
+    test (MonomialOrder.divisor_word) of the B rule in _update_pairs.
+    room holds the row's blockwise exponent maximum over all its terms and
+    its top term degree, troom its tag maximum, each offset so that one
+    guard-bit test against a target monomial shows whether
+    row * (target / lead) stays in packing range (see _check_room).
     """
     __slots__ = ("key", "enc", "comp", "tail", "index", "dw", "room", "troom")
 

@@ -782,15 +782,16 @@ def _scan_normal_form(elem, rows, order, field):
         c = field.normalize(c)
         if not c:
             continue
-        enc, comp = order.split_key(-nk)
+        key = -nk
+        enc, comp = order.split_key(key)
         row = next((r for r in by_key if r.comp == comp and order.mono_divides(r.enc, enc)),
                    None)
         if row is None:
-            out[-nk] = c
+            out[key] = c
             continue
         gb._check_room(row, enc, order)
         for tk, tc in row.tail:
-            heapq.heappush(heap, (-(tk + -nk - row.key), field.mul(field.neg(c), tc)))
+            heapq.heappush(heap, (-(tk + key - row.key), field.mul(field.neg(c), tc)))
     return out
 
 
@@ -800,27 +801,33 @@ def test_normal_form_matches_heap_and_scan(data):
     order = _index_order(data)
     field = data.draw(st.sampled_from([QQ, GFP1]))
     width = order.nvars + order.ntags
-    # small exponents keep the reduction short; 60 and 63 reach the packing
-    # range, where both sides must refuse the same product
-    exps = st.tuples(*[st.one_of(st.integers(0, 3), st.sampled_from([60, 63]))] * width)
+    # small exponents keep the reduction short and give terms several
+    # divisors; in some examples 60 and 63 reach the packing range, where
+    # both sides must refuse the same product
+    small = st.integers(0, 2)
+    exp = st.one_of(small, st.sampled_from([60, 63])) if data.draw(st.booleans()) else small
+    exps = st.tuples(*[exp] * width)
     near_p = st.one_of(st.integers(1, 3), st.integers(PRIME1 - 3, PRIME1 - 1))
     coeff = near_p if field is GFP1 else st.builds(
-        Fraction, near_p.map(lambda n: data.draw(st.sampled_from([n, -n]))), st.integers(1, 3))
+        Fraction, st.one_of(near_p, near_p.map(lambda n: -n)), st.integers(1, 3))
 
-    def element():
+    def element(extra=()):
         terms = data.draw(st.lists(st.tuples(exps, st.integers(0, order.rank - 1)),
                                    min_size=1, max_size=4, unique=True))
         return {order.term_key(order.encode_mono(e), comp): data.draw(coeff)
-                for e, comp in terms}
+                for e, comp in terms + list(extra)}
 
     rows = {}
-    for elem in (element() for _ in range(data.draw(st.integers(1, 5)))):
+    for elem in (element() for _ in range(data.draw(st.integers(2, 6)))):
         rows.setdefault(max(elem), elem)        # one row per lead
     rows = [gb._make_row(e, order, field, i) for i, e in enumerate(rows.values())]
     buckets = defaultdict(partial(gb._Bucket, order))
     for i in data.draw(st.permutations(range(len(rows)))):
         buckets[rows[i].comp].add(rows[i].enc, rows[i].key, rows[i])
-    elem = element()
+    # multiples of the leads, which most rows divide
+    multiples = [(tuple(x + data.draw(st.integers(0, 1)) for x in order.decode_mono(r.enc)),
+                  r.comp) for r in rows]
+    elem = element(t for t in multiples if max(t[0]) < 64)
     try:
         expected = _scan_normal_form(elem, rows, order, field)
     except DerivationError:
