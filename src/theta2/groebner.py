@@ -8,12 +8,13 @@ with ascending generator index as tie break.  Tag variables (eliminations)
 and a dominating component block (syzygies) extend the same key; only
 MonomialOrder knows its layout.
 
-The engine provides reduced Groebner bases, normal forms, module quotients
-(colon) by a monomial through rotated bases, intersections via a degree-zero
-tag variable, and Hilbert series of graded quotients computed from
-lead-term modules.  syzygy_engine computes the same colon by a second,
-independent route (syzygies under a block order); nothing in the pipeline
-calls it, and it stays as the reference the colon is checked against.
+The engine provides reduced Groebner bases, normal forms, intersections
+via a degree-zero tag variable, module quotients (colon) by a monomial m
+as one such intersection, since M intersect m F = m (M : m), and Hilbert
+series of graded quotients computed from lead-term modules.
+syzygy_engine computes the same colon by a second, independent route
+(syzygies under a block order); nothing in the pipeline calls it, and it
+stays as the reference the colon is checked against.
 
 An intersection of two reduced bases first tests whether the first lies
 in the second (each of its elements reduces to zero) and if so returns it
@@ -171,11 +172,10 @@ _CMAX = (1 << _CB) - 1
 
 class MonomialOrder:
     """Term-over-position graded reverse lexicographic order with optional
-    rotation and blocks.
+    blocks.
 
-    nvars counts the ring variables (tags excluded).  varseq permutes them;
-    the final entry is the revlex-last variable, which makes colon-by-a-
-    variable computations a basis rewrite.  Tag variables dominate every
+    nvars counts the ring variables (tags excluded); variable v's block
+    sits at bit _B * v, below the degree field.  Tag variables dominate every
     comparison (elimination blocks).  Terms with equal monomials compare by
     ascending generator index.  With fblock = r, components below r
     dominate the others as a block, which is how syzygies are read off.
@@ -183,27 +183,19 @@ class MonomialOrder:
     A term key is the packed monomial shifted left by _CB bits, the
     component's _CMAX - comp in those bits, and the fblock bit above the
     monomial; term_key, split_key and key_mul_delta are the only code that
-    relies on this layout.  Tag blocks sit above the degree field, so
-    without an fblock a tag-free term has the same key in every tag count.
+    relies on this layout.  Tag blocks sit above the degree field.
     """
 
-    def __init__(self, nvars: int, rank: int = 1, varseq: Sequence[int] | None = None,
-                 ntags: int = 0, fblock: int = 0):
+    def __init__(self, nvars: int, rank: int = 1, ntags: int = 0, fblock: int = 0):
         if rank > _CMAX:
             raise ValueError("rank too large for key packing")
         self.nvars = nvars
         self.rank = rank
         self.ntags = ntags
         self.fblock = fblock
-        self.varseq = tuple(varseq) if varseq is not None else tuple(range(nvars))
-        if sorted(self.varseq) != list(range(nvars)):
-            raise ValueError("varseq must be a permutation of the variables")
         k = nvars
         self.mono_bits = _B * (k + 1 + ntags)
         self.pair_mask = (1 << self.mono_bits) - 1
-        self._pos = [0] * k
-        for blk, v in enumerate(self.varseq):
-            self._pos[v] = blk
         self._deg_shift = _B * k
         self._tag_shift = [_B * (k + 1 + t) for t in range(ntags)]
         self.offset = sum(_C << (_B * j) for j in range(k))
@@ -218,7 +210,7 @@ class MonomialOrder:
         self._hmask = self._gx | ~self._dlow
         self._gall = self._gx | self._gt
         self.one = self.offset
-        self.descriptor = (nvars, rank, self.varseq, ntags, fblock)
+        self.descriptor = (nvars, rank, ntags, fblock)
 
     # -- packing -------------------------------------------------------------
 
@@ -232,7 +224,7 @@ class MonomialOrder:
             e = exps[v]
             if not 0 <= e < _C:
                 raise ValueError(f"exponent {e} out of packing range")
-            enc += (_C - e) << (_B * self._pos[v])
+            enc += (_C - e) << (_B * v)
             deg += e
         if deg > _BMASK:
             raise ValueError("total degree out of packing range")
@@ -247,7 +239,7 @@ class MonomialOrder:
     def decode_mono(self, enc: int) -> tuple[int, ...]:
         exps = [0] * (self.nvars + self.ntags)
         for v in range(self.nvars):
-            exps[v] = _C - ((enc >> (_B * self._pos[v])) & _BMASK)
+            exps[v] = _C - ((enc >> (_B * v)) & _BMASK)
         for t in range(self.ntags):
             exps[self.nvars + t] = (enc >> self._tag_shift[t]) & _BMASK
         return tuple(exps)
@@ -320,22 +312,14 @@ class MonomialOrder:
         """Additive key delta that multiplies a term by the given monomial."""
         return (enc_factor - self.offset) << _CB
 
-    def variant(self, **kw) -> "MonomialOrder":
-        """The same order with some constructor arguments replaced.  With
-        fblock 0, a change of ntags keeps every tag-free term's key."""
-        args = dict(nvars=self.nvars, rank=self.rank, varseq=self.varseq,
-                    ntags=self.ntags, fblock=self.fblock)
-        args.update(kw)
-        return MonomialOrder(**args)
-
     def __repr__(self):
         return f"MonomialOrder{self.descriptor}"
 
 
 def convert_element(elem: dict, src: MonomialOrder, dst: MonomialOrder,
                     comp_offset: int = 0) -> dict:
-    """Re-encode an engine element between orders that differ in layout
-    (variable sequence, rank, component block), not in tag count."""
+    """Re-encode an engine element between orders that differ in rank or
+    component block, not in tag count."""
     out = {}
     for key, c in elem.items():
         enc, comp = src.split_key(key)
@@ -760,46 +744,6 @@ class EngineBasis:
 # Module operations
 # ---------------------------------------------------------------------------
 
-def colon_by_variable(gens: list[dict], var: int, order: MonomialOrder,
-                      field) -> tuple[list[dict], MonomialOrder]:
-    """Generators of (M : x_var) for homogeneous M, via a rotated basis.
-
-    Returns the new basis together with the rotated order it lives in.  In
-    graded reverse lex with x_var last, a homogeneous element whose lead is
-    divisible by x_var is divisible termwise, so the colon is a rewrite of
-    the Groebner basis.
-    """
-    seq = tuple(v for v in order.varseq if v != var) + (var,)
-    rorder = order.variant(varseq=seq)
-    rgens = [convert_element(e, order, rorder) for e in gens]
-    basis = buchberger_engine(rgens, rorder, field)
-    xv = rorder.encode_mono(tuple(int(v == var) for v in range(order.nvars))
-                            + (0,) * order.ntags)
-    delta = -rorder.key_mul_delta(xv)
-    out = []
-    for e in basis:
-        enc, _ = rorder.split_key(max(e))
-        if rorder.mono_divides(xv, enc):
-            out.append({k + delta: c for k, c in e.items()})
-        else:
-            out.append(e)
-    return out, rorder
-
-
-def module_quotient_engine(gens: list[dict], mono_exps: Sequence[int],
-                           order: MonomialOrder, field) -> list[dict]:
-    """Reduced basis of (M : m) for a monomial m, iterating colon by variable."""
-    cur, cur_order = gens, order
-    for var, e in enumerate(mono_exps):
-        for _ in range(e):
-            cur, cur_order = colon_by_variable(cur, var, cur_order, field)
-    if cur_order.descriptor == order.descriptor:
-        # a full rotation cycle lands back on the input order; still a basis
-        return buchberger_engine([], order, field, seed=cur)
-    return buchberger_engine([convert_element(x, cur_order, order) for x in cur],
-                             order, field)
-
-
 def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrder,
                   field) -> list[dict]:
     """Generators of {c in R^s : sum c_i targets_i in <kernel_of>}.
@@ -811,8 +755,7 @@ def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrd
     """
     r = order.rank
     s = len(targets)
-    ext = MonomialOrder(order.nvars, rank=r + s, varseq=order.varseq,
-                        ntags=order.ntags, fblock=r)
+    ext = MonomialOrder(order.nvars, rank=r + s, ntags=order.ntags, fblock=r)
     gens = []
     for i, tgt in enumerate(targets):
         e = convert_element(tgt, order, ext)
@@ -821,8 +764,7 @@ def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrd
     for kg in kernel_of:
         gens.append(convert_element(kg, order, ext))
     basis = buchberger_engine(gens, ext, field)
-    sy_order = MonomialOrder(order.nvars, rank=s, varseq=order.varseq,
-                             ntags=order.ntags)
+    sy_order = MonomialOrder(order.nvars, rank=s, ntags=order.ntags)
     out = []
     for e in basis:
         _, comp = ext.split_key(max(e))
@@ -846,12 +788,14 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     Otherwise one elimination builds t<a> + (1 - t)<b> and keeps its
     tag-free part.  Elements that appear in both a and b go in untagged;
     only the rest of each side is tagged.  This builds the same tagged
-    module, since s = t s + (1 - t) s for each shared s.
-    order.variant(ntags=1) keys every tag-free term as order does, so
-    inputs and outputs need no conversion.  The tag dominates the key, so
-    an element of the reduced elimination basis with a tag-free lead has
-    only tag-free terms, and its tail is already reduced by every lead:
-    the tag-free slice is the reduced basis of the intersection in order.
+    module, since s = t s + (1 - t) s for each shared s.  Tag blocks sit
+    above the degree field, so without an fblock a tag-free term has the
+    same key in every tag count: the one-tag order keys every tag-free
+    term as order does, and inputs and outputs need no conversion.  The
+    tag dominates the key, so an element of the reduced elimination basis
+    with a tag-free lead has only tag-free terms, and its tail is already
+    reduced by every lead: the tag-free slice is the reduced basis of the
+    intersection in order.
     order must carry no tag and no fblock, as every caller's does; any
     other order raises ValueError.
     """
@@ -863,7 +807,7 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     b_by_lead = {max(e): e for e in b}
     shared = [e for e in a if b_by_lead.get(max(e)) == e]
     shared_leads = {max(e) for e in shared}
-    ext = order.variant(ntags=1)
+    ext = MonomialOrder(order.nvars, order.rank, ntags=1)
     tag = ext.key_mul_delta(ext.encode_mono((0,) * order.nvars + (1,)))
     gens = shared + [{k + tag: c for k, c in e.items()}
                      for e in a if max(e) not in shared_leads]
@@ -872,6 +816,25 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
              for e in b if max(e) not in shared_leads]
     return [e for e in buchberger_engine(gens, ext, field)
             if ext.tag_free(ext.split_key(max(e))[0])]
+
+
+def module_quotient_engine(gens: list[dict], mono_exps: Sequence[int],
+                           order: MonomialOrder, field) -> list[dict]:
+    """Reduced basis of (M : m) for a monomial m, as (M intersect m F) / m
+    with F the free module of order's rank.
+
+    gens must be a reduced basis of M in order, as intersect_pair_engine
+    requires.  M intersect m F = m (M : m) (Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms, 4.4), and every term of an element of m F
+    is divisible by m.  Dividing by a monomial keeps the order of
+    terms and divisibility among leads, so the divided intersection basis
+    is already the reduced basis of the colon.
+    """
+    m = order.encode_mono(mono_exps)
+    meet = intersect_pair_engine(gens, [{order.term_key(m, i): field.convert(1)}
+                                        for i in range(order.rank)], order, field)
+    delta = -order.key_mul_delta(m)
+    return [{k + delta: c for k, c in e.items()} for e in meet]
 
 
 def intersect_engine(mods: list[list[dict]], order: MonomialOrder, field) -> list[dict]:

@@ -161,27 +161,6 @@ class GradedPoly:
     def __repr__(self):
         return f"GradedPoly({poly_to_text(self)})"
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, values: Sequence) -> object:
-        """Evaluate at a point.
-
-        With Fraction inputs the result is exact; with complex inputs the
-        coefficients are converted via float, which is exact for the small
-        integers occurring in catalogs.
-        """
-        if len(values) != self.nvars:
-            raise ValueError("wrong number of values")
-        exact = all(isinstance(v, (Fraction, int)) for v in values)
-        total = Fraction(0) if exact else 0j
-        for exps, c in self.terms.items():
-            term = c if exact else complex(c)
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v**e
-            total += term
-        return total
-
     def divide_by_monomial(self, exps: Sequence[int]) -> "GradedPoly | None":
         """Exact division by a monomial, or None if some term is not divisible."""
         out_terms = {}
