@@ -4,43 +4,40 @@ Monomials are packed into single integers whose natural ordering realizes
 graded reverse lexicographic comparison; multiplying by a monomial is an
 integer addition and divisibility is a guard-bit subtraction test.  Module
 terms append the component to the packed key, giving term-over-position
-with ascending generator index as tie break.  Tag variables (eliminations)
-and a dominating component block (syzygies) extend the same key; only
-MonomialOrder knows its layout.
+with ascending generator index as tie break.  A dominating component block
+(eliminations) extends the same key; only MonomialOrder knows its layout.
 
 The engine provides reduced Groebner bases, normal forms, intersections
-via a degree-zero tag variable, module quotients (colon) by a monomial m
-as one such intersection, since M intersect m F = m (M : m), and Hilbert
+by one elimination in F + F, module quotients (colon) by a monomial m as
+one such intersection, since M intersect m F = m (M : m), and Hilbert
 series of graded quotients computed from lead-term modules.
 syzygy_engine computes the same colon by a second, independent route
-(syzygies under a block order); nothing in the pipeline calls it, and it
-stays as the reference the colon is checked against.
+(syzygies under the same block order); nothing in the pipeline calls it,
+and it stays as the reference the colon is checked against.
 
 An intersection of two reduced bases first tests whether the first lies
 in the second (each of its elements reduces to zero) and if so returns it
 as it is: a fold step that changes nothing costs one containment check,
-not an elimination.  Otherwise one elimination runs, in which only the
-elements where the two bases differ are tagged; the elements they share
-go in untagged, since each shared s equals t s + (1 - t) s.  A tag-free
-term has the same key with or without the tag variable, and a tagged key
-exceeds every tag-free one, so the inputs go in as they are and the
-tag-free slice of the result is the reduced basis of the intersection.
+not an elimination.  Otherwise one elimination runs in F + F under an
+order where the first summand dominates (Greuel & Pfister, A Singular
+Introduction to Commutative Algebra, ch. 2): the elements of
+<(a, 0), (b, b)> whose first part is zero are exactly (0, x) for x in
+<a> intersect <b>.  Keys move between F and either summand by adding a
+constant, so the inputs and the result need no re-encoding.
 
-S-pairs are selected by the ring degree of their lcm, then by the lcm
-key (the normal strategy).  Without tags the degree already leads the
-key, so this is the lcm key order itself.  In an elimination the tag
-leads the key, and by key alone every pair of two tag-free rows would pop
-before any tagged pair, whatever its degree; most of those reduce to
-zero.  Any fair selection order yields the same reduced basis, and the
-Gebauer-Moeller criteria do not depend on the order (Gebauer & Moeller
-1988; Giovini et al. 1991), so the selection changes only the work.
+S-pairs are selected by their lcm key, which leads with the lcm's ring
+degree (the normal strategy); the block bit sits in the term key, not in
+the lcm, so an elimination pops its pairs degree-first too.  Any fair
+selection order yields the same reduced basis, and the Gebauer-Moeller
+criteria do not depend on the order (Gebauer & Moeller 1988; Giovini et
+al. 1991), so the selection changes only the work.
 
 Each component's rows sit in a _Bucket, an index that finds a term's
-reducer without scanning: per byte of the packed monomial, a table maps
-the target's byte to a bitmask of the rows whose lead fits it there, and
-the lowest bit of the AND of those masks is the first divisor in key
-order, the row a scan of the sorted rows would pick.  Normal forms pop
-from a heap of term keys only; the coefficients of the pending terms
+reducer without scanning: per variable block of the packed monomial, a
+table maps the target's byte to a bitmask of the rows whose lead fits it
+there, and the lowest bit of the AND of those masks is the first divisor
+in key order, the row a scan of the sorted rows would pick.  Normal forms
+pop from a heap of term keys only; the coefficients of the pending terms
 accumulate in a dict and are reduced modulo p once, when their key pops.
 The Buchberger loop, prepared bases, the final interreduction and the
 cache's shape check all find divisors this way.
@@ -56,11 +53,11 @@ a miss, so a corrupt file is recomputed rather than trusted.
 
 Block invariant.  Each ring-variable block of a packed monomial holds
 C - e with 0 <= e < C = 64, so its value lies in 1..C and the guard bit
-(the top bit of the block) stays free; tag blocks hold e itself, also
-below 64; the degree field holds the total ring degree, at most 255.  The
-guard-bit subtractions of divisibility and lcm rely on this.  Inputs are
-checked when encoded, and the engine raises DerivationError before it
-forms a term product or a pair lcm that would leave these ranges.
+(the top bit of the block) stays free; the degree field holds the total
+ring degree, at most 255.  The guard-bit subtractions of divisibility and
+lcm rely on this.  Inputs are checked when encoded, and the engine raises
+DerivationError before it forms a term product or a pair lcm that would
+leave these ranges.
 """
 
 from __future__ import annotations
@@ -104,12 +101,6 @@ class RationalField:
     def inv(self, c):
         return 1 / c
 
-    def neg(self, c):
-        return -c
-
-    def mul(self, a, b):
-        return a * b
-
     def lift(self, c) -> Fraction:
         return c
 
@@ -136,12 +127,6 @@ class PrimeField:
 
     def inv(self, c):
         return pow(c, self.p - 2, self.p)
-
-    def neg(self, c):
-        return (-c) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
 
     def lift(self, c) -> Fraction:
         """Symmetric representative; exact for small catalog coefficients."""
@@ -171,52 +156,49 @@ _CMAX = (1 << _CB) - 1
 
 
 class MonomialOrder:
-    """Term-over-position graded reverse lexicographic order with optional
-    blocks.
+    """Term-over-position graded reverse lexicographic order with an
+    optional dominating component block.
 
-    nvars counts the ring variables (tags excluded); variable v's block
-    sits at bit _B * v, below the degree field.  Tag variables dominate every
-    comparison (elimination blocks).  Terms with equal monomials compare by
-    ascending generator index.  With fblock = r, components below r
-    dominate the others as a block, which is how syzygies are read off.
+    nvars counts the ring variables; variable v's block sits at bit _B * v,
+    below the degree field, so the degree leads every monomial key.  Terms
+    with equal monomials compare by ascending generator index.  With
+    fblock = r, components below r dominate the others as a block, which
+    is how eliminations (syzygies, intersections) are read off.
 
     A term key is the packed monomial shifted left by _CB bits, the
-    component's _CMAX - comp in those bits, and the fblock bit above the
-    monomial; term_key, split_key and key_mul_delta are the only code that
-    relies on this layout.  Tag blocks sit above the degree field.
+    component's _CMAX - comp in those bits, and, for a component below
+    fblock, the bit fbit above the monomial; term_key, split_key and
+    key_mul_delta are the only code that relies on this layout, besides
+    intersect_pair_engine.  Because the suffix is _CMAX - comp, in an order
+    of rank 2r with fblock = r the key of component r + c is the rank-r key
+    of component c minus r, and the key of component c is that key | fbit.
     """
 
-    def __init__(self, nvars: int, rank: int = 1, ntags: int = 0, fblock: int = 0):
+    def __init__(self, nvars: int, rank: int = 1, fblock: int = 0):
         if rank > _CMAX:
             raise ValueError("rank too large for key packing")
         self.nvars = nvars
         self.rank = rank
-        self.ntags = ntags
         self.fblock = fblock
         k = nvars
-        self.mono_bits = _B * (k + 1 + ntags)
-        self.pair_mask = (1 << self.mono_bits) - 1
+        self.mono_bits = _B * (k + 1)
+        self.fbit = 1 << (self.mono_bits + _CB)
         self._deg_shift = _B * k
-        self._tag_shift = [_B * (k + 1 + t) for t in range(ntags)]
         self.offset = sum(_C << (_B * j) for j in range(k))
         self._xmask = (1 << (_B * k)) - 1
         self._gx = sum(_GUARD << (_B * j) for j in range(k))
-        self._gt = sum(_GUARD << s for s in self._tag_shift)
-        self._tmask = sum(_BMASK << s for s in self._tag_shift)
         self._ones = sum(1 << (_B * j) for j in range(k))
-        self._tmax = sum((_C - 1) << s for s in self._tag_shift)
         self._dlow = (1 << (self._deg_shift + _B)) - 1   # ring blocks and degree
         # guard bits plus everything above the degree field
         self._hmask = self._gx | ~self._dlow
-        self._gall = self._gx | self._gt
         self.one = self.offset
-        self.descriptor = (nvars, rank, ntags, fblock)
+        self.descriptor = (nvars, rank, fblock)
 
     # -- packing -------------------------------------------------------------
 
     def encode_mono(self, exps: Sequence[int]) -> int:
-        """Pack an exponent vector (ring variables then tags) into an int."""
-        if len(exps) != self.nvars + self.ntags:
+        """Pack an exponent vector into an int."""
+        if len(exps) != self.nvars:
             raise ValueError("exponent vector has wrong length")
         enc = 0
         deg = 0
@@ -228,55 +210,31 @@ class MonomialOrder:
             deg += e
         if deg > _BMASK:
             raise ValueError("total degree out of packing range")
-        enc += deg << self._deg_shift
-        for t in range(self.ntags):
-            e = exps[self.nvars + t]
-            if not 0 <= e < _C:
-                raise ValueError(f"tag exponent {e} out of packing range")
-            enc += e << self._tag_shift[t]
-        return enc
+        return enc + (deg << self._deg_shift)
 
     def decode_mono(self, enc: int) -> tuple[int, ...]:
-        exps = [0] * (self.nvars + self.ntags)
-        for v in range(self.nvars):
-            exps[v] = _C - ((enc >> (_B * v)) & _BMASK)
-        for t in range(self.ntags):
-            exps[self.nvars + t] = (enc >> self._tag_shift[t]) & _BMASK
-        return tuple(exps)
-
-    def mono_degree(self, enc: int) -> int:
-        return (enc >> self._deg_shift) & _BMASK
-
-    def pair_key(self, lcm: int) -> int:
-        """Selection key of an S-pair: the lcm's ring degree lifted above
-        the monomial, then the lcm itself, which key & pair_mask recovers.
-        Without tags the degree field already tops the monomial, so the
-        pair keys sort exactly as the lcms do."""
-        return lcm | (self.mono_degree(lcm) << self.mono_bits)
-
-    def tag_free(self, enc: int) -> bool:
-        return not (enc & self._tmask)
+        return tuple(_C - ((enc >> (_B * v)) & _BMASK) for v in range(self.nvars))
 
     def mono_mul(self, a: int, b: int) -> int:
         return a + b - self.offset
 
     def divisor_word(self, a: int) -> int:
-        """Divisor side of the one-subtraction divisibility test: ring blocks
-        C - e and tag blocks C - 1 - e, each with its guard bit set."""
-        return (a & self._xmask) | (self._gt + self._tmax - (a & self._tmask)) | self._gx
+        """Divisor side of the one-subtraction divisibility test: the ring
+        blocks C - e, each with its guard bit set."""
+        return (a & self._xmask) | self._gx
 
     def target_word(self, b: int) -> int:
         """Target side: a divides b iff (divisor_word(a) - target_word(b))
-        keeps every guard bit, i.e. has all the bits of _gall."""
-        return (b & self._xmask) | (self._tmax - (b & self._tmask))
+        keeps every guard bit, i.e. has all the bits of _gx."""
+        return b & self._xmask
 
     def mono_divides(self, a: int, b: int) -> bool:
         """True when monomial a divides monomial b."""
-        return (self.divisor_word(a) - self.target_word(b)) & self._gall == self._gall
+        return (self.divisor_word(a) - self.target_word(b)) & self._gx == self._gx
 
     def mono_lcm(self, a: int, b: int) -> int:
         """Least common multiple: blockwise minimum of the stored C - e
-        blocks, blockwise maximum of the tag blocks, degree recomputed."""
+        blocks, degree recomputed."""
         xa = a & self._xmask
         xb = b & self._xmask
         # guard bit survives where xa >= xb; d - (d >> 7) widens it to a block mask
@@ -285,13 +243,7 @@ class MonomialOrder:
         deg = self.nvars * _C - sum(x.to_bytes(self.nvars, "little"))
         if deg > _BMASK:
             raise DerivationError(f"lcm of degree {deg} is out of packing range")
-        x |= deg << self._deg_shift
-        if self.ntags:
-            ta = a & self._tmask
-            tb = b & self._tmask
-            d = ((ta | self._gt) - tb) & self._gt
-            x |= tb ^ ((ta ^ tb) & (d - (d >> 7)))
-        return x
+        return x | (deg << self._deg_shift)
 
     # -- module term keys ------------------------------------------------------
 
@@ -299,8 +251,8 @@ class MonomialOrder:
         if not 0 <= comp < self.rank:
             raise ValueError(f"component {comp} out of range")
         key = (enc << _CB) | (_CMAX - comp)
-        if self.fblock and comp < self.fblock:
-            key |= 1 << (self.mono_bits + _CB)
+        if comp < self.fblock:
+            key |= self.fbit
         return key
 
     def split_key(self, key: int) -> tuple[int, int]:
@@ -319,7 +271,7 @@ class MonomialOrder:
 def convert_element(elem: dict, src: MonomialOrder, dst: MonomialOrder,
                     comp_offset: int = 0) -> dict:
     """Re-encode an engine element between orders that differ in rank or
-    component block, not in tag count."""
+    component block."""
     out = {}
     for key, c in elem.items():
         enc, comp = src.split_key(key)
@@ -340,12 +292,11 @@ def to_engine(e: ModuleElement | GradedPoly, order: MonomialOrder, field) -> dic
             raise ValueError("cannot convert an element carrying a denominator tag")
         comps = e.components
     out: dict = {}
-    pad = (0,) * order.ntags
     for ci, p in enumerate(comps):
         for exps, c in p.terms.items():
             v = field.convert(c)
             if v:
-                out[order.term_key(order.encode_mono(exps + pad), ci)] = v
+                out[order.term_key(order.encode_mono(exps), ci)] = v
     return out
 
 
@@ -355,13 +306,15 @@ class _Row:
     dw is the lead's divisor word for the one-subtraction divisibility
     test (MonomialOrder.divisor_word) of the B rule in _update_pairs.
     room holds the row's blockwise exponent maximum over all its terms and
-    its top term degree, troom its tag maximum, each offset so that one
-    guard-bit test against a target monomial shows whether
-    row * (target / lead) stays in packing range (see _check_room).
+    its top term degree, offset so that one guard-bit test against a
+    target monomial shows whether row * (target / lead) stays in packing
+    range (see _check_room).  The top degree need not be the lead's: under
+    a block order a lead in the first block can sit above a tail term of
+    higher degree in the second.
     """
-    __slots__ = ("key", "enc", "comp", "tail", "index", "dw", "room", "troom")
+    __slots__ = ("key", "enc", "comp", "tail", "index", "dw", "room")
 
-    def __init__(self, key, enc, comp, tail, index, dw, room, troom):
+    def __init__(self, key, enc, comp, tail, index, dw, room):
         self.key = key
         self.enc = enc
         self.comp = comp
@@ -369,13 +322,9 @@ class _Row:
         self.index = index
         self.dw = dw
         self.room = room
-        self.troom = troom
 
 
 _row_key = attrgetter("key")
-
-# every lead fits the degree byte: divisibility is decided by the exponents
-_ANY = (-1,) * (_BMASK + 1)
 
 
 class _Bucket:
@@ -384,27 +333,25 @@ class _Bucket:
 
     rows holds them in ascending lead key order (keys holds the keys), and
     the row at position i owns bit i of every mask.  tables has one table
-    per byte of the packed monomial, in enc.to_bytes(..., "little") order:
-    the ring blocks, the degree, then the tags.  The table of a block maps
-    the target's byte there (C - e for a ring block, e for a tag) to the
-    mask of the rows whose lead exponent in that block is at most e.
-    ANDing one entry per byte leaves exactly the rows whose lead divides
-    the target, and its lowest bit is the first of them in key order.  The
-    degree byte decides nothing and reads the shared table _ANY.  An entry
-    above every lead's exponent in its block (e >= tops[j]) is -1, "every
-    row", so an insert rewrites only the entries below the block's top.
+    per ring-variable block of the packed monomial, in
+    enc.to_bytes(..., "little") order.  The table of a block maps the
+    target's byte there (C - e) to the mask of the rows whose lead exponent
+    in that block is at most e.  ANDing one entry per block leaves exactly
+    the rows whose lead divides the target, and its lowest bit is the first
+    of them in key order.  The degree byte, the last, decides nothing and
+    has no table.  An entry above every lead's exponent in its block
+    (e >= tops[j]) is -1, "every row", so an insert rewrites only the
+    entries below the block's top.
     """
-    __slots__ = ("rows", "keys", "tables", "tops", "nring", "nbytes")
+    __slots__ = ("rows", "keys", "tables", "tops", "nbytes")
 
     def __init__(self, order: MonomialOrder):
         k = order.nvars
         self.rows: list = []
         self.keys: list[int] = []
-        self.tables = ([[-1] * (_C + 1) for _ in range(k)] + [_ANY]
-                       + [[-1] * _C for _ in range(order.ntags)])
-        self.tops = [0] * len(self.tables)
-        self.nring = k
-        self.nbytes = len(self.tables)
+        self.tables = [[-1] * (_C + 1) for _ in range(k)]
+        self.tops = [0] * k
+        self.nbytes = k + 1
 
     def add(self, enc: int, key: int, row) -> None:
         """Index row under its lead monomial enc and lead key; rows of equal
@@ -419,28 +366,25 @@ class _Bucket:
         raw = enc.to_bytes(self.nbytes, "little")
         tops = self.tops
         for j, t in enumerate(self.tables):
-            if t is _ANY:
-                continue
-            ring = j < self.nring
             top = tops[j]
             if shift:       # rows from pos up move one bit higher
-                for x in range(top):
-                    i = _C - x if ring else x
+                for i in range(_C - top + 1, _C + 1):
                     m = t[i]
                     t[i] = (m & below) | ((m >> pos) << (pos + 1))
-            e = _C - raw[j] if ring else raw[j]
+            e = _C - raw[j]
             if e < top:
                 for x in range(e, top):
-                    t[_C - x if ring else x] |= bit
+                    t[_C - x] |= bit
             else:
                 for x in range(top, e):
-                    t[_C - x if ring else x] = full
-                t[_C - e if ring else e] = full | bit
+                    t[_C - x] = full
+                t[_C - e] = full | bit
                 tops[j] = e + 1
 
     def find(self, enc: int):
         """The row of least lead key whose lead divides enc, or None: the
         first divisor in key order, as a scan of the sorted rows finds it."""
+        # map stops at the last table, before the degree byte
         m = reduce(and_, map(getitem, self.tables, enc.to_bytes(self.nbytes, "little")))
         if m < 0:           # every table said "every row"
             m &= (1 << len(self.rows)) - 1
@@ -453,43 +397,34 @@ def _make_row(elem: dict, order: MonomialOrder, field, index: int) -> _Row:
     key = max(elem)
     inv = field.inv(elem[key])
     items = sorted(elem.items(), reverse=True)
-    tail = [(k, field.normalize(field.mul(inv, c))) for k, c in items[1:]]
+    tail = [(k, field.normalize(inv * c)) for k, c in items[1:]]
     split = order.split_key
     enc, comp = split(key)
-    xmask, gx, tmask, gt = order._xmask, order._gx, order._tmask, order._gt
+    xmask, gx = order._xmask, order._gx
     dshift = order._deg_shift
-    # blockwise exponent maximum over all terms: minimum of the stored
-    # C - e blocks, maximum of the tag blocks; and the top term degree
+    # blockwise exponent maximum over all terms (minimum of the stored
+    # C - e blocks) and the top term degree
     lo = enc & xmask
-    hi = enc & tmask
     dmax = (enc >> dshift) & _BMASK
     for k, _ in tail:
         e = split(k)[0]
         x = e & xmask
         d = ((lo | gx) - x) & gx
         lo ^= (lo ^ x) & (d - (d >> 7))
-        if hi != e & tmask:
-            t = e & tmask
-            d = ((hi | gt) - t) & gt
-            hi = t ^ ((hi ^ t) & (d - (d >> 7)))
         dmax = max(dmax, (e >> dshift) & _BMASK)
     # room + target (ring blocks and degree) holds, per block, a guard bit
     # plus C - 1 - (max exponent + multiplier exponent), and above them
     # top degree + multiplier degree: in range iff every guard bit is kept
-    # and nothing spills past the degree field.  troom - target does the
-    # same for the tag blocks, which store e.
+    # and nothing spills past the degree field
     room = (((lo - order._ones) | gx) - (enc & order._dlow)
             + (dmax << dshift))
-    troom = gt + order._tmax - hi + (enc & tmask)
-    return _Row(key, enc, comp, tail, index, order.divisor_word(enc), room, troom)
+    return _Row(key, enc, comp, tail, index, order.divisor_word(enc), room)
 
 
 def _check_room(row: _Row, target: int, order: MonomialOrder) -> None:
     """Raise unless row * (target / lead) keeps every exponent below C and
     every degree at most 255; the lead must divide target."""
-    if (((row.room + (target & order._dlow)) & order._hmask) != order._gx
-            or (order.ntags
-                and ((row.troom - (target & order._tmask)) & order._gt) != order._gt)):
+    if ((row.room + (target & order._dlow)) & order._hmask) != order._gx:
         raise DerivationError(
             f"product of a row and {order.decode_mono(target)} / "
             f"{order.decode_mono(row.enc)} leaves the packing range")
@@ -575,17 +510,15 @@ def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
     new pairs with equal lcm only the first survives.  For ideals the
     product criterion also drops new pairs whose leads are coprime.
 
-    queue is (heap, live, pending).  The heap orders (pair key, i, j)
-    entries: order.pair_key puts the lcm's ring degree above the lcm, and
-    & order.pair_mask recovers the lcm.  live holds the entries neither
-    reduced nor pruned; pending groups the pending pairs by lead component,
-    so B scans only new's component.  A pruned entry stays in the heap and
-    is skipped when it is popped.
+    queue is (heap, live, pending).  The heap orders (lcm, i, j) entries;
+    the lcm's ring degree leads its key, so pairs pop degree-first.  live
+    holds the entries neither reduced nor pruned; pending groups the
+    pending pairs by lead component, so B scans only new's component.  A
+    pruned entry stays in the heap and is skipped when it is popped.
     """
     heap, live, pending = queue
     lcm = order.mono_lcm
-    xmask, tmask, tmax, gall = order._xmask, order._tmask, order._tmax, order._gall
-    pmask = order.pair_mask
+    xmask, gx = order._xmask, order._gx
     nenc, ndw = new.enc, new.dw
     group = pending[new.comp]
     keep = []
@@ -593,9 +526,8 @@ def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
     for entry in group:
         if entry not in live:
             continue
-        sel, i, j = entry
-        lk = sel & pmask
-        if (((ndw - ((lk & xmask) | (tmax - (lk & tmask)))) & gall) == gall
+        lk, i, j = entry
+        if (((ndw - (lk & xmask)) & gx) == gx
                 and lcm(rows[i].enc, nenc) != lk
                 and lcm(rows[j].enc, nenc) != lk):
             live.remove(entry)
@@ -607,9 +539,9 @@ def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
     kept: list[tuple[int, int]] = []       # (divisor word, lcm)
     survivors = []
     for li, i in items:
-        tw = (li & xmask) | (tmax - (li & tmask))
+        tw = li & xmask
         for dw, lj in kept:
-            if ((dw - tw) & gall) == gall and lj != li:
+            if ((dw - tw) & gx) == gx and lj != li:
                 break
         else:
             kept.append((order.divisor_word(li), li))
@@ -624,7 +556,7 @@ def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
         seen.add(li)
         if product and li == order.mono_mul(rows[i].enc, nenc):
             continue
-        entry = (order.pair_key(li), i, t)
+        entry = (li, i, t)
         heappush(heap, entry)
         live.add(entry)
         group.append(entry)
@@ -638,11 +570,10 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
     and field; its internal S-pairs are skipped.  Returns element dicts
     sorted by ascending lead key; generators appearing as zero are dropped.
 
-    S-pairs are reduced by ascending ring degree of their lcm, then lcm
-    key (MonomialOrder.pair_key), which for an order without tags is the
-    lcm key order.  The selection order changes only the work: any fair
-    order gives the same reduced basis, and the pair criteria of
-    _update_pairs hold under every order.
+    S-pairs are reduced by ascending lcm key, whose ring degree leads it,
+    in every order including block orders.  The selection order changes
+    only the work: any fair order gives the same reduced basis, and the
+    pair criteria of _update_pairs hold under every order.
     """
     rows: list[_Row] = []
     buckets: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
@@ -667,14 +598,13 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
         if red:
             insert(red, update=True)
 
-    pmask = order.pair_mask
     while heap:
         entry = heappop(heap)
         if entry not in live:
             continue
         live.remove(entry)
-        sel, i, j = entry
-        red = _normal_form(_spoly(rows[i], rows[j], sel & pmask, order, field),
+        lk, i, j = entry
+        red = _normal_form(_spoly(rows[i], rows[j], lk, order, field),
                            buckets, order, field)
         if red:
             insert(red, update=True)
@@ -755,7 +685,7 @@ def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrd
     """
     r = order.rank
     s = len(targets)
-    ext = MonomialOrder(order.nvars, rank=r + s, ntags=order.ntags, fblock=r)
+    ext = MonomialOrder(order.nvars, rank=r + s, fblock=r)
     gens = []
     for i, tgt in enumerate(targets):
         e = convert_element(tgt, order, ext)
@@ -764,7 +694,7 @@ def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrd
     for kg in kernel_of:
         gens.append(convert_element(kg, order, ext))
     basis = buchberger_engine(gens, ext, field)
-    sy_order = MonomialOrder(order.nvars, rank=s, ntags=order.ntags)
+    sy_order = MonomialOrder(order.nvars, rank=s)
     out = []
     for e in basis:
         _, comp = ext.split_key(max(e))
@@ -775,7 +705,7 @@ def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrd
 
 def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
                           field) -> list[dict]:
-    """Reduced basis of <a> intersect <b> via one degree-zero tag variable.
+    """Reduced basis of <a> intersect <b> via one elimination in F + F.
 
     Both inputs must be reduced bases in order, as every caller passes.
     If every element of a reduces to zero modulo b, then <a> lies in <b>
@@ -785,37 +715,38 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     The check stops at the first nonzero remainder, so a step that does
     change the basis pays little for it.
 
-    Otherwise one elimination builds t<a> + (1 - t)<b> and keeps its
-    tag-free part.  Elements that appear in both a and b go in untagged;
-    only the rest of each side is tagged.  This builds the same tagged
-    module, since s = t s + (1 - t) s for each shared s.  Tag blocks sit
-    above the degree field, so without an fblock a tag-free term has the
-    same key in every tag count: the one-tag order keys every tag-free
-    term as order does, and inputs and outputs need no conversion.  The
-    tag dominates the key, so an element of the reduced elimination basis
-    with a tag-free lead has only tag-free terms, and its tail is already
-    reduced by every lead: the tag-free slice is the reduced basis of the
-    intersection in order.
-    order must carry no tag and no fblock, as every caller's does; any
-    other order raises ValueError.
+    Otherwise the elimination runs in rank 2r with fblock = r, where the
+    first summand dominates.  (a, 0) and (b, b) generate a module whose
+    elements with zero first part are exactly (0, x) for x in <a>
+    intersect <b>.  Each element s shared by a and b goes in as (s, 0)
+    and (0, s), which generate the same module as (s, 0) and (s, s).  b is
+    the side copied into both summands: the colon passes one-term elements
+    as b, so a large a is never duplicated.  In the reduced elimination
+    basis an element whose lead lacks fbit lies wholly in the second
+    summand, and its tail is reduced by every lead, so those elements,
+    moved back to F, are the reduced basis of the intersection in order.
+    Keys move by arithmetic alone (see MonomialOrder): the first summand's
+    key is k | fbit, the second's k - r, and k - r + r = k on the way back.
+    order must carry no fblock, as every caller's does; any other order
+    raises ValueError.
     """
-    if order.ntags or order.fblock:
-        raise ValueError("intersection needs an order with no tag and no fblock")
+    if order.fblock:
+        raise ValueError("intersection needs an order with no fblock")
     b_basis = EngineBasis(b, order, field)
     if all(b_basis.contains(e) for e in a):
         return a
+    r = order.rank
+    ext = MonomialOrder(order.nvars, 2 * r, fblock=r)
+    fbit = ext.fbit
     b_by_lead = {max(e): e for e in b}
     shared = [e for e in a if b_by_lead.get(max(e)) == e]
     shared_leads = {max(e) for e in shared}
-    ext = MonomialOrder(order.nvars, order.rank, ntags=1)
-    tag = ext.key_mul_delta(ext.encode_mono((0,) * order.nvars + (1,)))
-    gens = shared + [{k + tag: c for k, c in e.items()}
-                     for e in a if max(e) not in shared_leads]
-    # tagged and tag-free keys never collide, so (1 - t) b is a dict union
-    gens += [{**e, **{k + tag: field.neg(c) for k, c in e.items()}}
+    gens = [{k - r: c for k, c in e.items()} for e in shared]
+    gens += [{k | fbit: c for k, c in e.items()} for e in a]
+    gens += [{k2: c for k, c in e.items() for k2 in (k | fbit, k - r)}
              for e in b if max(e) not in shared_leads]
-    return [e for e in buchberger_engine(gens, ext, field)
-            if ext.tag_free(ext.split_key(max(e))[0])]
+    return [{k + r: c for k, c in e.items()}
+            for e in buchberger_engine(gens, ext, field) if not max(e) & fbit]
 
 
 def module_quotient_engine(gens: list[dict], mono_exps: Sequence[int],
@@ -938,11 +869,8 @@ def hilbert_series_engine(basis: list[dict], order: MonomialOrder,
                           shifts: Sequence[int]) -> HilbertSeries:
     """Hilbert series of F/S from the lead-term module of a Groebner basis.
 
-    Requires a degree-compatible order (no tags).  The shifts give the
-    degrees of the free-module generators.
+    The shifts give the degrees of the free-module generators.
     """
-    if order.ntags:
-        raise ValueError("hilbert series needs a degree-compatible order")
     per_comp: dict[int, set[tuple[int, ...]]] = defaultdict(set)
     for e in basis:
         enc, comp = order.split_key(max(e))
@@ -1026,8 +954,8 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
     rank, monic leads in strictly ascending key order, and no lead dividing
     another in its component.  A lead's divisors in its component lie
     below it, so each lead is looked up among the earlier ones only.  A
-    lead byte beyond the tables of _Bucket (a ring block above C, a tag
-    from C up) is no packed monomial and also raises ValueError."""
+    lead byte beyond the tables of _Bucket (a ring block above C) is no
+    packed monomial and also raises ValueError."""
     limit = 1 << (order.mono_bits + _CB + 1)
     floor = _CMAX - order.rank          # key & _CMAX above it: component < rank
     leads: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))

@@ -253,11 +253,11 @@ def _nullspace(vecs: list[dict], field) -> list[list]:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = field.inv(rows[r][col])
-        rows[r] = [field.normalize(field.mul(inv, x)) for x in rows[r]]
+        rows[r] = [field.normalize(inv * x) for x in rows[r]]
         for rr in range(len(rows)):
             if rr != r and field.normalize(rows[rr][col]):
                 f = rows[rr][col]
-                rows[rr] = [field.normalize(x - field.mul(f, y))
+                rows[rr] = [field.normalize(x - f * y)
                             for x, y in zip(rows[rr], rows[r])]
         pivots.append(col)
         r += 1
@@ -267,7 +267,7 @@ def _nullspace(vecs: list[dict], field) -> list[list]:
         vec = [field.convert(0)] * n
         vec[fc] = field.convert(1)
         for rr, pc in enumerate(pivots):
-            vec[pc] = field.normalize(field.neg(rows[rr][fc]))
+            vec[pc] = field.normalize(-rows[rr][fc])
         basis.append(vec)
     return basis
 
@@ -293,7 +293,7 @@ def _sign_vector(vec: list, field) -> list[int] | None:
     one = field.normalize(field.convert(1))
     minus = field.normalize(field.convert(-1))
     for x in vec:
-        v = field.normalize(field.mul(inv, x))
+        v = field.normalize(inv * x)
         if v == one:
             out.append(1)
         elif v == minus:

@@ -282,17 +282,16 @@ def test_intersect_fold_with_skipped_step_matches_other_order():
     assert other == fold
 
 
-@pytest.mark.parametrize("kw", [{"ntags": 1}, {"fblock": 1}], ids=["tag", "fblock"])
-def test_intersect_pair_refuses_tagged_or_block_order(kw):
-    # a tagged order would be re-tagged, and an fblock changes tag-free
-    # keys; the colon is an intersection and refuses them too
-    order = MonomialOrder(3, rank=2, **kw)
+def test_intersect_pair_refuses_block_order():
+    # an fblock would collide with the block the elimination adds; the
+    # colon is an intersection and refuses it too
+    order = MonomialOrder(3, rank=2, fblock=1)
     x, y, z = (V(3, i) for i in range(3))
     a, b = (buchberger_engine(E(gens, order), order, QQ) for gens in ([x * y], [z]))
-    with pytest.raises(ValueError, match="no tag and no fblock"):
+    with pytest.raises(ValueError, match="no fblock"):
         intersect_pair_engine(a, b, order, QQ)
-    with pytest.raises(ValueError, match="no tag and no fblock"):
-        module_quotient_engine(a, (1, 0, 0) + (0,) * order.ntags, order, QQ)
+    with pytest.raises(ValueError, match="no fblock"):
+        module_quotient_engine(a, (1, 0, 0), order, QQ)
 
 
 def _is_intersection(meet, a, b, order, shifts):
@@ -350,7 +349,7 @@ def _random_pair(rng):
 
     k = buchberger_engine([element(rng.randint(1, 2)) for _ in range(rng.randint(1, 2))],
                           order, QQ)
-    top = max(order.mono_degree(order.split_key(t)[0]) + shifts[order.split_key(t)[1]]
+    top = max(sum(order.decode_mono(order.split_key(t)[0])) + shifts[order.split_key(t)[1]]
               for e in k for t in e)
     a, b = (buchberger_engine(k + [element(top + rng.randint(1, 2))
                                    for _ in range(rng.randint(1, 2))], order, QQ)
@@ -653,14 +652,14 @@ def test_cache_failed_store_leaves_no_temp_file(tmp_path, monkeypatch):
 
 
 def test_monomial_order_packing_roundtrip():
-    order = MonomialOrder(5, rank=3, ntags=1)
-    exps = (3, 0, 2, 1, 0, 2)
+    order = MonomialOrder(5, rank=3)
+    exps = (3, 0, 2, 1, 0)
     enc = order.encode_mono(exps)
     assert order.decode_mono(enc) == exps
-    assert order.mono_degree(enc) == 6
-    a = order.encode_mono((1, 0, 0, 0, 0, 0))
-    b = order.encode_mono((0, 2, 0, 0, 1, 1))
-    assert order.decode_mono(order.mono_mul(a, b)) == (1, 2, 0, 0, 1, 1)
+    assert enc >> order._deg_shift == 6          # the degree field tops the monomial
+    a = order.encode_mono((1, 0, 0, 0, 0))
+    b = order.encode_mono((0, 2, 0, 0, 1))
+    assert order.decode_mono(order.mono_mul(a, b)) == (1, 2, 0, 0, 1)
     assert order.mono_divides(a, order.mono_mul(a, b))
     assert not order.mono_divides(b, a)
 
@@ -705,41 +704,20 @@ _EXPONENT = st.one_of(st.sampled_from([0, 63]), st.integers(0, 63))
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_packed_lcm_is_exponentwise_max(data):
-    ntags = data.draw(st.sampled_from([0, 1]))
-    order = MonomialOrder(4, rank=data.draw(st.sampled_from([1, 6])), ntags=ntags)
-    a, b = (tuple(data.draw(_EXPONENT) for _ in range(4 + ntags)) for _ in range(2))
+    order = MonomialOrder(4, rank=data.draw(st.sampled_from([1, 6])))
+    a, b = (tuple(data.draw(_EXPONENT) for _ in range(4)) for _ in range(2))
     top = tuple(max(x, y) for x, y in zip(a, b))
     ea, eb = order.encode_mono(a), order.encode_mono(b)
     assert order.mono_lcm(ea, eb) == order.encode_mono(top)
     assert order.mono_divides(ea, eb) == all(x <= y for x, y in zip(a, b))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_pair_key_is_degree_then_lcm(data):
-    # the pair heap pops by the lcm's ring degree, then by its key; without
-    # tags that is the lcm order itself, so only eliminations pop otherwise
-    ntags = data.draw(st.sampled_from([0, 1]))
-    order = MonomialOrder(4, rank=data.draw(st.sampled_from([1, 6])), ntags=ntags)
-    exps = data.draw(st.lists(st.tuples(*[_EXPONENT] * (4 + ntags)),
-                              min_size=2, max_size=8, unique=True))
-    lcms = [order.encode_mono(e) for e in exps]
-    assert all(order.pair_key(lk) & order.pair_mask == lk for lk in lcms)
-    by_key = sorted(lcms, key=order.pair_key)
-    if not ntags:
-        assert by_key == sorted(lcms)
-        return
-    degree = {lk: sum(e[:4]) for lk, e in zip(lcms, exps)}
-    assert by_key == sorted(lcms, key=lambda lk: (degree[lk], lk))
-    # a lower ring degree pops first whatever the tag exponents
-    low, high = (order.encode_mono((0, 1, 0, 0, 63)),
-                 order.encode_mono((1, 0, 1, 0, 0)))
-    assert low > high and order.pair_key(low) < order.pair_key(high)
+    # a lower degree encodes lower, so the pair heap, keyed by the lcm,
+    # pops degree-first
+    if sum(a) < sum(b):
+        assert ea < eb
 
 
 def _index_order(data):
-    ntags = data.draw(st.sampled_from([0, 1]))
-    return MonomialOrder(4, rank=data.draw(st.sampled_from([1, 3])), ntags=ntags)
+    return MonomialOrder(4, rank=data.draw(st.sampled_from([1, 3])))
 
 
 @settings(max_examples=100, deadline=None)
@@ -749,7 +727,7 @@ def test_bucket_finds_first_divisor_in_key_order(data):
     # component's rows in key order returns first, and None exactly when
     # no lead divides the target
     order = _index_order(data)
-    width = order.nvars + order.ntags
+    width = order.nvars
     small = st.integers(0, 3)
     exps = st.tuples(*[st.one_of(small, _EXPONENT)] * width)
     leads = data.draw(st.lists(st.tuples(exps, st.integers(0, order.rank - 1)),
@@ -793,7 +771,7 @@ def _scan_normal_form(elem, rows, order, field):
             continue
         gb._check_room(row, enc, order)
         for tk, tc in row.tail:
-            heapq.heappush(heap, (-(tk + key - row.key), field.mul(field.neg(c), tc)))
+            heapq.heappush(heap, (-(tk + key - row.key), field.normalize(-c * tc)))
     return out
 
 
@@ -802,7 +780,7 @@ def _scan_normal_form(elem, rows, order, field):
 def test_normal_form_matches_heap_and_scan(data):
     order = _index_order(data)
     field = data.draw(st.sampled_from([QQ, GFP1]))
-    width = order.nvars + order.ntags
+    width = order.nvars
     # small exponents keep the reduction short and give terms several
     # divisors; in some examples 60 and 63 reach the packing range, where
     # both sides must refuse the same product
@@ -843,12 +821,10 @@ def test_normal_form_matches_heap_and_scan(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_key_mul_delta_multiplies_terms(data):
-    ntags = data.draw(st.sampled_from([0, 1]))
     rank = data.draw(st.sampled_from([1, 6]))
-    order = MonomialOrder(4, rank=rank, ntags=ntags,
-                          fblock=data.draw(st.sampled_from([0, rank])))
+    order = MonomialOrder(4, rank=rank, fblock=data.draw(st.sampled_from([0, rank])))
     # exponents of a and b sum below 64 per variable and to at most 255 in all
-    a = tuple(data.draw(st.integers(0, 31)) for _ in range(4 + ntags))
+    a = tuple(data.draw(st.integers(0, 31)) for _ in range(4))
     b = tuple(data.draw(st.integers(0, 63 - e)) for e in a)
     comp = data.draw(st.integers(0, rank - 1))
     ea, eb = order.encode_mono(a), order.encode_mono(b)
@@ -861,18 +837,34 @@ def test_key_mul_delta_multiplies_terms(data):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_tag_free_keys_same_with_one_tag(data):
-    # the intersection feeds plain keys to its elimination and reads its
-    # tag-free slice back as plain keys, with no conversion either way
+def test_block_keys_move_by_arithmetic(data):
+    # the intersection moves keys between F and the summands of F + F with
+    # no re-encoding: component c of the first summand is k | fbit, r + c
+    # of the second is k - r, and + r moves a second-summand key back
     rank = data.draw(st.sampled_from([1, 6]))
     order = MonomialOrder(4, rank=rank)
-    ext = MonomialOrder(4, rank=rank, ntags=1)
-    a, b = (tuple(data.draw(_EXPONENT) for _ in range(4)) for _ in range(2))
-    ca, cb = (data.draw(st.integers(0, rank - 1)) for _ in range(2))
-    key = order.term_key(order.encode_mono(a), ca)
-    assert ext.term_key(ext.encode_mono(a + (0,)), ca) == key
-    tagged = ext.term_key(ext.encode_mono(b + (data.draw(st.integers(1, 63)),)), cb)
-    assert tagged > key and not ext.tag_free(ext.split_key(tagged)[0])
+    ext = MonomialOrder(4, rank=2 * rank, fblock=rank)
+    terms = data.draw(st.lists(st.tuples(st.tuples(*[_EXPONENT] * 4),
+                                         st.integers(0, rank - 1)),
+                               min_size=2, max_size=8, unique=True))
+    keys = [order.term_key(order.encode_mono(e), c) for e, c in terms]
+    first = [ext.term_key(ext.encode_mono(e), c) for e, c in terms]
+    second = [ext.term_key(ext.encode_mono(e), rank + c) for e, c in terms]
+    assert first == [k | ext.fbit for k in keys]
+    assert second == [k - rank for k in keys]
+    assert [k + rank for k in second] == keys
+    assert [ext.split_key(k) for k in second] == [
+        (ext.encode_mono(e), rank + c) for e, c in terms]
+    # each summand keeps order's order, and the first dominates the second
+    ranked = sorted(range(len(keys)), key=keys.__getitem__)
+    assert sorted(range(len(keys)), key=first.__getitem__) == ranked
+    assert sorted(range(len(keys)), key=second.__getitem__) == ranked
+    assert min(first) > max(second) and not any(k & ext.fbit for k in second)
+
+
+# a rank-2 order whose first component dominates: a lead there can sit
+# above tail terms of any degree in the second
+_BLOCK2 = MonomialOrder(6, rank=2, fblock=1)
 
 
 @settings(max_examples=120, deadline=None)
@@ -880,23 +872,23 @@ def test_tag_free_keys_same_with_one_tag(data):
 def test_overflow_guard_is_exact(data):
     # a row times target / lead is refused exactly when some product term
     # has an exponent of 64 or more or a degree above 255
-    ntags = data.draw(st.sampled_from([0, 1]))
     n = 6
-    order = MonomialOrder(n, ntags=ntags)
+    order = _BLOCK2
     exps = st.tuples(*[st.one_of(st.sampled_from([0, 40, 63]), st.integers(0, 63))]
-                     * (n + ntags)).filter(lambda e: sum(e[:n]) <= 255)
-    terms = data.draw(st.lists(exps, min_size=1, max_size=4, unique=True))
-    row = gb._make_row({order.term_key(order.encode_mono(t), 0): Fraction(1) for t in terms},
-                       order, QQ, 0)
+                     * n).filter(lambda e: sum(e) <= 255)
+    terms = data.draw(st.lists(st.tuples(exps, st.integers(0, 1)),
+                               min_size=1, max_size=4, unique=True))
+    row = gb._make_row({order.term_key(order.encode_mono(t), c): Fraction(1)
+                        for t, c in terms}, order, QQ, 0)
     lead = order.decode_mono(row.enc)
     mult = [data.draw(st.one_of(st.sampled_from([0, 63 - e]), st.integers(0, 63 - e)))
             for e in lead]
     for v in range(n):      # the target itself must stay packable
-        mult[v] -= min(mult[v], max(0, sum(lead[:n]) + sum(mult[:n]) - 255))
+        mult[v] -= min(mult[v], max(0, sum(lead) + sum(mult) - 255))
     target = order.encode_mono(tuple(e + m for e, m in zip(lead, mult)))
     overflow = any(
-        any(e + m >= 64 for e, m in zip(t, mult)) or sum(t[:n]) + sum(mult[:n]) > 255
-        for t in terms)
+        any(e + m >= 64 for e, m in zip(t, mult)) or sum(t) + sum(mult) > 255
+        for t, _ in terms)
     if overflow:
         with pytest.raises(DerivationError):
             gb._check_room(row, target, order)
@@ -905,14 +897,16 @@ def test_overflow_guard_is_exact(data):
 
 
 def test_overflow_guard_degree_bound():
-    # the tag puts a degree-60 lead above a degree-240 tail term; every
+    # the block puts a degree-60 lead above a degree-240 tail term; every
     # product exponent stays below 64, and only the degree leaves the range
-    order = MonomialOrder(6, ntags=1)
-    row = gb._make_row({order.term_key(order.encode_mono(e), 0): Fraction(1)
-                        for e in ((10,) * 6 + (1,), (40,) * 6 + (0,))}, order, QQ, 0)
-    gb._check_room(row, order.encode_mono((13,) * 3 + (12,) * 3 + (1,)), order)
+    order = _BLOCK2
+    row = gb._make_row({order.term_key(order.encode_mono((10,) * 6), 0): Fraction(1),
+                        order.term_key(order.encode_mono((40,) * 6), 1): Fraction(1)},
+                       order, QQ, 0)
+    assert order.decode_mono(row.enc) == (10,) * 6
+    gb._check_room(row, order.encode_mono((13,) * 3 + (12,) * 3), order)
     with pytest.raises(DerivationError):
-        gb._check_room(row, order.encode_mono((13,) * 4 + (12,) * 2 + (1,)), order)
+        gb._check_room(row, order.encode_mono((13,) * 4 + (12,) * 2), order)
 
 
 def test_hilbert_numerator_needs_no_deep_recursion():
