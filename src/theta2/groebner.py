@@ -23,7 +23,8 @@ order where the first summand dominates (Greuel & Pfister, A Singular
 Introduction to Commutative Algebra, ch. 2): the elements of
 <(a, 0), (b, b)> whose first part is zero are exactly (0, x) for x in
 <a> intersect <b>.  Keys move between F and either summand by adding a
-constant, so the inputs and the result need no re-encoding.
+constant, so the inputs and the result need no re-encoding, and (a, 0),
+already a reduced Groebner basis, seeds the elimination.
 
 S-pairs are selected by their lcm key, which leads with the lcm's ring
 degree (the normal strategy); the block bit sits in the term key, not in
@@ -718,13 +719,16 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     Otherwise the elimination runs in rank 2r with fblock = r, where the
     first summand dominates.  (a, 0) and (b, b) generate a module whose
     elements with zero first part are exactly (0, x) for x in <a>
-    intersect <b>.  Each element s shared by a and b goes in as (s, 0)
-    and (0, s), which generate the same module as (s, 0) and (s, s).  b is
-    the side copied into both summands: the colon passes one-term elements
-    as b, so a large a is never duplicated.  In the reduced elimination
-    basis an element whose lead lacks fbit lies wholly in the second
-    summand, and its tail is reduced by every lead, so those elements,
-    moved back to F, are the reduced basis of the intersection in order.
+    intersect <b>.  The first summand orders keys as order does and
+    divisibility is per component, so (a, 0) is a reduced Groebner basis:
+    it seeds the elimination, and none of its internal S-pairs is formed.
+    An element s of both a and b goes in as (s, s) and reduces by the seed
+    row (s, 0) to (0, s).  b is the side copied into both summands: the
+    colon passes one-term elements as b, so a large a is never duplicated.
+    In the reduced elimination basis an element whose lead lacks fbit lies
+    wholly in the second summand, and its tail is reduced by every lead, so
+    those elements, moved back to F, are the reduced basis of the
+    intersection in order.
     Keys move by arithmetic alone (see MonomialOrder): the first summand's
     key is k | fbit, the second's k - r, and k - r + r = k on the way back.
     order must carry no fblock, as every caller's does; any other order
@@ -738,15 +742,10 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     r = order.rank
     ext = MonomialOrder(order.nvars, 2 * r, fblock=r)
     fbit = ext.fbit
-    b_by_lead = {max(e): e for e in b}
-    shared = [e for e in a if b_by_lead.get(max(e)) == e]
-    shared_leads = {max(e) for e in shared}
-    gens = [{k - r: c for k, c in e.items()} for e in shared]
-    gens += [{k | fbit: c for k, c in e.items()} for e in a]
-    gens += [{k2: c for k, c in e.items() for k2 in (k | fbit, k - r)}
-             for e in b if max(e) not in shared_leads]
+    seed = [{k | fbit: c for k, c in e.items()} for e in a]
+    gens = [{k2: c for k, c in e.items() for k2 in (k | fbit, k - r)} for e in b]
     return [{k + r: c for k, c in e.items()}
-            for e in buchberger_engine(gens, ext, field) if not max(e) & fbit]
+            for e in buchberger_engine(gens, ext, field, seed=seed) if not max(e) & fbit]
 
 
 def module_quotient_engine(gens: list[dict], mono_exps: Sequence[int],
@@ -954,8 +953,8 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
     rank, monic leads in strictly ascending key order, and no lead dividing
     another in its component.  A lead's divisors in its component lie
     below it, so each lead is looked up among the earlier ones only.  A
-    lead byte beyond the tables of _Bucket (a ring block above C) is no
-    packed monomial and also raises ValueError."""
+    lead with a ring byte outside 1..C or a degree field other than the sum
+    of its exponents is no packed monomial and raises ValueError too."""
     limit = 1 << (order.mono_bits + _CB + 1)
     floor = _CMAX - order.rank          # key & _CMAX above it: component < rank
     leads: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
@@ -971,13 +970,13 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
             raise ValueError("leads not ascending, or not monic")
         prev = lead
         enc, comp = order.split_key(lead)
-        bucket = leads[comp]
-        try:
-            if bucket.find(enc) is not None:
-                raise ValueError("a lead divides a later lead")
-            bucket.add(enc, lead, lead)
-        except IndexError:
-            raise ValueError("lead out of packing range") from None
+        ring = (enc & order._xmask).to_bytes(order.nvars, "little")
+        if not 0 < min(ring) <= max(ring) <= _C or (
+                enc >> order._deg_shift != order.nvars * _C - sum(ring)):
+            raise ValueError("lead out of packing range")
+        if leads[comp].find(enc) is not None:
+            raise ValueError("a lead divides a later lead")
+        leads[comp].add(enc, lead, lead)
         out.append(elem)
     return out
 

@@ -314,14 +314,20 @@ def test_intersect_pair_shared_part_not_a_basis(monkeypatch):
     assert len(shared) == 2 and buchberger_engine(shared, ORDER3, QQ) != shared
     calls = []
 
-    def counted(*args, **kw):
-        calls.append(args)
-        return buchberger_engine(*args, **kw)
+    def counted(gens, order, field, seed=None):
+        calls.append((gens, order, seed))
+        return buchberger_engine(gens, order, field, seed=seed)
 
     with monkeypatch.context() as m:
         m.setattr(gb, "buchberger_engine", counted)
         meet = intersect_pair_engine(a, b, ORDER3, QQ)
-    assert len(calls) == 1
+    # one elimination, seeded with (a, 0); the shared elements go in as
+    # (s, s) like the rest of b, and the seed reduces them to (0, s)
+    [(gens, ext, seed)] = calls
+    assert ext.descriptor == (3, 2, 1)
+    assert seed == [{k | ext.fbit: c for k, c in e.items()} for e in a]
+    assert gens == [{k2: c for k, c in e.items() for k2 in (k | ext.fbit, k - 1)}
+                    for e in b]
     assert meet != a and meet != b
     assert intersect_pair_engine(b, a, ORDER3, QQ) == meet
     assert _is_intersection(meet, a, b, ORDER3, (0,))
@@ -362,6 +368,11 @@ def _random_pair(rng):
 def test_intersect_pair_random_shared_pairs(seed):
     a, b, order, shifts = _random_pair(random.Random(seed))
     assert any(e in b for e in a)
+    # the seed of the elimination: a lifted into the dominating summand is
+    # still a reduced basis
+    ext = MonomialOrder(3, 2 * order.rank, fblock=order.rank)
+    lifted = [{k | ext.fbit: c for k, c in e.items()} for e in a]
+    assert buchberger_engine(lifted, ext, QQ) == lifted
     meet = intersect_pair_engine(a, b, order, QQ)
     assert _is_intersection(meet, a, b, order, shifts)
     assert buchberger_engine([], order, QQ, seed=meet) == meet
@@ -567,7 +578,8 @@ def test_cache_changed_coefficient_is_a_miss(tmp_path, field_name):
 
 @pytest.mark.parametrize("field_name,damage", [
     ("p1", "unsorted"), ("p1", "divisible"), ("p1", "component"), ("p1", "monic"),
-    ("p1", "zero"), ("p1", "range"), ("q", "zero"), ("q", "lowest"), ("q", "denominator"),
+    ("p1", "zero"), ("p1", "range"), ("p1", "degree"), ("q", "zero"), ("q", "lowest"),
+    ("q", "denominator"), ("q", "degree"),
 ])
 def test_cache_entry_not_a_reduced_basis_is_a_miss(tmp_path, field_name, damage):
     # each payload is written with its true digest, so only the shape check
@@ -592,6 +604,10 @@ def test_cache_entry_not_a_reduced_basis_is_a_miss(tmp_path, field_name, damage)
         tail[0] -= 1                      # component 0 -> 1, the rank
     elif damage == "monic":
         lead[1] = 2
+    elif damage == "degree":
+        # the degree field one above the sum of the lead's exponents; the
+        # divisor index ignores the degree byte, so only its check sees it
+        lead[0] += 1 << (order._deg_shift + gb._CB)
     else:
         tail[1] = {"zero": [0, 1] if field is QQ else 0, "range": field.p,
                    "lowest": [-6, 2], "denominator": [3, -1]}[damage]
@@ -603,8 +619,9 @@ def test_cache_entry_not_a_reduced_basis_is_a_miss(tmp_path, field_name, damage)
 
 @pytest.mark.parametrize("block", [0, 1])
 def test_cache_lead_out_of_packing_range_is_a_miss(tmp_path, block):
-    # a ring block above C = 64 is no packed monomial: the shape check
-    # refuses the lead instead of indexing it
+    # a ring byte outside 1..C is no packed monomial: the shape check
+    # refuses the lead instead of indexing it.  0x7f lies beyond the tables
+    # of _Bucket; 0 (exponent C = 64) lies inside them
     order, elements = ORDER2, _toy_basis(GFP1)
     cache = BasisCache(str(tmp_path))
     key = BasisCache.key("toy", ["a"], [], order, GFP1)
@@ -613,6 +630,11 @@ def test_cache_lead_out_of_packing_range_is_a_miss(tmp_path, block):
     lead = max(payload["elements"][-1])
     lead[0] |= 0x7f << (8 * block + 8)
     _write_entry(cache, key, payload)
+    assert cache.load(key, order, GFP1) is None
+    # a one-element entry whose lead has exponent 64 and a degree field
+    # that agrees with it: only the range check can refuse it
+    enc = order.one - (64 << (8 * block)) + (64 << order._deg_shift)
+    _write_entry(cache, key, {"elements": [[[order.term_key(enc, 0), 1]]]})
     assert cache.load(key, order, GFP1) is None
 
 
