@@ -11,9 +11,6 @@ The engine provides reduced Groebner bases, normal forms, intersections
 by one elimination in F + F, module quotients (colon) by a monomial m as
 one such intersection, since M intersect m F = m (M : m), and Hilbert
 series of graded quotients computed from lead-term modules.
-syzygy_engine computes the same colon by a second, independent route
-(syzygies under the same block order); nothing in the pipeline calls it,
-and it stays as the reference the colon is checked against.
 
 An intersection of two reduced bases first tests whether the first lies
 in the second (each of its elements reduces to zero) and if so returns it
@@ -37,11 +34,13 @@ Each component's rows sit in a _Bucket, an index that finds a term's
 reducer without scanning: per variable block of the packed monomial, a
 table maps the target's byte to a bitmask of the rows whose lead fits it
 there, and the lowest bit of the AND of those masks is the first divisor
-in key order, the row a scan of the sorted rows would pick.  Normal forms
-pop from a heap of term keys only; the coefficients of the pending terms
-accumulate in a dict and are reduced modulo p once, when their key pops.
-The Buchberger loop, prepared bases, the final interreduction and the
-cache's shape check all find divisors this way.
+in insertion order.  Any divisor gives a valid reduction step and a
+reduced basis is unique, so the Buchberger loop keeps its rows in the
+order it finds them; prepared bases, the final interreduction and the
+cache's shape check insert ascending leads, so for them insertion order
+is key order.  Normal forms pop from a heap of term keys only; the
+coefficients of the pending terms accumulate in a dict and are reduced
+modulo p once, when their key pops.
 
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
@@ -67,7 +66,6 @@ import hashlib
 import json
 import os
 import tempfile
-from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial, reduce
@@ -269,17 +267,6 @@ class MonomialOrder:
         return f"MonomialOrder{self.descriptor}"
 
 
-def convert_element(elem: dict, src: MonomialOrder, dst: MonomialOrder,
-                    comp_offset: int = 0) -> dict:
-    """Re-encode an engine element between orders that differ in rank or
-    component block."""
-    out = {}
-    for key, c in elem.items():
-        enc, comp = src.split_key(key)
-        out[dst.term_key(dst.encode_mono(src.decode_mono(enc)), comp + comp_offset)] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Engine elements and rows
 # ---------------------------------------------------------------------------
@@ -302,10 +289,8 @@ def to_engine(e: ModuleElement | GradedPoly, order: MonomialOrder, field) -> dic
 
 
 class _Row:
-    """A monic row plus the words of the engine's inline tests.
+    """A monic row plus the word of the engine's packing-range test.
 
-    dw is the lead's divisor word for the one-subtraction divisibility
-    test (MonomialOrder.divisor_word) of the B rule in _update_pairs.
     room holds the row's blockwise exponent maximum over all its terms and
     its top term degree, offset so that one guard-bit test against a
     target monomial shows whether row * (target / lead) stays in packing
@@ -313,15 +298,14 @@ class _Row:
     a block order a lead in the first block can sit above a tail term of
     higher degree in the second.
     """
-    __slots__ = ("key", "enc", "comp", "tail", "index", "dw", "room")
+    __slots__ = ("key", "enc", "comp", "tail", "index", "room")
 
-    def __init__(self, key, enc, comp, tail, index, dw, room):
+    def __init__(self, key, enc, comp, tail, index, room):
         self.key = key
         self.enc = enc
         self.comp = comp
         self.tail = tail
         self.index = index
-        self.dw = dw
         self.room = room
 
 
@@ -332,46 +316,35 @@ class _Bucket:
     """The rows of one component, indexed by their leads for first-divisor
     lookups.
 
-    rows holds them in ascending lead key order (keys holds the keys), and
-    the row at position i owns bit i of every mask.  tables has one table
-    per ring-variable block of the packed monomial, in
-    enc.to_bytes(..., "little") order.  The table of a block maps the
-    target's byte there (C - e) to the mask of the rows whose lead exponent
-    in that block is at most e.  ANDing one entry per block leaves exactly
-    the rows whose lead divides the target, and its lowest bit is the first
-    of them in key order.  The degree byte, the last, decides nothing and
-    has no table.  An entry above every lead's exponent in its block
-    (e >= tops[j]) is -1, "every row", so an insert rewrites only the
-    entries below the block's top.
+    rows holds them in insertion order, and the row at position i owns bit
+    i of every mask.  tables has one table per ring-variable block of the
+    packed monomial, in enc.to_bytes(..., "little") order.  The table of a
+    block maps the target's byte there (C - e) to the mask of the rows
+    whose lead exponent in that block is at most e.  ANDing one entry per
+    block leaves exactly the rows whose lead divides the target, and its
+    lowest bit is the first of them in insertion order.  The degree byte,
+    the last, decides nothing and has no table.  An entry above every
+    lead's exponent in its block (e >= tops[j]) is -1, "every row", so an
+    insert rewrites only the entries below the block's top.
     """
-    __slots__ = ("rows", "keys", "tables", "tops", "nbytes")
+    __slots__ = ("rows", "tables", "tops", "nbytes")
 
     def __init__(self, order: MonomialOrder):
         k = order.nvars
         self.rows: list = []
-        self.keys: list[int] = []
         self.tables = [[-1] * (_C + 1) for _ in range(k)]
         self.tops = [0] * k
         self.nbytes = k + 1
 
-    def add(self, enc: int, key: int, row) -> None:
-        """Index row under its lead monomial enc and lead key; rows of equal
-        key keep their insertion order."""
-        pos = bisect_right(self.keys, key)
-        self.keys.insert(pos, key)
-        self.rows.insert(pos, row)
-        bit = 1 << pos
-        below = bit - 1
-        full = ((1 << len(self.rows)) - 1) ^ bit     # every other row
-        shift = pos < len(self.rows) - 1
+    def add(self, enc: int, row) -> None:
+        """Append row, indexed under its lead monomial enc."""
+        bit = 1 << len(self.rows)
+        full = bit - 1      # every earlier row
+        self.rows.append(row)
         raw = enc.to_bytes(self.nbytes, "little")
         tops = self.tops
         for j, t in enumerate(self.tables):
             top = tops[j]
-            if shift:       # rows from pos up move one bit higher
-                for i in range(_C - top + 1, _C + 1):
-                    m = t[i]
-                    t[i] = (m & below) | ((m >> pos) << (pos + 1))
             e = _C - raw[j]
             if e < top:
                 for x in range(e, top):
@@ -383,8 +356,8 @@ class _Bucket:
                 tops[j] = e + 1
 
     def find(self, enc: int):
-        """The row of least lead key whose lead divides enc, or None: the
-        first divisor in key order, as a scan of the sorted rows finds it."""
+        """The first row, in insertion order, whose lead divides enc, or
+        None."""
         # map stops at the last table, before the degree byte
         m = reduce(and_, map(getitem, self.tables, enc.to_bytes(self.nbytes, "little")))
         if m < 0:           # every table said "every row"
@@ -419,7 +392,7 @@ def _make_row(elem: dict, order: MonomialOrder, field, index: int) -> _Row:
     # and nothing spills past the degree field
     room = (((lo - order._ones) | gx) - (enc & order._dlow)
             + (dmax << dshift))
-    return _Row(key, enc, comp, tail, index, order.divisor_word(enc), room)
+    return _Row(key, enc, comp, tail, index, room)
 
 
 def _check_room(row: _Row, target: int, order: MonomialOrder) -> None:
@@ -440,7 +413,7 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
     field) once, when the key is popped.  A reducer's tail lies below its
     lead, so every key it adds is below the popped one and a popped key
     never comes back.  The reducer of a term is the first row of its
-    component, in key order, whose lead divides it (_Bucket.find)."""
+    component, in insertion order, whose lead divides it (_Bucket.find)."""
     if not elem:
         return {}
     p = field.p
@@ -511,30 +484,22 @@ def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
     new pairs with equal lcm only the first survives.  For ideals the
     product criterion also drops new pairs whose leads are coprime.
 
-    queue is (heap, live, pending).  The heap orders (lcm, i, j) entries;
-    the lcm's ring degree leads its key, so pairs pop degree-first.  live
-    holds the entries neither reduced nor pruned; pending groups the
-    pending pairs by lead component, so B scans only new's component.  A
-    pruned entry stays in the heap and is skipped when it is popped.
+    queue is (heap, pending).  The heap orders (lcm, i, j) entries; the
+    lcm's ring degree leads its key, so pairs pop degree-first.  pending
+    maps each lead component to the set of its entries neither reduced nor
+    pruned, so B scans only new's component.  A pruned entry stays in the
+    heap and is skipped when it is popped.
     """
-    heap, live, pending = queue
+    heap, pending = queue
     lcm = order.mono_lcm
     xmask, gx = order._xmask, order._gx
-    nenc, ndw = new.enc, new.dw
+    nenc, ndw = new.enc, order.divisor_word(new.enc)
     group = pending[new.comp]
-    keep = []
     # B rule; the divisibility tests below inline order.target_word
-    for entry in group:
-        if entry not in live:
-            continue
-        lk, i, j = entry
-        if (((ndw - (lk & xmask)) & gx) == gx
-                and lcm(rows[i].enc, nenc) != lk
-                and lcm(rows[j].enc, nenc) != lk):
-            live.remove(entry)
-        else:
-            keep.append(entry)
-    group[:] = keep
+    group -= {(lk, i, j) for lk, i, j in group
+              if ((ndw - (lk & xmask)) & gx) == gx
+              and lcm(rows[i].enc, nenc) != lk
+              and lcm(rows[j].enc, nenc) != lk}
     items = sorted((lcm(r.enc, nenc), r.index) for r in bucket if r is not new)
     # M rule: drop lcms properly divided by an earlier surviving one
     kept: list[tuple[int, int]] = []       # (divisor word, lcm)
@@ -559,8 +524,7 @@ def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
             continue
         entry = (li, i, t)
         heappush(heap, entry)
-        live.add(entry)
-        group.append(entry)
+        group.add(entry)
 
 
 def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
@@ -579,16 +543,15 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
     rows: list[_Row] = []
     buckets: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
     heap: list[tuple[int, int, int]] = []
-    live: set[tuple[int, int, int]] = set()
-    queue = (heap, live, defaultdict(list))
+    pending: dict[int, set[tuple[int, int, int]]] = defaultdict(set)
 
     def insert(elem: dict, update: bool) -> None:
         row = _make_row(elem, order, field, len(rows))
         rows.append(row)
         bucket = buckets[row.comp]
-        bucket.add(row.enc, row.key, row)
+        bucket.add(row.enc, row)
         if update:
-            _update_pairs(rows, bucket.rows, queue, row, order)
+            _update_pairs(rows, bucket.rows, (heap, pending), row, order)
 
     if seed:
         for elem in seed:
@@ -601,10 +564,11 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
 
     while heap:
         entry = heappop(heap)
-        if entry not in live:
-            continue
-        live.remove(entry)
         lk, i, j = entry
+        group = pending[rows[i].comp]
+        if entry not in group:
+            continue
+        group.remove(entry)
         red = _normal_form(_spoly(rows[i], rows[j], lk, order, field),
                            buckets, order, field)
         if red:
@@ -622,7 +586,7 @@ def _interreduce(rows: list[_Row], order: MonomialOrder, field) -> list[dict]:
     for row in sorted(rows, key=_row_key):
         bucket = minimal[row.comp]
         if bucket.find(row.enc) is None:
-            bucket.add(row.enc, row.key, row)
+            bucket.add(row.enc, row)
     out = []
     one = field.convert(1)
     for bucket in minimal.values():
@@ -654,7 +618,7 @@ class EngineBasis:
             self._buckets = defaultdict(partial(_Bucket, self.order))
             for i, e in enumerate(self.elements):
                 row = _make_row(e, self.order, self.field, i)
-                self._buckets[row.comp].add(row.enc, row.key, row)
+                self._buckets[row.comp].add(row.enc, row)
         return _normal_form(elem, self._buckets, self.order, self.field)
 
     def contains(self, elem: dict) -> bool:
@@ -674,35 +638,6 @@ class EngineBasis:
 # ---------------------------------------------------------------------------
 # Module operations
 # ---------------------------------------------------------------------------
-
-def syzygy_engine(targets: list[dict], kernel_of: list[dict], order: MonomialOrder,
-                  field) -> list[dict]:
-    """Generators of {c in R^s : sum c_i targets_i in <kernel_of>}.
-
-    targets live in a rank-r free module; the result lives in rank s = number
-    of targets.  Computed with a block order in rank r + s where the first
-    block dominates, so basis elements supported purely in the second block
-    are exactly the syzygies.
-    """
-    r = order.rank
-    s = len(targets)
-    ext = MonomialOrder(order.nvars, rank=r + s, fblock=r)
-    gens = []
-    for i, tgt in enumerate(targets):
-        e = convert_element(tgt, order, ext)
-        e[ext.term_key(ext.one, r + i)] = field.convert(1)
-        gens.append(e)
-    for kg in kernel_of:
-        gens.append(convert_element(kg, order, ext))
-    basis = buchberger_engine(gens, ext, field)
-    sy_order = MonomialOrder(order.nvars, rank=s)
-    out = []
-    for e in basis:
-        _, comp = ext.split_key(max(e))
-        if comp >= r:
-            out.append(convert_element(e, ext, sy_order, comp_offset=-r))
-    return out
-
 
 def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
                           field) -> list[dict]:
@@ -954,8 +889,9 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
     another in its component.  A lead's divisors in its component lie
     below it, so each lead is looked up among the earlier ones only.  A
     lead with a ring byte outside 1..C or a degree field other than the sum
-    of its exponents is no packed monomial and raises ValueError too."""
-    limit = 1 << (order.mono_bits + _CB + 1)
+    of its exponents is no packed monomial and raises ValueError too, and so
+    does a key with the block bit under an order with no fblock."""
+    limit = order.fbit << 1 if order.fblock else order.fbit
     floor = _CMAX - order.rank          # key & _CMAX above it: component < rank
     leads: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
     out = []
@@ -976,7 +912,7 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
             raise ValueError("lead out of packing range")
         if leads[comp].find(enc) is not None:
             raise ValueError("a lead divides a later lead")
-        leads[comp].add(enc, lead, lead)
+        leads[comp].add(enc, lead)
         out.append(elem)
     return out
 

@@ -15,6 +15,7 @@ from theta2.groebner import (
     buchberger_engine,
     hilbert_series_engine,
     intersect_pair_engine,
+    module_quotient_engine,
     to_engine,
 )
 from theta2.numerics import EvalConfig, point_values, relation_residual, sample_siegel
@@ -39,12 +40,15 @@ from theta2.thetaring import (
     extr_a,
     extr_b,
     extr_h,
+    kernel_seed_generators,
     rel_d,
     riemann_ideal,
     sextets,
     symplectic_label_permutations,
     bracket_modules,
 )
+
+from syzygy_route import syzygy_engine
 
 CFG = EvalConfig(radius=10, target_eps=1e-12)
 
@@ -295,8 +299,6 @@ def test_completeness(pipe_p1):
 
 def test_colon_routes_agree_on_kernel_seed(pipe_p1):
     # intersection colon versus the syzygy route, on the real seed module
-    from theta2.groebner import buchberger_engine, module_quotient_engine, syzygy_engine
-
     k0 = pipe_p1.kernel_seed()
     order, field = k0.order, k0.field
     fast = module_quotient_engine(k0.engine.elements, (1,) + (0,) * (NVARS - 1),
@@ -307,6 +309,31 @@ def test_colon_routes_agree_on_kernel_seed(pipe_p1):
     syz = syzygy_engine(targets, k0.engine.elements, order, field)
     slow = buchberger_engine([], order, field, seed=syz)
     assert fast == slow
+
+
+def test_pair_criteria_keep_s_pair_counts(monkeypatch):
+    # S-pairs reduced over GF(p1), from scratch: the product criterion on
+    # the quartics, the B, M and F rules at rank 6 on k0, and the seeded
+    # elimination of the colon.  The bases do not depend on the criteria,
+    # so only these counts show a rule that stopped pruning
+    counts = []
+    real = groebner._spoly
+
+    def spoly(*args):
+        counts[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_spoly", spoly)
+    ideal = MonomialOrder(NVARS)
+    counts.append(0)
+    buchberger_engine([to_engine(q, ideal, GFP1) for q in riemann_ideal()], ideal, GFP1)
+    order = MonomialOrder(NVARS, rank=6)
+    counts.append(0)
+    k0 = buchberger_engine([to_engine(g, order, GFP1) for g in kernel_seed_generators()],
+                           order, GFP1)
+    counts.append(0)
+    module_quotient_engine(k0, CHI5_EXPS, order, GFP1)
+    assert counts == [64, 4971, 8640]
 
 
 def test_m_pair_membership(pipe_p1):
