@@ -257,33 +257,12 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _structure_report_report(mode: str, cache_dir: str | None) -> dict:
-    pipe = _pipeline(mode, cache_dir)
-    field = pipe.field
-    rep = pipe.structure_report()
-    completeness = pipe.completeness_check()
-    series = rep.series
-    return {
-        "field": field.name,
-        "orbit_size": rep.orbit_size,
-        "kernel_equals_catalog_span": completeness,
-        "generated_in_intersection": rep.generated_in_intersection,
-        "intersection_in_generated": rep.intersection_in_generated,
-        "extr_h_in_intersection": rep.extr_h_in_intersection,
-        "extr_h_outside_gradient_span": rep.extr_h_outside_gradient_span,
-        "series_numerator": list(series.numerator),
-        "series_denominator_exponent": series.denom_exp,
-        "series_shift": series.shift,
-        "series": series.to_text(),
-        "coefficients_t1_t12": rep.coefficients,
-        "series_matches": rep.series_matches,
-        "fingerprints": rep.basis_fingerprints,
-        "status": "pass" if (rep.ok() and completeness) else "fail",
-    }
+def _structure_run(mode: str, cache_dir: str | None) -> dict:
+    return _pipeline(mode, cache_dir).structure_report()
 
 
 def cmd_structure(args) -> int:
-    reports = _per_field(_structure_report_report, args)
+    reports = _per_field(_structure_run, args)
     fps = [json.dumps(r["fingerprints"], sort_keys=True) for r in reports]
     agreement = len(set(fps)) == 1
     ok = agreement and all(r["status"] == "pass" for r in reports)

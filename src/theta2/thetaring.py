@@ -594,24 +594,6 @@ def extr_h() -> ModuleElement:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StructureReport:
-    orbit_size: int
-    generated_in_intersection: bool
-    intersection_in_generated: bool
-    series: HilbertSeries
-    series_matches: bool
-    coefficients: list[int]
-    extr_h_in_intersection: bool
-    extr_h_outside_gradient_span: bool
-    basis_fingerprints: dict
-
-    def ok(self) -> bool:
-        return (self.orbit_size == 360 and self.generated_in_intersection
-                and self.intersection_in_generated and self.series_matches
-                and self.extr_h_in_intersection and self.extr_h_outside_gradient_span)
-
-
 GRADIENT_MODULE_SERIES = HilbertSeries((0, 6, 36, 126, 316, 606, 252, -318, -60, 60), 4, 0)
 
 
@@ -653,7 +635,7 @@ class StructurePipeline:
         return self._store[tag]
 
     def _kernel_key(self) -> str:
-        return self._key("total_kernel", kernel_seed_generators())
+        return self._keys.get("total_kernel") or self._key("total_kernel", kernel_seed_generators())
 
     def _extension_key(self, tag: str, gens: list[ModuleElement]) -> str:
         return self._key(tag, gens, [self._kernel_key()])
@@ -802,30 +784,43 @@ class StructurePipeline:
         hs_cm = self.chi5_m().hilbert_series()
         return (hs_kernel - hs_cm).shifted(-10)
 
-    def structure_report(self) -> StructureReport:
+    def structure_report(self) -> dict:
+        """This field's run in the `theta2 structure` report.
+
+        The status is "pass" only when the orbit has 360 elements and every
+        boolean check holds, kernel completeness included.
+        """
         cm = self.chi5_m()
-        orbit = self.orbit_extr_h()
+        orbit_size = len(self.orbit_extr_h())
         gen = self.generated_module()
         chi5h = clear_denominator(extr_h(), CHI5_EXPS)
         series = self.module_series()
         reduced = series.reduced()
-        matches = reduced.same_rational_function(GRADIENT_MODULE_SERIES)
-        return StructureReport(
-            orbit_size=len(orbit),
-            generated_in_intersection=all(
+        checks = {
+            "generated_in_intersection": all(
                 cm.engine.contains(e) for e in gen.engine.elements),
-            intersection_in_generated=gen.same_module(cm),
-            series=reduced,
-            series_matches=matches,
-            coefficients=series.expand(12)[1:],
-            extr_h_in_intersection=cm.contains(chi5h),
-            extr_h_outside_gradient_span=not self.gradient_span().contains(chi5h),
-            basis_fingerprints={
+            "intersection_in_generated": gen.same_module(cm),
+            "series_matches": reduced.same_rational_function(GRADIENT_MODULE_SERIES),
+            "extr_h_in_intersection": cm.contains(chi5h),
+            "extr_h_outside_gradient_span": not self.gradient_span().contains(chi5h),
+            "kernel_equals_catalog_span": self.completeness_check(),
+        }
+        return {
+            "field": self.field.name,
+            "orbit_size": orbit_size,
+            **checks,
+            "series_numerator": list(reduced.numerator),
+            "series_denominator_exponent": reduced.denom_exp,
+            "series_shift": reduced.shift,
+            "series": reduced.to_text(),
+            "coefficients_t1_t12": series.expand(12)[1:],
+            "fingerprints": {
                 "total_kernel": self.total_kernel().structure_fingerprint(),
                 "chi5_m": cm.structure_fingerprint(),
                 "generated": gen.structure_fingerprint(),
             },
-        )
+            "status": "pass" if orbit_size == 360 and all(checks.values()) else "fail",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -853,28 +848,14 @@ def bracket_modules() -> dict:
     """Presentations and series of the two second-kind bracket modules.
 
     The symmetric-square module has six degree-2 generators B_{ij} with the
-    relation family f_k B_{ij} = f_j B_{ik} + f_i B_{kj} over all index
-    triples (antisymmetric, so one relation per unordered triple survives);
+    relation family f_k B_{ij} = f_j B_{ik} + f_i B_{kj}, alternating in
+    (i, j, k), so one relation per triple i < j < k;
     the twisted module has four degree-5 generators with a single degree-6
     relation.
     """
-    # relation family instantiated over all ordered triples, deduplicated
-    seen = {}
-    for i, j, k in itertools.permutations(range(4), 3):
-        rel = _pair_gen(i, j, _f_var(k)) - _pair_gen(i, k, _f_var(j)) \
-            - _pair_gen(k, j, _f_var(i))
-        if rel.is_zero():
-            continue
-        key_terms = []
-        for ci, p in enumerate(rel.components):
-            for exps, c in sorted(p.terms.items()):
-                key_terms.append((ci, exps, c))
-        first = key_terms[0][2]
-        if first < 0:
-            rel = -rel
-            key_terms = [(ci, e, -c) for ci, e, c in key_terms]
-        seen[tuple(key_terms)] = rel
-    plus_rels = [seen[k] for k in sorted(seen)]
+    plus_rels = [_pair_gen(i, j, _f_var(k)) - _pair_gen(i, k, _f_var(j))
+                 + _pair_gen(j, k, _f_var(i))
+                 for i, j, k in itertools.combinations(range(4), 3)]
 
     plus_gb = buchberger_engine(
         [to_engine(r, MonomialOrder(4, rank=6), QQ) for r in plus_rels],

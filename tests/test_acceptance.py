@@ -146,13 +146,13 @@ def test_criterion_5_combinatorics():
 
 def test_criterion_6_extra_generator(pipe_p1):
     rep = pipe_p1.structure_report()
-    ok = (rep.extr_h_in_intersection and rep.extr_h_outside_gradient_span
-          and rep.orbit_size == 360 and rep.generated_in_intersection
-          and rep.intersection_in_generated)
+    ok = (rep["extr_h_in_intersection"] and rep["extr_h_outside_gradient_span"]
+          and rep["orbit_size"] == 360 and rep["generated_in_intersection"]
+          and rep["intersection_in_generated"])
     report(6, "extra generator lies in the intersection module but not in the "
               "gradient span; verified orbit has 360 elements; generation "
               "check passes in both directions", ok,
-           f"orbit size {rep.orbit_size}")
+           f"orbit size {rep['orbit_size']}")
 
 
 # -- criterion 7: sanity dimensions -----------------------------------------------------------
@@ -253,8 +253,8 @@ def test_criterion_8_second_kind_suite(points):
 # -- criterion 9: determinism and cross-arithmetic agreement --------------------------------------
 
 def test_criterion_9_cross_arithmetic(pipe_p1, pipe_p2, cache_dir):
-    fp1 = {k: v for k, v in pipe_p1.structure_report().basis_fingerprints.items()}
-    fp2 = {k: v for k, v in pipe_p2.structure_report().basis_fingerprints.items()}
+    fp1 = pipe_p1.structure_report()["fingerprints"]
+    fp2 = pipe_p2.structure_report()["fingerprints"]
     # every named basis in the pipeline, the fifteen pair modules included
     stages = [lambda p: p.kernel_seed(), lambda p: p.total_kernel(),
               lambda p: p.catalog_span(), lambda p: p.gradient_span(),
@@ -279,10 +279,10 @@ def test_criterion_9_cross_arithmetic(pipe_p1, pipe_p2, cache_dir):
                    == [{k: GFP1.lift(c) for k, c in e.items()} for e in tk_p.engine.elements])
 
     # the rest of the structure over Q, the exact proof: the chi5_m and
-    # generated bases have the GF(p1) shapes, and the series, orbit and
-    # both inclusions check out with no prime involved
+    # generated bases have the GF(p1) shapes, and the series, orbit, both
+    # inclusions and kernel completeness check out with no prime involved
     rep_q = pipe_q.structure_report()
-    rational_structure = rep_q.ok() and rep_q.basis_fingerprints == fp1
+    rational_structure = rep_q["status"] == "pass" and rep_q["fingerprints"] == fp1
 
     # determinism: a fresh recomputation without the disk cache agrees exactly
     pipe_p1_fresh = StructurePipeline(GFP1)
@@ -292,5 +292,6 @@ def test_criterion_9_cross_arithmetic(pipe_p1, pipe_p2, cache_dir):
           and structure_equal and coeff_equal and rational_structure and recompute_equal)
     report(9, "dual-prime runs agree on every reduced basis and series; the "
               "rational kernel run matches coefficient for coefficient; the "
-              "rational structure run matches the closed form and the GF(p1) "
-              "basis shapes; recomputation is deterministic", ok)
+              "rational structure run passes every check, kernel completeness "
+              "included, and matches the GF(p1) basis shapes; recomputation is "
+              "deterministic", ok)

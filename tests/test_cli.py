@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from theta2 import numerics
+from theta2 import cli, numerics
 from theta2.cli import main
+from theta2.thetaring import StructurePipeline
 
 
 def run(capsys, *argv):
@@ -167,6 +168,36 @@ def test_structure_report_command(capsys, cache_dir, pipe_p1):
     assert run0["coefficients_t1_t12"][:8] == [6, 60, 330, 1300, 4060, 9952,
                                                20000, 35168]
     assert report["status"] == "pass"
+
+
+def test_structure_fails_without_kernel_completeness(capsys, monkeypatch, cache_dir,
+                                                     pipe_p1):
+    # every other check passes on this cache, so completeness alone decides
+    monkeypatch.setattr(StructurePipeline, "completeness_check", lambda self: False)
+    code = main(["--coeff-mode", "p1", "--cache-dir", cache_dir, "structure"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    run0 = report["runs"][0]
+    assert run0["kernel_equals_catalog_span"] is False
+    assert run0["orbit_size"] == 360 and run0["series_matches"]
+    assert run0["status"] == "fail"
+    assert report["status"] == "fail"
+    assert f"mismatch in run: {run0['field']}" in captured.err
+
+
+def test_structure_fails_when_the_fields_disagree(capsys, monkeypatch):
+    def canned_run(mode, cache_dir):
+        return {"field": mode, "fingerprints": {"chi5_m": mode}, "status": "pass"}
+
+    monkeypatch.setattr(cli, "_structure_run", canned_run)
+    code = main(["structure"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    assert report["cross_field_agreement"] is False
+    assert report["status"] == "fail"
+    assert "mismatch in run: cross-field" in captured.err
 
 
 def test_out_flag_writes_report(capsys, tmp_path):

@@ -451,14 +451,15 @@ def test_kernel_series_low_degrees(pipe_p1):
     assert dims[5] < full[5]
 
 
-def test_structure_report_report(pipe_p1):
+def test_structure_report_passes(pipe_p1):
     rep = pipe_p1.structure_report()
-    assert rep.orbit_size == 360
-    assert rep.generated_in_intersection and rep.intersection_in_generated
-    assert rep.extr_h_in_intersection and rep.extr_h_outside_gradient_span
-    assert rep.series_matches
-    assert rep.coefficients[:8] == [6, 60, 330, 1300, 4060, 9952, 20000, 35168]
-    assert rep.ok()
+    assert rep["orbit_size"] == 360
+    assert rep["generated_in_intersection"] and rep["intersection_in_generated"]
+    assert rep["extr_h_in_intersection"] and rep["extr_h_outside_gradient_span"]
+    assert rep["series_matches"]
+    assert rep["kernel_equals_catalog_span"]
+    assert rep["coefficients_t1_t12"][:8] == [6, 60, 330, 1300, 4060, 9952, 20000, 35168]
+    assert rep["status"] == "pass"
 
 
 def test_orbit_elements_certified(pipe_p1):
