@@ -44,12 +44,17 @@ modulo p once, when their key pops.
 
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
-either over the rationals or over two distinct primes.
+either over the rationals or over two distinct primes.  A rational is kept
+as an int when it is integral and as a Fraction only when it is not: int
+and Fraction mix exactly, so both share one arithmetic path, and the
+catalog's small integer coefficients never build a Fraction.
 
 BasisCache keeps reduced bases on disk in the engine's own form: a sha256
 digest line, then JSON with each element's packed term keys and
-coefficients.  An entry whose digest or basis shape does not check out is
-a miss, so a corrupt file is recomputed rather than trusted.
+coefficients, a rational always as [numerator, denominator], so an int
+and the equal Fraction write the same entry.  An entry whose digest or
+basis shape does not check out is a miss, so a corrupt file is recomputed
+rather than trusted.
 
 Block invariant.  Each ring-variable block of a packed monomial holds
 C - e with 0 <= e < C = 64, so its value lies in 1..C and the guard bit
@@ -86,22 +91,24 @@ PRIME2 = 2147483629
 
 
 class RationalField:
-    """Exact rational coefficients."""
+    """Exact rational coefficients: an int when integral, else a Fraction.
+
+    int and Fraction mix exactly, so the engine has one arithmetic path;
+    normalize turns an integral Fraction back into an int."""
 
     p = None
     name = "q"
 
-    def convert(self, c) -> Fraction:
-        return Fraction(c)
+    def convert(self, c) -> int | Fraction:
+        return self.normalize(Fraction(c))
 
     def normalize(self, c):
-        return c
+        return c.numerator if c.denominator == 1 else c
 
     def inv(self, c):
-        return 1 / c
-
-    def lift(self, c) -> Fraction:
-        return c
+        if c == 1 or c == -1:
+            return int(c)
+        return self.normalize(Fraction(1) / c)      # 1 / c of an int is a float
 
     def __repr__(self):
         return "QQ"
@@ -127,9 +134,9 @@ class PrimeField:
     def inv(self, c):
         return pow(c, self.p - 2, self.p)
 
-    def lift(self, c) -> Fraction:
-        """Symmetric representative; exact for small catalog coefficients."""
-        return Fraction(c - self.p if 2 * c > self.p else c)
+    def lift(self, c: int) -> int:
+        """The symmetric representative of a residue, in (-p/2, p/2)."""
+        return c - self.p if 2 * c > self.p else c
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -874,7 +881,7 @@ def _decode_coeff(c, field):
     if field.p is None:
         n, d = c
         if type(n) is int and type(d) is int and n and d > 0 and gcd(n, d) == 1:
-            return Fraction(n, d)
+            return n if d == 1 else Fraction(n, d)
     elif type(c) is int and 0 < c < field.p:
         return c
     raise ValueError(f"coefficient {c!r} out of range")
@@ -967,13 +974,14 @@ class BasisCache:
             # JSONDecodeError is a ValueError
             return None
 
-    def store(self, key: str, elements: list[dict]) -> None:
+    def store(self, key: str, elements: list[dict], field) -> None:
         """Write to a temporary file, then rename: readers never see a partial
         entry.  If either step fails the temporary file is removed."""
         if not self.directory:
             return
+        rational = field.p is None
         payload = json.dumps({"elements": [
-            [[k, [c.numerator, c.denominator] if isinstance(c, Fraction) else c]
+            [[k, [c.numerator, c.denominator] if rational else c]
              for k, c in e.items()] for e in elements]},
             separators=(",", ":")).encode()
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")

@@ -629,7 +629,7 @@ class StructurePipeline:
             elements = self.cache.load(key, self.order, self.field)
             if elements is None:
                 elements = build()
-                self.cache.store(key, elements)
+                self.cache.store(key, elements, self.field)
             self._store[tag] = GroebnerBasis(EngineBasis(elements, self.order, self.field),
                                              SHIFTS)
         return self._store[tag]

@@ -30,6 +30,7 @@ from theta2.groebner import (
     to_engine,
 )
 from theta2.symbolic import GradedPoly, HilbertSeries, ModuleElement
+from theta2.thetaring import NVARS, riemann_ideal
 
 from syzygy_route import syzygy_engine
 
@@ -139,6 +140,37 @@ def test_reduced_basis_matches_sympy(seed):
         pytest.skip("degenerate sample")
     order = MonomialOrder(n)
     assert buchberger_engine(E(gens, order), order, QQ) == _sympy_basis(gens, n)
+
+
+def test_rational_field_keeps_integers_as_int():
+    # 1 / c of an int is a float, so inv must never take that route
+    half = QQ.inv(2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(-1, 3))) is int and QQ.inv(Fraction(-1, 3)) == -3
+    assert type(QQ.convert(Fraction(6, 3))) is int and QQ.convert(Fraction(6, 3)) == 2
+    assert type(QQ.normalize(Fraction(4, 2))) is int
+    assert type(QQ.convert(Fraction(1, 2))) is Fraction
+
+
+def test_prime_field_lift_is_the_symmetric_int():
+    assert GFP1.lift(PRIME1 - 2) == -2 and type(GFP1.lift(PRIME1 - 2)) is int
+    assert GFP1.lift(3) == 3 and GFP1.lift(PRIME1 // 2) == PRIME1 // 2
+
+
+def test_rational_basis_of_integral_input_has_int_coefficients():
+    # the quartics have unit leads: no Fraction is ever made for them
+    order = MonomialOrder(NVARS)
+    basis = buchberger_engine([to_engine(q, order, QQ) for q in riemann_ideal()], order, QQ)
+    assert {type(c) for e in basis for c in e.values()} == {int}
+
+
+def test_rational_basis_with_non_unit_lead_matches_sympy():
+    x, y = V(2, 0), V(2, 1)
+    gens = [x + x + y, y * y + y * y + y * y - x * y]     # 2x + y, 3y^2 - xy
+    basis = buchberger_engine(E(gens, ORDER2), ORDER2, QQ)
+    assert basis == _sympy_basis(gens, 2)
+    assert Fraction(1, 2) in [c for e in basis for c in e.values()]
 
 
 def test_koszul_syzygy():
@@ -533,26 +565,39 @@ def _read_entry(cache, key):
 
 def test_cache_roundtrip(tmp_path):
     cache = BasisCache(str(tmp_path))
-    for field, ctype in ((QQ, Fraction), (GFP1, int)):
-        elements = _toy_basis(field)
+    x, y = V(2, 0), V(2, 1)
+    # reduced basis y^3, xy, x^2 - 1/2 y^2
+    gens = [x * x + x * x - y * y, x * y]
+    for field in (QQ, GFP1):
+        elements = buchberger_engine(E(gens, ORDER2, field), ORDER2, field)
         key = BasisCache.key("toy", ["a", "b"], [], ORDER2, field)
-        cache.store(key, elements)
+        cache.store(key, elements, field)
         loaded = cache.load(key, ORDER2, field)
         assert loaded == elements
-        assert {type(c) for e in loaded for c in e.values()} == {ctype}
         assert any(len(e) > 1 for e in loaded)
+        coeffs = [c for e in loaded for c in e.values()]
+        stored = sorted(c for e in _read_entry(cache, key)[1]["elements"] for _, c in e)
+        if field is QQ:
+            # an integral rational loads as int, and only -1/2 as a Fraction;
+            # every rational is stored as [numerator, denominator]
+            assert [type(c) for c in coeffs].count(int) == 3
+            assert [c for c in coeffs if type(c) is not int] == [Fraction(-1, 2)]
+            assert stored == [[-1, 2], [1, 1], [1, 1], [1, 1]]
+        else:
+            assert {type(c) for c in coeffs} == {int}
+            assert stored == [1, 1, 1, (PRIME1 - 1) // 2]
 
 
 def test_cache_truncated_entry_is_a_miss(tmp_path):
     basis = _toy_basis()
     cache = BasisCache(str(tmp_path))
     key = BasisCache.key("toy", ["a"], [], ORDER2, QQ)
-    cache.store(key, basis)
+    cache.store(key, basis, QQ)
     path = cache.path(key)
     with open(path, "r+") as fh:
         fh.truncate(len(fh.read()) // 2)
     assert cache.load(key, ORDER2, QQ) is None
-    cache.store(key, basis)
+    cache.store(key, basis, QQ)
     assert cache.load(key, ORDER2, QQ) == basis
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
 
@@ -564,7 +609,7 @@ def test_cache_changed_coefficient_is_a_miss(tmp_path, field_name):
     basis = _toy_basis(field)
     cache = BasisCache(str(tmp_path))
     key = BasisCache.key("toy", ["a"], [], ORDER2, field)
-    cache.store(key, basis)
+    cache.store(key, basis, field)
     digest, payload = _read_entry(cache, key)
     _write_entry(cache, key, payload, digest)
     assert cache.load(key, ORDER2, field) == basis
@@ -573,7 +618,7 @@ def test_cache_changed_coefficient_is_a_miss(tmp_path, field_name):
     term[1] = [-2, 1] if field is QQ else 2
     _write_entry(cache, key, payload, digest)
     assert cache.load(key, ORDER2, field) is None
-    cache.store(key, basis)
+    cache.store(key, basis, field)
     assert cache.load(key, ORDER2, field) == basis
 
 
@@ -589,7 +634,7 @@ def test_cache_entry_not_a_reduced_basis_is_a_miss(tmp_path, field_name, damage)
     order, elements = ORDER2, _toy_basis(field)
     cache = BasisCache(str(tmp_path))
     key = BasisCache.key("toy", ["a"], [], order, field)
-    cache.store(key, elements)
+    cache.store(key, elements, field)
     _, payload = _read_entry(cache, key)
     raw = payload["elements"]
     lead = max(raw[-1])
@@ -618,7 +663,7 @@ def test_cache_entry_not_a_reduced_basis_is_a_miss(tmp_path, field_name, damage)
                    "lowest": [-6, 2], "denominator": [3, -1]}[damage]
     _write_entry(cache, key, payload)
     assert cache.load(key, order, field) is None
-    cache.store(key, elements)
+    cache.store(key, elements, field)
     assert cache.load(key, order, field) == elements
 
 
@@ -630,7 +675,7 @@ def test_cache_lead_out_of_packing_range_is_a_miss(tmp_path, block):
     order, elements = ORDER2, _toy_basis(GFP1)
     cache = BasisCache(str(tmp_path))
     key = BasisCache.key("toy", ["a"], [], order, GFP1)
-    cache.store(key, elements)
+    cache.store(key, elements, GFP1)
     _, payload = _read_entry(cache, key)
     lead = max(payload["elements"][-1])
     lead[0] |= 0x7f << (8 * block + 8)
@@ -659,7 +704,7 @@ def test_cache_malformed_entry_is_a_miss(tmp_path, payload):
     assert cache.load(key, ORDER2, QQ) is None
     _write_entry(cache, key, payload)         # its true digest
     assert cache.load(key, ORDER2, QQ) is None
-    cache.store(key, basis)
+    cache.store(key, basis, QQ)
     assert cache.load(key, ORDER2, QQ) == basis
 
 
@@ -672,7 +717,7 @@ def test_cache_failed_store_leaves_no_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", full_disk)
     with pytest.raises(OSError):
-        cache.store(key, _toy_basis())
+        cache.store(key, _toy_basis(), QQ)
     monkeypatch.undo()
     assert list(tmp_path.iterdir()) == []
     assert cache.load(key, ORDER2, QQ) is None
