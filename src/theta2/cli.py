@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
@@ -46,15 +46,6 @@ def _emit(report: dict, out: str | None) -> None:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-
-
-def _modes_for(mode: str) -> list[str]:
-    return ["p1", "p2"] if mode == "dual" else [mode]
-
-
-@lru_cache(maxsize=None)
-def _pipeline(mode: str, cache_dir: str | None) -> StructurePipeline:
-    return StructurePipeline(FIELDS[mode], cache_dir)
 
 
 def _cfg(args) -> numerics.EvalConfig:
@@ -126,56 +117,28 @@ def _suite_numeric(args) -> list[dict]:
     return checks
 
 
-def _kernel_report(mode: str, cache_dir: str | None) -> dict:
-    pipe = _pipeline(mode, cache_dir)
-    field = pipe.field
-    kernel = pipe.total_kernel()
-    rels = all_relations()
-    missing = [str(r.indices) for r in rels if not kernel.contains(r.element)]
-    return {
-        "name": f"catalog-in-kernel[{field.name}]",
-        "relations": len(rels),
-        "missing": missing,
-        "status": "pass" if not missing else "fail",
-    }
+def _field_reports(mode: str, cache_dir: str | None, names: list[str]) -> list[dict]:
+    pipe = StructurePipeline(FIELDS[mode], cache_dir)
+    return [getattr(pipe, f"{name}_report")() for name in names]
 
 
-def _allrel_report(mode: str, cache_dir: str | None) -> dict:
-    pipe = _pipeline(mode, cache_dir)
-    field = pipe.field
-    equal = pipe.completeness_check()
-    return {
-        "name": f"kernel-equals-catalog-span[{field.name}]",
-        "basis_size": len(pipe.total_kernel()),
-        "fingerprint": pipe.total_kernel().structure_fingerprint(),
-        "status": "pass" if equal else "fail",
-    }
-
-
-def _per_field(worker, args) -> list[dict]:
-    """Run a per-field report builder, in parallel processes when asked."""
-    modes = _modes_for(args.coeff_mode)
+def _per_field(args, names: list[str]) -> dict[str, list[dict]]:
+    """Each named per-field report, one per field in field order; with
+    --jobs above 1, one process per field runs that field's whole share."""
+    modes = ["p1", "p2"] if args.coeff_mode == "dual" else [args.coeff_mode]
+    share = partial(_field_reports, cache_dir=args.cache_dir, names=names)
     if args.jobs > 1 and len(modes) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(modes))) as pool:
-            return list(pool.map(worker, modes, [args.cache_dir] * len(modes)))
-    return [worker(m, args.cache_dir) for m in modes]
+            runs = list(pool.map(share, modes))
+    else:
+        runs = list(map(share, modes))
+    return {name: [run[i] for run in runs] for i, name in enumerate(names)}
 
 
-def _suite_kernel(args) -> list[dict]:
-    return _per_field(_kernel_report, args)
-
-
-def _suite_allrel(args) -> list[dict]:
-    checks = _per_field(_allrel_report, args)
-    fps = [c["fingerprint"] for c in checks]
-    if len(fps) > 1:
-        checks.append({
-            "name": "cross-field-agreement",
-            "status": "pass" if len(set(fps)) == 1 else "fail",
-        })
-    return checks
+def _fields_agree(reports: list[dict], key: str) -> bool:
+    return all(r[key] == reports[0][key] for r in reports)
 
 
 def _suite_brackets(args) -> list[dict]:
@@ -219,19 +182,26 @@ def _suite_brackets(args) -> list[dict]:
     return checks
 
 
-SUITES = {
-    "numeric": _suite_numeric,
-    "kernel": _suite_kernel,
-    "allrel": _suite_allrel,
-    "brackets": _suite_brackets,
-}
+# None marks a per-field suite: its checks are StructurePipeline.<name>_report()
+SUITES = {"numeric": _suite_numeric, "kernel": None, "allrel": None, "brackets": _suite_brackets}
 
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
+    per_field = None
     for n in names:
-        checks.extend(SUITES[n](args))
+        if SUITES[n] is not None:
+            checks.extend(SUITES[n](args))
+            continue
+        if per_field is None:     # after the numeric suite: forked workers inherit its catalogs
+            per_field = _per_field(args, [m for m in names if SUITES[m] is None])
+        checks.extend(per_field[n])
+        if n == "allrel" and len(per_field[n]) > 1:
+            checks.append({
+                "name": "cross-field-agreement",
+                "status": "pass" if _fields_agree(per_field[n], "fingerprint") else "fail",
+            })
     failed = [c["name"] for c in checks if c["status"] != "pass"]
     report = {
         "schema": SCHEMA,
@@ -257,14 +227,9 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _structure_run(mode: str, cache_dir: str | None) -> dict:
-    return _pipeline(mode, cache_dir).structure_report()
-
-
 def cmd_structure(args) -> int:
-    reports = _per_field(_structure_run, args)
-    fps = [json.dumps(r["fingerprints"], sort_keys=True) for r in reports]
-    agreement = len(set(fps)) == 1
+    reports = _per_field(args, ["structure"])["structure"]
+    agreement = _fields_agree(reports, "fingerprints")
     ok = agreement and all(r["status"] == "pass" for r in reports)
     expected = GRADIENT_MODULE_SERIES
     report = {

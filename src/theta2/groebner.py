@@ -420,7 +420,8 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
     field) once, when the key is popped.  A reducer's tail lies below its
     lead, so every key it adds is below the popped one and a popped key
     never comes back.  The reducer of a term is the first row of its
-    component, in insertion order, whose lead divides it (_Bucket.find)."""
+    component, in insertion order, whose lead divides it (_Bucket.find).
+    Over Q a remainder coefficient is normalized: an integral one is an int."""
     if not elem:
         return {}
     p = field.p
@@ -440,7 +441,7 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
         bucket = buckets.get(comp)
         row = bucket.find(enc) if bucket is not None else None
         if row is None:
-            out[key] = c
+            out[key] = c if p is not None else field.normalize(c)
             continue
         _check_room(row, enc, order)
         # same component, so the key difference is the multiplier's key delta

@@ -218,6 +218,12 @@ def ideal_times_free() -> list[ModuleElement]:
     return out
 
 
+def _scaled_gradients() -> list[ModuleElement]:
+    """chi5 T_1, ..., chi5 T_6."""
+    chi5 = GradedPoly.monomial(NVARS, CHI5_EXPS)
+    return [ModuleElement.generator(NVARS, RANK, i, shifts=SHIFTS, coeff=chi5) for i in range(6)]
+
+
 def kernel_seed_generators() -> list[ModuleElement]:
     """The three-term relations plus the ideal layer: generators of k0."""
     return [r.element for r in rel_d()] + ideal_times_free()
@@ -601,9 +607,9 @@ class StructurePipeline:
     """Derives the full module structure over one coefficient field.
 
     The stages form one derivation graph: k0 -> total_kernel -> fifteen
-    m_pair -> chi5_m; gradient_span and generated also extend total_kernel,
-    and catalog_span stands alone.  A stage's disk-cache key comes from its
-    tag, its own generators and its parents' keys, never from their bases.
+    m_pair -> chi5_m; total_kernel -> gradient_span -> generated; k0 ->
+    catalog_span.  A stage's disk-cache key comes from its tag, all its
+    generators and its parents' keys, never from their bases.
     Pipelines over different fields may run in parallel processes sharing
     one cache directory.
     """
@@ -640,12 +646,17 @@ class StructurePipeline:
     def _extension_key(self, tag: str, gens: list[ModuleElement]) -> str:
         return self._key(tag, gens, [self._kernel_key()])
 
+    def _extend(self, tag: str, key: str, gens: Sequence[ModuleElement],
+                parent) -> GroebnerBasis:
+        """Basis of gens plus the basis of the stage parent, which seeds it
+        and which only a cache miss builds; key must determine parent."""
+        return self._cached_basis(
+            tag, key, lambda: buchberger_engine(self._engine(gens), self.order, self.field,
+                                                seed=parent().engine.elements))
+
     def _extend_kernel(self, tag: str, gens: list[ModuleElement]) -> GroebnerBasis:
         """Basis of gens plus the kernel."""
-        return self._cached_basis(
-            tag, self._extension_key(tag, gens),
-            lambda: buchberger_engine(self._engine(gens), self.order, self.field,
-                                      seed=self.total_kernel().engine.elements))
+        return self._extend(tag, self._extension_key(tag, gens), gens, self.total_kernel)
 
     def _engine(self, elems: Sequence[ModuleElement]) -> list[dict]:
         return [to_engine(e, self.order, self.field) for e in elems]
@@ -664,11 +675,11 @@ class StructurePipeline:
                                            self.order, self.field))
 
     def catalog_span(self) -> GroebnerBasis:
-        """Span of the 122 catalog relations plus the ideal layer."""
+        """Span of the 122 catalog relations plus the ideal layer: k0 plus
+        the 102 four- and five-term relations, keyed by all 242 generators."""
         gens = [r.element for r in all_relations()] + ideal_times_free()
-        return self._cached_basis(
-            "catalog_span", self._key("catalog_span", gens),
-            lambda: buchberger_engine(self._engine(gens), self.order, self.field))
+        return self._extend("catalog_span", self._key("catalog_span", gens),
+                            [r.element for r in extr_a() + extr_b()], self.kernel_seed)
 
     def completeness_check(self) -> bool:
         """The catalog span equals the colon kernel (reduced-basis equality)."""
@@ -701,10 +712,7 @@ class StructurePipeline:
 
     def gradient_span(self) -> GroebnerBasis:
         """chi5-scaled gradients plus the kernel: the lift of the inner module."""
-        chi5 = GradedPoly.monomial(NVARS, CHI5_EXPS)
-        return self._extend_kernel("gradient_span", [
-            ModuleElement.generator(NVARS, RANK, i, shifts=SHIFTS, coeff=chi5)
-            for i in range(6)])
+        return self._extend_kernel("gradient_span", _scaled_gradients())
 
     # -- the orbit -----------------------------------------------------------
 
@@ -769,12 +777,11 @@ class StructurePipeline:
         return orbit
 
     def generated_module(self) -> GroebnerBasis:
-        """Span of the scaled gradients, the orbit multiples, and the kernel."""
-        chi5 = GradedPoly.monomial(NVARS, CHI5_EXPS)
-        gens = [ModuleElement.generator(NVARS, RANK, i, shifts=SHIFTS, coeff=chi5)
-                for i in range(6)]
-        gens += [clear_denominator(e, CHI5_EXPS) for e in self.orbit_extr_h()]
-        return self._extend_kernel("generated", gens)
+        """Span of the scaled gradients, the orbit multiples, and the kernel:
+        the gradient span plus the 360 orbit multiples."""
+        orbit = [clear_denominator(e, CHI5_EXPS) for e in self.orbit_extr_h()]
+        key = self._extension_key("generated", _scaled_gradients() + orbit)
+        return self._extend("generated", key, orbit, self.gradient_span)
 
     # -- series and the main check --------------------------------------------
 
@@ -783,6 +790,30 @@ class StructurePipeline:
         hs_kernel = self.total_kernel().hilbert_series()
         hs_cm = self.chi5_m().hilbert_series()
         return (hs_kernel - hs_cm).shifted(-10)
+
+    def kernel_report(self) -> dict:
+        """This field's check in `theta2 verify kernel`: every catalog
+        relation lies in the colon kernel."""
+        kernel = self.total_kernel()
+        rels = all_relations()
+        missing = [str(r.indices) for r in rels if not kernel.contains(r.element)]
+        return {
+            "name": f"catalog-in-kernel[{self.field.name}]",
+            "relations": len(rels),
+            "missing": missing,
+            "status": "pass" if not missing else "fail",
+        }
+
+    def allrel_report(self) -> dict:
+        """This field's check in `theta2 verify allrel`: the catalog span
+        equals the colon kernel."""
+        kernel = self.total_kernel()
+        return {
+            "name": f"kernel-equals-catalog-span[{self.field.name}]",
+            "basis_size": len(kernel),
+            "fingerprint": kernel.structure_fingerprint(),
+            "status": "pass" if self.completeness_check() else "fail",
+        }
 
     def structure_report(self) -> dict:
         """This field's run in the `theta2 structure` report.

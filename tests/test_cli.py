@@ -1,9 +1,11 @@
+import concurrent.futures
 import json
 
 import pytest
 
-from theta2 import cli, numerics
+from theta2 import numerics
 from theta2.cli import main
+from theta2.groebner import BasisCache
 from theta2.thetaring import StructurePipeline
 
 
@@ -121,14 +123,25 @@ def test_failed_check_exits_1(capsys):
     assert report["first_failure"] == "radius-self-consistency"
 
 
-def test_verify_allrel_and_cache_warm_equals_cold(capsys, tmp_path):
+def test_verify_allrel_and_cache_warm_equals_cold(capsys, tmp_path, monkeypatch):
     cache = str(tmp_path / "cache")
     args = ("--coeff-mode", "p1", "--cache-dir", cache, "verify", "allrel")
     code, cold = run(capsys, *args)
     assert code == 0
+    hits = []
+    real = BasisCache.load
+
+    def counting(self, *a):
+        elements = real(self, *a)
+        hits.append(elements is not None)
+        return elements
+
+    monkeypatch.setattr(BasisCache, "load", counting)
     code, warm = run(capsys, *args)
     assert code == 0
     assert cold == warm
+    # the warm run reads the colon kernel and the catalog span from disk
+    assert hits == [True, True]
 
 
 def test_verify_kernel_suite(capsys, cache_dir):
@@ -153,6 +166,29 @@ def test_verify_kernel_two_jobs_matches_one(capsys, cache_dir):
     assert serial["status"] == "pass"
     assert [c["name"] for c in serial["checks"]] == [
         "catalog-in-kernel[p2147483647]", "catalog-in-kernel[p2147483629]"]
+
+
+def test_verify_all_two_jobs_starts_one_pool(capsys, monkeypatch, cache_dir):
+    # the kernel and allrel suites share one process per field
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *a, **k):
+            pools.append(k)
+            super().__init__(*a, **k)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    reports = []
+    for jobs in ("2", "1"):
+        code, out = run(capsys, "--jobs", jobs, "--points", "2", "--cache-dir", cache_dir,
+                        "verify", "all")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert len(pools) == 1
+    parallel, serial = reports
+    assert (serial["manifest"]["jobs"], parallel["manifest"]["jobs"]) == (1, 2)
+    serial["manifest"]["jobs"] = 2
+    assert parallel == serial
 
 
 def test_structure_report_command(capsys, cache_dir, pipe_p1):
@@ -187,10 +223,11 @@ def test_structure_fails_without_kernel_completeness(capsys, monkeypatch, cache_
 
 
 def test_structure_fails_when_the_fields_disagree(capsys, monkeypatch):
-    def canned_run(mode, cache_dir):
-        return {"field": mode, "fingerprints": {"chi5_m": mode}, "status": "pass"}
+    def canned_report(self):
+        name = self.field.name
+        return {"field": name, "fingerprints": {"chi5_m": name}, "status": "pass"}
 
-    monkeypatch.setattr(cli, "_structure_run", canned_run)
+    monkeypatch.setattr(StructurePipeline, "structure_report", canned_report)
     code = main(["structure"])
     captured = capsys.readouterr()
     assert code == 1

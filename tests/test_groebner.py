@@ -173,6 +173,19 @@ def test_rational_basis_with_non_unit_lead_matches_sympy():
     assert Fraction(1, 2) in [c for e in basis for c in e.values()]
 
 
+def test_rational_remainder_keeps_integral_coefficients_as_int():
+    # 3 t1^2 t2 + 5 t1 t2^2 and 5 t1^2 t2 + 5 t2^3: a remainder coefficient
+    # sums fractions to the integer 1
+    x, y = V(2, 0), V(2, 1)
+    gens = [(x * x * y).scale(3) + (x * y * y).scale(5),
+            (x * x * y).scale(5) + (y * y * y).scale(5)]
+    basis = buchberger_engine(E(gens, ORDER2), ORDER2, QQ)
+    assert basis == _sympy_basis(gens, 2)
+    coeffs = [c for e in basis for c in e.values()]
+    assert Fraction(-3, 5) in coeffs
+    assert all(type(c) is int for c in coeffs if c == int(c))
+
+
 def test_koszul_syzygy():
     x, y = V(2, 0), V(2, 1)
     syz = syzygy_engine(E([x, y], ORDER2), [], ORDER2, QQ)
