@@ -44,7 +44,12 @@ modulo p once, when their key pops.
 
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
-either over the rationals or over two distinct primes.  A rational is kept
+either over the rationals or over two distinct primes.  One run over
+Z/(p1 p2) stands for a run over each prime (Chinese remainder theorem;
+Arnold 2003): every row is monic, so each step is a step modulo either
+prime, and EngineBasis.modulo reads the result modulo one of them.  A lead
+coefficient divisible by one prime has no inverse, and inv raises
+ValueError rather than let the two runs part ways.  A rational is kept
 as an int when it is integral and as a Fraction only when it is not: int
 and Fraction mix exactly, so both share one arithmetic path, and the
 catalog's small integer coefficients never build a Fraction.
@@ -77,7 +82,7 @@ from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import and_, attrgetter, getitem
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DerivationError
 from .symbolic import GradedPoly, HilbertSeries, ModuleElement
@@ -114,8 +119,14 @@ class RationalField:
         return "QQ"
 
 
-class PrimeField:
-    """Integers modulo a word-sized prime."""
+class ModularField:
+    """Integers modulo p: a word-sized prime, or the product of two.
+
+    convert and inv invert with pow(c, -1, p), which raises ValueError for
+    a c that is not a unit.  Modulo a prime that is only c = 0, which never
+    reaches them; modulo p1 p2 it is also a c divisible by one prime, so a
+    run over Z/(p1 p2) stops there rather than go on where the two primes
+    part ways (see EngineBasis.modulo)."""
 
     def __init__(self, p: int):
         self.p = p
@@ -123,16 +134,13 @@ class PrimeField:
 
     def convert(self, c):
         c = Fraction(c)
-        den = c.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes modulo p")
-        return c.numerator * pow(den, self.p - 2, self.p) % self.p
+        return c.numerator * pow(c.denominator, -1, self.p) % self.p
 
     def normalize(self, c):
         return c % self.p
 
     def inv(self, c):
-        return pow(c, self.p - 2, self.p)
+        return pow(c, -1, self.p)
 
     def lift(self, c: int) -> int:
         """The symmetric representative of a residue, in (-p/2, p/2)."""
@@ -143,8 +151,10 @@ class PrimeField:
 
 
 QQ = RationalField()
-GFP1 = PrimeField(PRIME1)
-GFP2 = PrimeField(PRIME2)
+GFP1 = ModularField(PRIME1)
+GFP2 = ModularField(PRIME2)
+# Z/(p1 p2), isomorphic to GF(p1) x GF(p2) by the Chinese remainder theorem
+ZN = ModularField(PRIME1 * PRIME2)
 
 FIELDS = {"q": QQ, "p1": GFP1, "p2": GFP2}
 
@@ -632,15 +642,27 @@ class EngineBasis:
     def contains(self, elem: dict) -> bool:
         return not self.normal_form(elem)
 
-    def structure(self) -> list[list[tuple[tuple[int, ...], int]]]:
-        """Coefficient-free support shape, comparable across coefficient fields."""
-        shape = []
+    def modulo(self, field) -> "EngineBasis":
+        """A basis over Z/(p1 p2) read modulo p1 or p2, as a basis over field.
+
+        Every lead is monic, so each reduction of the run that made this
+        basis is a reduction modulo the prime too (one whose coefficient
+        vanishes there does nothing), and each S-pair the run reduced to
+        zero or pruned by its leads is one the prime's run may skip.  The
+        projection is therefore the reduced basis, over field, of the
+        projected generators; a term whose coefficient the prime divides
+        drops out."""
+        p = field.p
+        return EngineBasis([{k: c % p for k, c in e.items() if c % p} for e in self.elements],
+                           self.order, field)
+
+    def structure(self) -> Iterator[list[tuple[tuple[int, ...], int]]]:
+        """Coefficient-free support shape, comparable across coefficient
+        fields: per element in turn, (exponents, component) of each term in
+        descending key order."""
         for e in self.elements:
-            terms = sorted(e, reverse=True)
-            shape.append([
-                (self.order.decode_mono(self.order.split_key(k)[0]),
-                 self.order.split_key(k)[1]) for k in terms])
-        return shape
+            yield [(self.order.decode_mono(self.order.split_key(k)[0]),
+                    self.order.split_key(k)[1]) for k in sorted(e, reverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +878,15 @@ class GroebnerBasis:
         return hilbert_series_engine(self.engine.elements, self.order, self.shifts)
 
     def structure_fingerprint(self) -> str:
-        blob = json.dumps(self.engine.structure(), separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """sha256 of the compact JSON text of the list of engine.structure(),
+        fed to the hash one element at a time, so the text is never held
+        whole."""
+        digest = hashlib.sha256(b"[")
+        for i, shape in enumerate(self.engine.structure()):
+            digest.update(("," if i else "").encode()
+                          + json.dumps(shape, separators=(",", ":")).encode())
+        digest.update(b"]")
+        return digest.hexdigest()
 
     def same_module(self, other: "GroebnerBasis") -> bool:
         """Equality of reduced bases, including coefficients, same order/field."""

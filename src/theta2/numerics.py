@@ -17,7 +17,7 @@ per sample point, shared by all of that point's finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import exp, pi
 from typing import Sequence
 
@@ -163,12 +163,18 @@ def grad_values(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> np.ndarray:
 @dataclass(frozen=True)
 class PointValues:
     """Everything a catalog element needs at one point: the ten even
-    constants and the six gradients (shape (6, 2)).  `point_values` makes
-    both arrays read-only, so one table can serve every element."""
+    constants, the six gradients (shape (6, 2)) and their six norms,
+    computed once here.  `point_values` makes both arrays read-only, so one
+    table can serve every element."""
 
     point: SiegelPoint
     thetas: np.ndarray
     grads: np.ndarray
+    grad_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "grad_norms",
+                           tuple(float(np.linalg.norm(g)) for g in self.grads))
 
 
 def point_values(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> PointValues:
@@ -235,7 +241,7 @@ def eval_element(e: ModuleElement | GradedPoly, table: PointValues):
     total = np.zeros(2, dtype=complex)
     scale = 0.0
     for i, p in enumerate(e.components):
-        gnorm = float(np.linalg.norm(grads[i]))
+        gnorm = table.grad_norms[i]
         for exps, c in p.terms.items():
             coeff = complex(c) * _mono_value(values, exps)
             total = total + coeff * grads[i]
@@ -273,16 +279,16 @@ def dtable_ratios(tables: Sequence[PointValues]):
     """
     from .chars import azygetic_quadruple
 
+    quads = {(i, j): azygetic_quadruple(i, j)
+             for i in range(1, 7) for j in range(i + 1, 7)}
     out: dict[tuple[int, int], list[complex]] = {}
     for table in tables:
         thetas, grads = table.thetas, table.grads
-        for i in range(1, 7):
-            for j in range(i + 1, 7):
-                quad = azygetic_quadruple(i, j)
-                prod = complex(np.prod([thetas[k - 1] for k in quad]))
-                gi, gj = grads[i - 1], grads[j - 1]
-                det = gj[0] * gi[1] - gj[1] * gi[0]
-                out.setdefault((i, j), []).append(det / (pi**2 * prod))
+        for (i, j), quad in quads.items():
+            prod = complex(np.prod([thetas[k - 1] for k in quad]))
+            gi, gj = grads[i - 1], grads[j - 1]
+            det = gj[0] * gi[1] - gj[1] * gi[0]
+            out.setdefault((i, j), []).append(det / (pi**2 * prod))
     return out
 
 

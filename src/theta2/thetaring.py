@@ -5,7 +5,11 @@ interest is presented on six generators T1..T6 (the gradient images, each
 of degree 1).  This module derives the relation catalogs (20 three-term,
 30 four-term, 72 five-term) and certifies them with the multiplication
 oracle: there is one oracle per process, and each catalog is derived once
-per process and returned as a tuple.  It then computes the full relation
+per process and returned as a tuple.  The oracle computes k0, the
+three-term relations plus the ideal layer, once over Z/(p1 p2), which by
+the Chinese remainder theorem stands for both primes; the pipelines over
+GF(p1) and GF(p2) start from its projections, and the oracle reduces each
+chi5 multiple it needs once.  It then computes the full relation
 kernel as a colon module, intersects the fifteen localized modules, handles
 the extra generator with its 360-element orbit, and produces the Hilbert
 series of the intersection, plus the two second-kind presentations with
@@ -25,6 +29,7 @@ from .groebner import (
     QQ,
     GFP1,
     GFP2,
+    ZN,
     BasisCache,
     EngineBasis,
     GroebnerBasis,
@@ -229,10 +234,30 @@ def kernel_seed_generators() -> list[ModuleElement]:
     return [r.element for r in rel_d()] + ideal_times_free()
 
 
+@lru_cache(maxsize=1)
+def kernel_seed_mod_n() -> EngineBasis:
+    """k0 over Z/(p1 p2), built once per process: the oracle's basis.
+
+    One engine run stands for a run over each prime (see
+    EngineBasis.modulo).  A lead coefficient that one prime divides has no
+    inverse, and that ends the derivation: it is a DerivationError."""
+    order = MonomialOrder(NVARS, rank=RANK)
+    gens = [to_engine(g, order, ZN) for g in kernel_seed_generators()]
+    try:
+        elements = buchberger_engine(gens, order, ZN)
+    except ValueError as exc:
+        raise DerivationError(
+            f"k0 over Z/(p1*p2): a lead coefficient is not a unit ({exc})") from exc
+    return EngineBasis(elements, order, ZN)
+
+
 @lru_cache(maxsize=None)
 def kernel_seed_basis(field) -> EngineBasis:
-    """k0 over one field, built once per process and shared by the oracle
-    and every pipeline over that field."""
+    """k0 over one field, built once per process and shared by every
+    pipeline over that field.  Over GF(p1) and GF(p2) it is the projection
+    of the oracle's basis over Z/(p1 p2); over Q it is computed directly."""
+    if field.p is not None:
+        return kernel_seed_mod_n().modulo(field)
     order = MonomialOrder(NVARS, rank=RANK)
     gens = [to_engine(g, order, field) for g in kernel_seed_generators()]
     return EngineBasis(buchberger_engine(gens, order, field), order, field)
@@ -313,32 +338,71 @@ class RelationOracle:
     """Membership oracle: an element is a relation iff its chi5 multiple lies
     in the module spanned by the three-term relations plus the ideal layer.
 
-    Sign patterns are decided over GF(p1) and certified under GF(p1) and
-    GF(p2).
+    The oracle holds k0 over Z/(p1 p2) and a table with the normal form of
+    each multiple chi5 x^e T_c it has met, keyed by (c, e) with c 0-based:
+    each is computed once, and the sign search and the certification read
+    it.  Sign patterns are decided over GF(p1), from the table modulo p1.
+    An element is certified when the sum of its terms' entries is zero
+    modulo p1 p2, that is (Chinese remainder theorem) when its chi5
+    multiple reduces to zero under GF(p1) and under GF(p2).
     """
 
     def __init__(self):
         self.fields = (GFP1, GFP2)
-        self.order = MonomialOrder(NVARS, rank=RANK)
-        self._bases = [kernel_seed_basis(f) for f in self.fields]
+        self.basis = kernel_seed_mod_n()
+        self.table: dict[tuple[int, tuple[int, ...]], bytes] = {}
+        # every term key of an order with no block bit lies below fbit
+        self._key_bytes = self.basis.order.fbit.bit_length() // 8
+
+    def _entry(self, comp: int, exps: tuple[int, ...]) -> dict[int, int]:
+        """The normal form of chi5 x^exps T_comp over Z/(p1 p2), each
+        coefficient as its symmetric representative; computed on first use.
+
+        The table keeps it packed: a byte with the coefficient width w,
+        then per term the key in _key_bytes bytes and the coefficient in w
+        signed ones.  The entries live as long as the process, and as dicts
+        of ints they would cost more memory than the second prime's k0
+        they replace."""
+        kb = self._key_bytes
+        packed = self.table.get((comp, exps))
+        if packed is None:
+            order, lift = self.basis.order, self.basis.field.lift
+            key = order.term_key(order.encode_mono(_addexp(CHI5_EXPS, exps)), comp)
+            nf = {k: lift(c) for k, c in self.basis.normal_form({key: 1}).items()}
+            w = max((c.bit_length() // 8 + 1 for c in nf.values()), default=1)
+            packed = self.table[comp, exps] = bytes([w]) + b"".join(
+                k.to_bytes(kb, "little") + c.to_bytes(w, "little", signed=True)
+                for k, c in nf.items())
+        w = packed[0]
+        return {int.from_bytes(packed[i:i + kb], "little"):
+                int.from_bytes(packed[i + kb:i + kb + w], "little", signed=True)
+                for i in range(1, len(packed), kb + w)}
 
     def certify(self, element: ModuleElement) -> bool:
-        """chi5 * element reduces to zero under every field."""
-        chi5 = GradedPoly.monomial(NVARS, CHI5_EXPS)
-        scaled = element.mul_poly(chi5)
-        return all(base.contains(to_engine(scaled, self.order, f))
-                   for base, f in zip(self._bases, self.fields))
+        """chi5 * element reduces to zero under GF(p1) and GF(p2): the sum
+        of its terms' table entries vanishes modulo p1 p2."""
+        if element.denominator is not None:
+            raise ValueError("cannot certify an element carrying a denominator tag")
+        n = self.basis.field.p
+        total: dict[int, int] = {}
+        for comp, poly in enumerate(element.components):
+            for exps, c in poly.terms.items():
+                c = self.basis.field.convert(c)
+                for k, v in self._entry(comp, exps).items():
+                    total[k] = total.get(k, 0) + c * v
+        return not any(v % n for v in total.values())
 
     def solve_signs(self, terms: Sequence[tuple[int, tuple[int, ...]]]) -> list[int] | None:
         """Signs s with sum s_i * mono_i * T_{comp_i} a relation, or None.
 
         Equivalent to enumerating the sign patterns up to a global flip:
-        the candidate normal forms are computed once and the unique vanishing
-        combination is read off; exactly one pattern may pass.  The first
-        entry is normalized to +1.
+        the candidates' normal forms are read off the table modulo p1, and
+        the unique vanishing combination is found; exactly one pattern may
+        pass.  The first entry is normalized to +1.
         """
-        null = _multiples_nullspace(
-            self._bases[0], [(comp - 1, _addexp(CHI5_EXPS, exps)) for comp, exps in terms])
+        # _nullspace reduces every entry modulo p1
+        null = _nullspace([self._entry(comp - 1, exps) for comp, exps in terms],
+                          self.fields[0])
         if len(null) != 1:
             return None
         return _sign_vector(null[0], self.fields[0])
@@ -403,28 +467,31 @@ def extr_a() -> tuple[RelationRecord, ...]:
 
 def _balanced_blocks() -> list[tuple[frozenset[int], ...]]:
     """Blocks of one decomposition per odd label covering each even label
-    exactly three times."""
-    decos = {i: chars.five_term_decompositions(i) for i in range(1, 7)}
+    exactly three times, in the order of a depth-first walk over the odd
+    labels 1..6 and their decompositions.
+
+    The walk keeps one int with a 3-bit count per even label.  A count
+    grows by at most one per step, so a count above three sets its field's
+    top bit, which one AND finds; a leaf counts when every field reads 3.
+    """
+    fields = [1 << 3 * (k - 1) for k in range(1, 11)]
+    over = 4 * sum(fields)
+    full = 3 * sum(fields)
+    decos = [[(d, sum(fields[k - 1] for k in d)) for d in chars.five_term_decompositions(i)]
+             for i in range(1, 7)]
     found: list[tuple[frozenset[int], ...]] = []
-
-    def walk(idx: int, chosen: list[frozenset[int]], counts: dict[int, int]):
-        if idx == 7:
-            found.append(tuple(chosen))
-            return
-        for d in decos[idx]:
-            if any(counts[k] + 1 > 3 for k in d):
-                continue
-            for k in d:
-                counts[k] += 1
-            chosen.append(d)
-            walk(idx + 1, chosen, counts)
-            chosen.pop()
-            for k in d:
-                counts[k] -= 1
-
-    walk(1, [], {k: 0 for k in range(1, 11)})
-    return [b for b in found
-            if all(sum(k in d for d in b) == 3 for k in range(1, 11))]
+    # children go on the stack in reverse, so they pop in walk order
+    stack = [(0, (), 0)]
+    while stack:
+        idx, chosen, counts = stack.pop()
+        if idx == 6:
+            if counts == full:
+                found.append(chosen)
+            continue
+        for d, add in reversed(decos[idx]):
+            if not (nxt := counts + add) & over:
+                stack.append((idx + 1, chosen + (d,), nxt))
+    return found
 
 
 def _extr_b_assignments(block: Sequence[frozenset[int]], cancel: int) -> dict[int, int] | None:

@@ -18,9 +18,12 @@ from theta2.groebner import (
     GFP1,
     GFP2,
     PRIME1,
+    PRIME2,
     QQ,
+    ZN,
     BasisCache,
     EngineBasis,
+    GroebnerBasis,
     MonomialOrder,
     buchberger_engine,
     hilbert_series_engine,
@@ -156,6 +159,19 @@ def test_rational_field_keeps_integers_as_int():
 def test_prime_field_lift_is_the_symmetric_int():
     assert GFP1.lift(PRIME1 - 2) == -2 and type(GFP1.lift(PRIME1 - 2)) is int
     assert GFP1.lift(3) == 3 and GFP1.lift(PRIME1 // 2) == PRIME1 // 2
+
+
+def test_mod_n_basis_reads_as_each_prime_basis():
+    # tails divisible by p1 or by p2: each projection drops those terms and
+    # equals the reduced basis computed over that prime
+    x, y, z = V(3, 0), V(3, 1), V(3, 2)
+    gens = [x * y + (z * z).scale(PRIME1), x * x - y * z + (z * z).scale(PRIME2),
+            y * y + (x * z).scale(3)]
+    basis = EngineBasis(buchberger_engine(E(gens, ORDER3, ZN), ORDER3, ZN), ORDER3, ZN)
+    for field, dropped in ((GFP1, 1), (GFP2, 3)):
+        direct = buchberger_engine(E(gens, ORDER3, field), ORDER3, field)
+        assert basis.modulo(field).elements == direct
+        assert sum(map(len, basis.elements)) - sum(map(len, direct)) == dropped
 
 
 def test_rational_basis_of_integral_input_has_int_coefficients():
@@ -545,8 +561,13 @@ def test_prime_field_structure_agreement_on_random_module():
         gens.append(ModuleElement(tuple(comps), (1, 1)))
     shapes = []
     for field in (QQ, GFP1, GFP2):
-        basis = buchberger_engine(E(gens, order1, field), order1, field)
-        shapes.append(EngineBasis(basis, order1, field).structure())
+        basis = EngineBasis(buchberger_engine(E(gens, order1, field), order1, field),
+                            order1, field)
+        shapes.append(list(basis.structure()))
+        # the fingerprint hashes the structure's JSON text element by element
+        blob = json.dumps(shapes[-1], separators=(",", ":")).encode()
+        assert GroebnerBasis(basis, (1, 1)).structure_fingerprint() == \
+            hashlib.sha256(blob).hexdigest()
     assert shapes[0] == shapes[1] == shapes[2]
 
 

@@ -3,12 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from theta2 import chars
+from theta2 import chars, groebner, thetaring
 from theta2.errors import DerivationError
-from theta2 import groebner
 from theta2.groebner import (
     GFP1,
+    GFP2,
     QQ,
+    ZN,
     BasisCache,
     EngineBasis,
     MonomialOrder,
@@ -33,6 +34,8 @@ from theta2.thetaring import (
     DTableEntry,
     RelationOracle,
     StructurePipeline,
+    _balanced_blocks,
+    all_relations,
     catalog_json,
     d_entry,
     d_table,
@@ -40,7 +43,9 @@ from theta2.thetaring import (
     extr_a,
     extr_b,
     extr_h,
+    kernel_seed_basis,
     kernel_seed_generators,
+    kernel_seed_mod_n,
     rel_d,
     riemann_ideal,
     sextets,
@@ -48,6 +53,7 @@ from theta2.thetaring import (
     bracket_modules,
 )
 
+from blocks_reference import balanced_blocks_reference
 from syzygy_route import syzygy_engine
 
 CFG = EvalConfig(radius=10, target_eps=1e-12)
@@ -245,6 +251,95 @@ def test_extr_b_numeric(points):
         assert relation_residual(r.element, table) < 1e-9
 
 
+def test_kernel_seed_mod_n_projects_to_each_prime():
+    # k0 over Z/(p1 p2), read modulo each prime, is that prime's own k0
+    basis = kernel_seed_mod_n()
+    assert basis.field is ZN
+    order = basis.order
+    for field in (GFP1, GFP2):
+        direct = buchberger_engine([to_engine(g, order, field) for g in kernel_seed_generators()],
+                                   order, field)
+        assert basis.modulo(field).elements == direct
+        assert kernel_seed_basis(field).elements == direct
+
+
+def test_kernel_seed_mod_n_refuses_a_non_unit_lead(monkeypatch):
+    # t1 T1 reduces t1 T1 + p1 t2 T1 to p1 t2 T1, a lead that is zero
+    # modulo p1 and a unit modulo p2: no inverse modulo p1 p2
+    t1, t2 = GradedPoly.variable(NVARS, 0), GradedPoly.variable(NVARS, 1)
+    gens = [ModuleElement.generator(NVARS, 6, 0, shifts=SHIFTS, coeff=c)
+            for c in (t1, t1 + t2.scale(groebner.PRIME1))]
+    monkeypatch.setattr(thetaring, "kernel_seed_generators", lambda: gens)
+    with pytest.raises(DerivationError, match="not a unit"):
+        kernel_seed_mod_n.__wrapped__()
+    with pytest.raises(ValueError):
+        ZN.inv(groebner.PRIME2)
+
+
+def test_certify_agrees_with_direct_normal_forms(oracle):
+    # the table-based certificate against a direct normal form of the chi5
+    # multiple over each prime, for all 122 relations and a one-sign flip
+    order = MonomialOrder(NVARS, rank=6)
+    direct = [EngineBasis(buchberger_engine(
+        [to_engine(g, order, f) for g in kernel_seed_generators()], order, f), order, f)
+        for f in (GFP1, GFP2)]
+    chi5 = GradedPoly.monomial(NVARS, CHI5_EXPS)
+    rels = all_relations()
+    assert len(rels) == 122
+    for r in rels:
+        comp = next(i for i, c in enumerate(r.element.components) if not c.is_zero())
+        parts = list(r.element.components)
+        parts[comp] = parts[comp].scale(-1)
+        flipped = ModuleElement(tuple(parts), SHIFTS)
+        for e, expected in ((r.element, True), (flipped, False)):
+            scaled = e.mul_poly(chi5)
+            assert [b.contains(to_engine(scaled, order, b.field)) for b in direct] == \
+                [expected] * 2
+            assert oracle.certify(e) is expected
+
+
+def test_relation_table_holds_each_multiple_once(monkeypatch):
+    # the catalogs read 480 distinct chi5 multiples (120 four-term terms,
+    # 360 five-term ones, where the sextet search meets 1 800), and each
+    # costs one normal form
+    fresh = RelationOracle()
+    monkeypatch.setattr(thetaring, "default_oracle", lambda: fresh)
+    calls = []
+    real = EngineBasis.normal_form
+
+    def counting(self, elem):
+        calls.append(self.field)
+        return real(self, elem)
+
+    monkeypatch.setattr(EngineBasis, "normal_form", counting)
+    assert extr_a.__wrapped__() == extr_a()
+    assert sextets.__wrapped__() == sextets()
+    assert extr_b.__wrapped__() == extr_b()
+    assert len(fresh.table) == 480
+    assert calls == [ZN] * 480
+
+
+def test_relation_table_keeps_wide_coefficients():
+    # an entry holds each coefficient as its symmetric representative,
+    # however many bytes it needs
+    oracle = RelationOracle()
+    order = oracle.basis.order
+    lead, *tail = (order.term_key(order.encode_mono(e), 0)
+                   for e in (CHI5_EXPS, (0,) * 9 + (10,), (0,) * 8 + (1, 9)))
+    assert lead > max(tail)
+    wide = {tail[0]: 3 ** 30, tail[1]: -5}
+    oracle.basis = EngineBasis([{lead: 1, **{k: -c % ZN.p for k, c in wide.items()}}],
+                               order, ZN)
+    assert oracle._entry(0, (0,) * NVARS) == wide
+    assert oracle._entry(0, (0,) * NVARS) == wide      # read back from the table
+
+
+def test_balanced_blocks_match_the_set_walk():
+    reference = balanced_blocks_reference()
+    assert len(reference) == 2040
+    assert _balanced_blocks() == reference
+
+
 def test_relation_records_certified(oracle):
     for r in extr_a()[:3] + extr_b()[:3]:
         assert oracle.certify(r.element)
@@ -350,7 +445,11 @@ def test_m_pair_membership(pipe_p1):
 
 
 def test_kernel_seed_shared_with_oracle():
-    assert default_oracle()._bases[0] is StructurePipeline(GFP1).kernel_seed().engine
+    # the p1 pipeline's k0 is the one per-process basis, the projection of
+    # the oracle's k0 over Z/(p1 p2)
+    k0 = StructurePipeline(GFP1).kernel_seed().engine
+    assert k0 is kernel_seed_basis(GFP1)
+    assert k0.elements == default_oracle().basis.modulo(GFP1).elements
 
 
 def _counting_loads(monkeypatch, serve=None):
