@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DerivationError
 
@@ -71,15 +71,6 @@ ODD_CHARS: tuple[Characteristic, ...] = tuple(
         (0, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0), (1, 0, 1, 1),
         (1, 1, 0, 1), (1, 1, 1, 0),
     ])
-
-ALL_CHARS: tuple[Characteristic, ...] = EVEN_CHARS + ODD_CHARS
-
-
-def all_characteristics() -> Iterator[Characteristic]:
-    from itertools import product
-    for bits in product((0, 1), repeat=4):
-        yield Characteristic.from_bits(bits)
-
 
 def even(i: int) -> Characteristic:
     """Even characteristic by 1-based canonical label."""

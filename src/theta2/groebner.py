@@ -244,10 +244,6 @@ class MonomialOrder:
         keeps every guard bit, i.e. has all the bits of _gx."""
         return b & self._xmask
 
-    def mono_divides(self, a: int, b: int) -> bool:
-        """True when monomial a divides monomial b."""
-        return (self.divisor_word(a) - self.target_word(b)) & self._gx == self._gx
-
     def mono_lcm(self, a: int, b: int) -> int:
         """Least common multiple: blockwise minimum of the stored C - e
         blocks, degree recomputed."""

@@ -349,7 +349,9 @@ class RelationOracle:
 
     def __init__(self):
         self.fields = (GFP1, GFP2)
-        self.basis = kernel_seed_mod_n()
+        k0 = kernel_seed_mod_n()
+        # its own copy: the reducer index the normal forms build goes with the oracle
+        self.basis = EngineBasis(k0.elements, k0.order, k0.field)
         self.table: dict[tuple[int, tuple[int, ...]], bytes] = {}
         # every term key of an order with no block bit lies below fbit
         self._key_bytes = self.basis.order.fbit.bit_length() // 8
@@ -572,80 +574,43 @@ def extr_b() -> tuple[RelationRecord, ...]:
 
 @lru_cache(maxsize=1)
 def all_relations() -> tuple[RelationRecord, ...]:
-    return rel_d() + extr_a() + extr_b()
+    """The three catalogs.  Once they exist the process oracle is dropped,
+    and with it the normal-form table and the reducer index of its k0."""
+    out = rel_d() + extr_a() + extr_b()
+    default_oracle.cache_clear()
+    return out
 
 
 # ---------------------------------------------------------------------------
 # The symplectic label action
 # ---------------------------------------------------------------------------
 
-def _char_action(matrix: tuple[tuple[int, ...], ...], m: chars.Characteristic) -> chars.Characteristic:
-    """Affine action of an integral symplectic matrix on a characteristic."""
-    A = [row[:2] for row in matrix[:2]]
-    B = [row[2:] for row in matrix[:2]]
-    C = [row[:2] for row in matrix[2:]]
-    D = [row[2:] for row in matrix[2:]]
-
-    def mv(X, v):
-        return ((X[0][0] * v[0] + X[0][1] * v[1]) % 2,
-                (X[1][0] * v[0] + X[1][1] * v[1]) % 2)
-
-    def diag(X, Y):
-        return (X[0][0] * Y[0][0] + X[0][1] * Y[0][1],
-                X[1][0] * Y[1][0] + X[1][1] * Y[1][1])
-
-    a, b = m.a, m.b
-    na = tuple((x + y + z) % 2 for x, y, z in zip(mv(D, a), mv(C, b), diag(C, D)))
-    nb = tuple((x + y + z) % 2 for x, y, z in zip(mv(B, a), mv(A, b), diag(A, B)))
-    return chars.Characteristic(na, nb)
-
-
 @lru_cache(maxsize=1)
 def symplectic_label_permutations() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All 720 label permutations induced on (even 1..10, odd 1..6).
+    """All 720 label permutations (even_map, odd_map), sorted; even_map[i-1]
+    is the image label of even i.
 
-    Generated by closing the standard symplectic generators under
-    composition; each entry is (even_map, odd_map) with even_map[i-1] the
-    image label of even i.
+    They are S6 on the odd labels, each with the even map it induces.  The
+    six odd characteristics sum to zero, so each even one is the sum of
+    exactly two odd triples, and those are complements.  An affine
+    symplectic map m -> Mm + c preserves sums of three characteristics
+    (3c = c mod 2), so it sends a triple's even label to its image's.  And
+    Sp(4, F2) acts on the odd labels as all of S6.  The first step is
+    checked: a DerivationError unless the twenty odd triples hit each even
+    characteristic exactly twice, by complements.
     """
-    def block(A, B, C, D):
-        return (tuple(A[0] + B[0]), tuple(A[1] + B[1]),
-                tuple(C[0] + D[0]), tuple(C[1] + D[1]))
-
-    I2 = [[1, 0], [0, 1]]
-    Z2 = [[0, 0], [0, 0]]
-    gens_m = [block(Z2, I2, I2, Z2)]
-    for S in ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]):
-        gens_m.append(block(I2, S, Z2, I2))
-    gens_m.append(block([[1, 1], [0, 1]], Z2, Z2, [[1, 0], [1, 1]]))
-    gens_m.append(block([[0, 1], [1, 0]], Z2, Z2, [[0, 1], [1, 0]]))
-
-    index = {m: i for i, m in enumerate(chars.ALL_CHARS)}
-    gen_perms = []
-    for M in gens_m:
-        p = tuple(index[_char_action(M, m)] for m in chars.ALL_CHARS)
-        if sorted(p) != list(range(16)) or any((i < 10) != (p[i] < 10) for i in range(16)):
-            raise DerivationError("symplectic generator does not permute labels")
-        gen_perms.append(p)
-    perms = {tuple(range(16))}
-    frontier = list(perms)
-    while frontier:
-        new = []
-        for q in frontier:
-            for p in gen_perms:
-                r = tuple(p[q[i]] for i in range(16))
-                if r not in perms:
-                    perms.add(r)
-                    new.append(r)
-        frontier = new
-    if len(perms) != 720:
-        raise DerivationError(f"label permutation group has order {len(perms)}, not 720")
+    label = {m: k for k, m in enumerate(chars.EVEN_CHARS, 1)}
+    odds = frozenset(range(1, 7))
+    even_of = {frozenset(t): label.get(chars.char_sum(chars.odd(k) for k in t))
+               for t in itertools.combinations(odds, 3)}
+    if (any(e != even_of[odds - t] for t, e in even_of.items())
+            or set(even_of.values()) != set(range(1, 11))):
+        raise DerivationError("the odd triples do not hit each even label twice, by complements")
     out = []
-    for q in sorted(perms):
-        even_map = tuple(q[i] + 1 for i in range(10))
-        odd_map = tuple(q[10 + i] - 10 + 1 for i in range(6))
-        out.append((even_map, odd_map))
-    return tuple(out)
+    for odd_map in itertools.permutations(range(1, 7)):
+        image = {e: even_of[frozenset(odd_map[k - 1] for k in t)] for t, e in even_of.items()}
+        out.append((tuple(image[k] for k in range(1, 11)), odd_map))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ run of the whole structure checked against the closed form.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -118,7 +118,8 @@ def test_criterion_4_dtable_certification(points):
 # -- criterion 5: combinatorial counts ---------------------------------------------------
 
 def test_criterion_5_combinatorics():
-    evens = sum(1 for m in chars.all_characteristics() if m.is_even())
+    evens = sum(1 for bits in product((0, 1), repeat=4)
+                if chars.Characteristic.from_bits(bits).is_even())
     odds = 16 - evens
     quads_ok = all(len(chars.azygetic_quadruple(i, j)) == 4
                    for i, j in combinations(range(1, 7), 2))

@@ -1,5 +1,9 @@
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,13 @@ def test_catalog_oracle_variants(capsys, oracle):
     code, out = run(capsys, "catalog", "extrb")
     assert code == 0
     assert len(json.loads(out)["data"]["relations"]) == 72
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    # only the suites that evaluate theta series import numerics and numpy
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, theta2.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_catalog_deterministic(capsys):

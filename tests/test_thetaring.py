@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -319,6 +320,15 @@ def test_relation_table_holds_each_multiple_once(monkeypatch):
     assert calls == [ZN] * 480
 
 
+def test_catalogs_keep_no_oracle():
+    # once the three catalogs exist the process oracle, its table and its
+    # reducer index are dropped; the cached k0 over Z/(p1 p2) never builds one
+    default_oracle()
+    assert all_relations.__wrapped__() == all_relations()
+    assert default_oracle.cache_info().currsize == 0
+    assert kernel_seed_mod_n()._buckets is None
+
+
 def test_relation_table_keeps_wide_coefficients():
     # an entry holds each coefficient as its symmetric representative,
     # however many bytes it needs
@@ -355,15 +365,26 @@ def test_symplectic_label_permutations():
     assert ids in perms
     odd_maps = {p[1] for p in perms}
     assert len(odd_maps) == 720          # faithful on the odd labels
+    # the maps and their order, as the closure of the standard generators
+    # of Sp(4, Z) acting affinely on the characteristics gives them
+    assert hashlib.sha256(json.dumps(perms).encode()).hexdigest() == \
+        "3e919c0d2a45a554b4e9654c83ee6583ebc8d19c1cdd42ddb7e68920aceea40e"
+
+
+def test_label_permutations_need_odd_triples_summing_to_evens(monkeypatch):
+    # with the zero characteristic in place of odd 1 the six no longer sum
+    # to zero, so a triple and its complement have different sums
+    monkeypatch.setattr(chars, "ODD_CHARS", chars.EVEN_CHARS[:1] + chars.ODD_CHARS[1:])
+    with pytest.raises(DerivationError, match="odd triples"):
+        symplectic_label_permutations.__wrapped__()
 
 
 def test_permutations_preserve_azygetic_structure():
-    for even_map, odd_map in symplectic_label_permutations()[:40]:
-        for (i, j) in ((1, 2), (3, 5)):
-            quad = chars.azygetic_quadruple(i, j)
-            oi, oj = sorted((odd_map[i - 1], odd_map[j - 1]))
+    quads = {(i, j): chars.azygetic_quadruple(i, j) for i, j in combinations(range(1, 7), 2)}
+    for even_map, odd_map in symplectic_label_permutations():
+        for (i, j), quad in quads.items():
             image = tuple(sorted(even_map[k - 1] for k in quad))
-            assert image == chars.azygetic_quadruple(oi, oj)
+            assert image == quads[tuple(sorted((odd_map[i - 1], odd_map[j - 1])))]
 
 
 # -- the extra generator -----------------------------------------------------------
