@@ -5,11 +5,11 @@ interest is presented on six generators T1..T6 (the gradient images, each
 of degree 1).  This module derives the relation catalogs (20 three-term,
 30 four-term, 72 five-term) and certifies them with the multiplication
 oracle: there is one oracle per process, and each catalog is derived once
-per process and returned as a tuple.  The oracle computes k0, the
-three-term relations plus the ideal layer, once over Z/(p1 p2), which by
-the Chinese remainder theorem stands for both primes; the pipelines over
-GF(p1) and GF(p2) start from its projections, and the oracle reduces each
-chi5 multiple it needs once.  It then computes the full relation
+per process and returned as a tuple.  k0, the three-term relations plus
+the ideal layer, is computed once over Z/(p1 p2), which by the Chinese
+remainder theorem stands for both primes: the oracle and the pipelines
+over GF(p1) and GF(p2) start from it.  The oracle reduces each chi5
+multiple it needs once.  The module then computes the full relation
 kernel as a colon module, intersects the fifteen localized modules, handles
 the extra generator with its 360-element orbit, and produces the Hilbert
 series of the intersection, plus the two second-kind presentations with
@@ -112,8 +112,9 @@ _QUARTIC_DATA = [
     [(1, [(1, 4)]), (-1, [(2, 4)]), (-1, [(6, 4)]), (-1, [(9, 4)])],
 ]
 
-# printed sign of each determinant entry; the quadruples themselves are
-# re-derived from the azygetic condition and cross-checked
+# printed sign of each determinant entry.  The quadruples come from
+# chars.azygetic_quadruple, so the dtable catalog's cross_checked is true by
+# construction; the determinant-table check of verify numeric certifies both
 _DTABLE_SIGNS = {
     (1, 2): 1, (1, 3): 1, (1, 4): 1, (1, 5): -1, (1, 6): 1,
     (2, 3): 1, (2, 4): 1, (2, 5): -1, (2, 6): 1, (3, 4): -1,
@@ -234,33 +235,24 @@ def kernel_seed_generators() -> list[ModuleElement]:
     return [r.element for r in rel_d()] + ideal_times_free()
 
 
-@lru_cache(maxsize=1)
-def kernel_seed_mod_n() -> EngineBasis:
-    """k0 over Z/(p1 p2), built once per process: the oracle's basis.
-
-    One engine run stands for a run over each prime (see
-    EngineBasis.modulo).  A lead coefficient that one prime divides has no
-    inverse, and that ends the derivation: it is a DerivationError."""
-    order = MonomialOrder(NVARS, rank=RANK)
-    gens = [to_engine(g, order, ZN) for g in kernel_seed_generators()]
-    try:
-        elements = buchberger_engine(gens, order, ZN)
-    except ValueError as exc:
-        raise DerivationError(
-            f"k0 over Z/(p1*p2): a lead coefficient is not a unit ({exc})") from exc
-    return EngineBasis(elements, order, ZN)
-
-
 @lru_cache(maxsize=None)
 def kernel_seed_basis(field) -> EngineBasis:
     """k0 over one field, built once per process and shared by every
     pipeline over that field.  Over GF(p1) and GF(p2) it is the projection
-    of the oracle's basis over Z/(p1 p2); over Q it is computed directly."""
-    if field.p is not None:
-        return kernel_seed_mod_n().modulo(field)
+    of k0 over Z/(p1 p2), the oracle's basis (see EngineBasis.modulo); over
+    any other field it is one engine run.  Over Z/(p1 p2) a lead
+    coefficient that one prime divides has no inverse, and that ends the
+    derivation: it is a DerivationError."""
+    if field in (GFP1, GFP2):
+        return kernel_seed_basis(ZN).modulo(field)
     order = MonomialOrder(NVARS, rank=RANK)
     gens = [to_engine(g, order, field) for g in kernel_seed_generators()]
-    return EngineBasis(buchberger_engine(gens, order, field), order, field)
+    try:
+        elements = buchberger_engine(gens, order, field)
+    except ValueError as exc:
+        raise DerivationError(
+            f"k0 over {field!r}: a lead coefficient is not a unit ({exc})") from exc
+    return EngineBasis(elements, order, field)
 
 
 # ---------------------------------------------------------------------------
@@ -338,47 +330,32 @@ class RelationOracle:
     """Membership oracle: an element is a relation iff its chi5 multiple lies
     in the module spanned by the three-term relations plus the ideal layer.
 
-    The oracle holds k0 over Z/(p1 p2) and a table with the normal form of
-    each multiple chi5 x^e T_c it has met, keyed by (c, e) with c 0-based:
-    each is computed once, and the sign search and the certification read
-    it.  Sign patterns are decided over GF(p1), from the table modulo p1.
-    An element is certified when the sum of its terms' entries is zero
-    modulo p1 p2, that is (Chinese remainder theorem) when its chi5
-    multiple reduces to zero under GF(p1) and under GF(p2).
+    The oracle holds its own copy of k0 over Z/(p1 p2) and a table with the
+    normal form over Z/(p1 p2) of each multiple chi5 x^e T_c it has met,
+    keyed by (c, e) with c 0-based: each is computed once, and the sign
+    search and the certification read it.  Sign patterns are decided over
+    GF(p1), from the table modulo p1.  An element is certified when the
+    sum of its terms' entries is zero modulo p1 p2, that is (Chinese
+    remainder theorem) when its chi5 multiple reduces to zero under GF(p1)
+    and under GF(p2).
     """
 
     def __init__(self):
         self.fields = (GFP1, GFP2)
-        k0 = kernel_seed_mod_n()
+        k0 = kernel_seed_basis(ZN)
         # its own copy: the reducer index the normal forms build goes with the oracle
         self.basis = EngineBasis(k0.elements, k0.order, k0.field)
-        self.table: dict[tuple[int, tuple[int, ...]], bytes] = {}
-        # every term key of an order with no block bit lies below fbit
-        self._key_bytes = self.basis.order.fbit.bit_length() // 8
+        self.table: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
 
     def _entry(self, comp: int, exps: tuple[int, ...]) -> dict[int, int]:
-        """The normal form of chi5 x^exps T_comp over Z/(p1 p2), each
-        coefficient as its symmetric representative; computed on first use.
-
-        The table keeps it packed: a byte with the coefficient width w,
-        then per term the key in _key_bytes bytes and the coefficient in w
-        signed ones.  The entries live as long as the process, and as dicts
-        of ints they would cost more memory than the second prime's k0
-        they replace."""
-        kb = self._key_bytes
-        packed = self.table.get((comp, exps))
-        if packed is None:
-            order, lift = self.basis.order, self.basis.field.lift
+        """The normal form of chi5 x^exps T_comp over Z/(p1 p2); computed
+        on first use."""
+        nf = self.table.get((comp, exps))
+        if nf is None:
+            order = self.basis.order
             key = order.term_key(order.encode_mono(_addexp(CHI5_EXPS, exps)), comp)
-            nf = {k: lift(c) for k, c in self.basis.normal_form({key: 1}).items()}
-            w = max((c.bit_length() // 8 + 1 for c in nf.values()), default=1)
-            packed = self.table[comp, exps] = bytes([w]) + b"".join(
-                k.to_bytes(kb, "little") + c.to_bytes(w, "little", signed=True)
-                for k, c in nf.items())
-        w = packed[0]
-        return {int.from_bytes(packed[i:i + kb], "little"):
-                int.from_bytes(packed[i + kb:i + kb + w], "little", signed=True)
-                for i in range(1, len(packed), kb + w)}
+            nf = self.table[comp, exps] = self.basis.normal_form({key: 1})
+        return nf
 
     def certify(self, element: ModuleElement) -> bool:
         """chi5 * element reduces to zero under GF(p1) and GF(p2): the sum

@@ -13,6 +13,7 @@ from theta2.groebner import (
     ZN,
     BasisCache,
     EngineBasis,
+    ModularField,
     MonomialOrder,
     buchberger_engine,
     hilbert_series_engine,
@@ -46,7 +47,6 @@ from theta2.thetaring import (
     extr_h,
     kernel_seed_basis,
     kernel_seed_generators,
-    kernel_seed_mod_n,
     rel_d,
     riemann_ideal,
     sextets,
@@ -252,9 +252,9 @@ def test_extr_b_numeric(points):
         assert relation_residual(r.element, table) < 1e-9
 
 
-def test_kernel_seed_mod_n_projects_to_each_prime():
+def test_kernel_seed_over_zn_projects_to_each_prime():
     # k0 over Z/(p1 p2), read modulo each prime, is that prime's own k0
-    basis = kernel_seed_mod_n()
+    basis = kernel_seed_basis(ZN)
     assert basis.field is ZN
     order = basis.order
     for field in (GFP1, GFP2):
@@ -264,7 +264,16 @@ def test_kernel_seed_mod_n_projects_to_each_prime():
         assert kernel_seed_basis(field).elements == direct
 
 
-def test_kernel_seed_mod_n_refuses_a_non_unit_lead(monkeypatch):
+def test_kernel_seed_over_another_prime_is_its_own_run():
+    # a prime that does not divide p1 p2 gets its own k0, not a projection
+    field = ModularField(2147483587)
+    order = MonomialOrder(NVARS, rank=6)
+    direct = buchberger_engine([to_engine(g, order, field) for g in kernel_seed_generators()],
+                               order, field)
+    assert kernel_seed_basis(field).elements == direct
+
+
+def test_kernel_seed_over_zn_refuses_a_non_unit_lead(monkeypatch):
     # t1 T1 reduces t1 T1 + p1 t2 T1 to p1 t2 T1, a lead that is zero
     # modulo p1 and a unit modulo p2: no inverse modulo p1 p2
     t1, t2 = GradedPoly.variable(NVARS, 0), GradedPoly.variable(NVARS, 1)
@@ -272,7 +281,7 @@ def test_kernel_seed_mod_n_refuses_a_non_unit_lead(monkeypatch):
             for c in (t1, t1 + t2.scale(groebner.PRIME1))]
     monkeypatch.setattr(thetaring, "kernel_seed_generators", lambda: gens)
     with pytest.raises(DerivationError, match="not a unit"):
-        kernel_seed_mod_n.__wrapped__()
+        kernel_seed_basis.__wrapped__(ZN)
     with pytest.raises(ValueError):
         ZN.inv(groebner.PRIME2)
 
@@ -326,12 +335,12 @@ def test_catalogs_keep_no_oracle():
     default_oracle()
     assert all_relations.__wrapped__() == all_relations()
     assert default_oracle.cache_info().currsize == 0
-    assert kernel_seed_mod_n()._buckets is None
+    assert kernel_seed_basis(ZN)._buckets is None
 
 
 def test_relation_table_keeps_wide_coefficients():
-    # an entry holds each coefficient as its symmetric representative,
-    # however many bytes it needs
+    # an entry is the normal form over Z/(p1 p2) as the engine returns it,
+    # residues of any width, stored once and read back as is
     oracle = RelationOracle()
     order = oracle.basis.order
     lead, *tail = (order.term_key(order.encode_mono(e), 0)
@@ -340,8 +349,10 @@ def test_relation_table_keeps_wide_coefficients():
     wide = {tail[0]: 3 ** 30, tail[1]: -5}
     oracle.basis = EngineBasis([{lead: 1, **{k: -c % ZN.p for k, c in wide.items()}}],
                                order, ZN)
-    assert oracle._entry(0, (0,) * NVARS) == wide
-    assert oracle._entry(0, (0,) * NVARS) == wide      # read back from the table
+    entry = oracle._entry(0, (0,) * NVARS)
+    assert entry == {k: c % ZN.p for k, c in wide.items()}
+    assert oracle._entry(0, (0,) * NVARS) is entry
+    assert oracle.table == {(0, (0,) * NVARS): entry}
 
 
 def test_balanced_blocks_match_the_set_walk():
