@@ -1,4 +1,4 @@
-"""Buchberger engine for ideals and submodules of free modules.
+"""Groebner basis engine for ideals and submodules of free modules.
 
 Monomials are packed into single integers whose natural ordering realizes
 graded reverse lexicographic comparison; multiplying by a monomial is an
@@ -20,27 +20,39 @@ order where the first summand dominates (Greuel & Pfister, A Singular
 Introduction to Commutative Algebra, ch. 2): the elements of
 <(a, 0), (b, b)> whose first part is zero are exactly (0, x) for x in
 <a> intersect <b>.  Keys move between F and either summand by adding a
-constant, so the inputs and the result need no re-encoding, and (a, 0),
-already a reduced Groebner basis, seeds the elimination.
+constant, so the inputs and the result need no re-encoding.
 
-S-pairs are selected by their lcm key, which leads with the lcm's ring
-degree (the normal strategy); the block bit sits in the term key, not in
-the lcm, so an elimination pops its pairs degree-first too.  Any fair
-selection order yields the same reduced basis, and the Gebauer-Moeller
-criteria do not depend on the order (Gebauer & Moeller 1988; Giovini et
-al. 1991), so the selection changes only the work.
+That elimination is completed under signatures, not by the Buchberger
+loop.  The syzygies of (a, 0) and (b, b) are syz(a) + syz(b), and a and b
+are reduced bases, so Schreyer's theorem gives the lead of every syzygy
+in advance (Eisenbud, Commutative Algebra, Thm 15.10).  Under the
+Schreyer order on signatures, the syzygy criterion, the cover criterion
+of Gao, Volny & Wang (2016) and singular discards then leave no S-pair
+that reduces to zero; in the Buchberger loop about nine in ten of them
+did.  The generic completions (k0, the seeded extensions, the bracket
+modules) stay on the Buchberger loop: there the generators' syzygies are
+not known in advance, so the syzygy criterion has nothing to prune with.
+
+In the Buchberger loop S-pairs are selected by their lcm key, which
+leads with the lcm's ring degree (the normal strategy); the block bit
+sits in the term key, not in the lcm, so an elimination pops its pairs
+degree-first too.  Any fair selection order yields the same reduced
+basis, and the Gebauer-Moeller criteria do not depend on the order
+(Gebauer & Moeller 1988; Giovini et al. 1991), so the selection changes
+only the work.
 
 Each component's rows sit in a _Bucket, an index that finds a term's
 reducer without scanning: per variable block of the packed monomial, a
 table maps the target's byte to a bitmask of the rows whose lead fits it
 there, and the lowest bit of the AND of those masks is the first divisor
-in insertion order.  Any divisor gives a valid reduction step and a
-reduced basis is unique, so the Buchberger loop keeps its rows in the
-order it finds them; prepared bases, the final interreduction and the
-cache's shape check insert ascending leads, so for them insertion order
-is key order.  Normal forms pop from a heap of term keys only; the
-coefficients of the pending terms accumulate in a dict and are reduced
-modulo p once, when their key pops.
+in insertion order.  The same tables give the minimal multipliers
+lcm / lead of a new row (_minimal_lcms), mostly by masks.  Any divisor
+gives a valid reduction step and a reduced basis is unique, so both
+loops keep their rows in the order they find them; prepared bases, the
+final interreduction and the cache's shape check insert ascending leads,
+so for them insertion order is key order.  Normal forms pop from a heap
+of term keys only; the coefficients of the pending terms accumulate in a
+dict and are reduced modulo p once, when their key pops.
 
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
@@ -76,12 +88,13 @@ import hashlib
 import json
 import os
 import tempfile
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import and_, attrgetter, getitem
+from operator import and_, attrgetter, getitem, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DerivationError
@@ -126,7 +139,8 @@ class ModularField:
     a c that is not a unit.  Modulo a prime that is only c = 0, which never
     reaches them; modulo p1 p2 it is also a c divisible by one prime, so a
     run over Z/(p1 p2) stops there rather than go on where the two primes
-    part ways (see EngineBasis.modulo)."""
+    part ways (see EngineBasis.modulo).  Two instances with one modulus are
+    equal and hash alike, so either finds what is cached for the other."""
 
     def __init__(self, p: int):
         self.p = p
@@ -145,6 +159,14 @@ class ModularField:
     def lift(self, c: int) -> int:
         """The symmetric representative of a residue, in (-p/2, p/2)."""
         return c - self.p if 2 * c > self.p else c
+
+    def __eq__(self, other):
+        if not isinstance(other, ModularField):
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash(self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -304,22 +326,37 @@ def to_engine(e: ModuleElement | GradedPoly, order: MonomialOrder, field) -> dic
 class _Row:
     """A monic row plus the word of the engine's packing-range test.
 
-    room holds the row's blockwise exponent maximum over all its terms and
-    its top term degree, offset so that one guard-bit test against a
-    target monomial shows whether row * (target / lead) stays in packing
-    range (see _check_room).  The top degree need not be the lead's: under
-    a block order a lead in the first block can sit above a tail term of
-    higher degree in the second.
+    The tail below the lead is held as two parallel tuples, its term keys
+    in descending order and their coefficients.  room holds the row's
+    blockwise exponent maximum over all its terms and its top term degree,
+    offset so that one guard-bit test against a target monomial shows
+    whether row * (target / lead) stays in packing range (see _check_room).
+    The top degree need not be the lead's: under a block order a lead in
+    the first block can sit above a tail term of higher degree in the
+    second.
     """
-    __slots__ = ("key", "enc", "comp", "tail", "index", "room")
+    __slots__ = ("key", "enc", "comp", "tkeys", "tcoefs", "index", "room")
 
-    def __init__(self, key, enc, comp, tail, index, room):
+    def __init__(self, key, enc, comp, tkeys, tcoefs, index, room):
         self.key = key
         self.enc = enc
         self.comp = comp
-        self.tail = tail
+        self.tkeys = tkeys
+        self.tcoefs = tcoefs
         self.index = index
         self.room = room
+
+
+class _SigRow(_Row):
+    """A row of the signature completion (see _schreyer_completion).
+
+    ratio is the row's signature word minus its lead key shifted by the
+    signature's index bits: t * row has signature word ratio + (key of
+    t * lead, shifted), so two multiples of rows with one lead compare
+    their signatures by ratio alone.  The room also covers the signature's
+    monomial, so a multiple whose signature would leave packing range
+    raises in _check_room."""
+    __slots__ = ("ratio",)
 
 
 _row_key = attrgetter("key")
@@ -368,23 +405,34 @@ class _Bucket:
                 t[_C - e] = full | bit
                 tops[j] = e + 1
 
-    def find(self, enc: int):
-        """The first row, in insertion order, whose lead divides enc, or
-        None."""
+    def mask(self, enc: int) -> int:
+        """The bits of the rows whose lead divides enc."""
         # map stops at the last table, before the degree byte
         m = reduce(and_, map(getitem, self.tables, enc.to_bytes(self.nbytes, "little")))
         if m < 0:           # every table said "every row"
             m &= (1 << len(self.rows)) - 1
+        return m
+
+    def find(self, enc: int):
+        """The first row, in insertion order, whose lead divides enc, or
+        None."""
+        m = self.mask(enc)
         if not m:
             return None
         return self.rows[(m & -m).bit_length() - 1]
 
 
-def _make_row(elem: dict, order: MonomialOrder, field, index: int) -> _Row:
-    key = max(elem)
+def _make_row(elem: dict, order: MonomialOrder, field, index: int,
+              sig_enc: int | None = None) -> _Row:
+    """The monic row of elem; with sig_enc, the monomial of a signature's
+    term, a _SigRow whose room covers that monomial too (its ratio is the
+    caller's to set)."""
+    keys = sorted(elem, reverse=True)
+    key = keys[0]
     inv = field.inv(elem[key])
-    items = sorted(elem.items(), reverse=True)
-    tail = [(k, field.normalize(inv * c)) for k, c in items[1:]]
+    norm = field.normalize
+    tkeys = tuple(keys[1:])
+    tcoefs = tuple(norm(inv * elem[k]) for k in tkeys)
     split = order.split_key
     enc, comp = split(key)
     xmask, gx = order._xmask, order._gx
@@ -393,8 +441,10 @@ def _make_row(elem: dict, order: MonomialOrder, field, index: int) -> _Row:
     # C - e blocks) and the top term degree
     lo = enc & xmask
     dmax = (enc >> dshift) & _BMASK
-    for k, _ in tail:
-        e = split(k)[0]
+    encs = [split(k)[0] for k in tkeys]
+    if sig_enc is not None:
+        encs.append(sig_enc)
+    for e in encs:
         x = e & xmask
         d = ((lo | gx) - x) & gx
         lo ^= (lo ^ x) & (d - (d >> 7))
@@ -405,7 +455,8 @@ def _make_row(elem: dict, order: MonomialOrder, field, index: int) -> _Row:
     # and nothing spills past the degree field
     room = (((lo - order._ones) | gx) - (enc & order._dlow)
             + (dmax << dshift))
-    return _Row(key, enc, comp, tail, index, room)
+    cls = _Row if sig_enc is None else _SigRow
+    return cls(key, enc, comp, tkeys, tcoefs, index, room)
 
 
 def _check_room(row: _Row, target: int, order: MonomialOrder) -> None:
@@ -453,7 +504,7 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
         # same component, so the key difference is the multiplier's key delta
         delta = key - row.key
         nc = -c
-        for tk, tc in row.tail:
+        for tk, tc in zip(row.tkeys, row.tcoefs):
             k = tk + delta
             v = acc.get(k)
             if v is None:
@@ -470,10 +521,8 @@ def _spoly(ri: _Row, rj: _Row, lcm_enc: int, order: MonomialOrder, field) -> dic
     _check_room(rj, lcm_enc, order)
     di = order.key_mul_delta(lcm_enc - ri.enc + order.offset)
     dj = order.key_mul_delta(lcm_enc - rj.enc + order.offset)
-    out: dict = {}
-    for k, c in ri.tail:
-        out[k + di] = c
-    for k, c in rj.tail:
+    out = {k + di: c for k, c in zip(ri.tkeys, ri.tcoefs)}
+    for k, c in zip(rj.tkeys, rj.tcoefs):
         kk = k + dj
         v = field.normalize(out.get(kk, 0) - c)
         if v:
@@ -487,16 +536,92 @@ def _spoly(ri: _Row, rj: _Row, lcm_enc: int, order: MonomialOrder, field) -> dic
 # Buchberger with Gebauer-Moeller pair pruning
 # ---------------------------------------------------------------------------
 
-def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
+def _linear_colon(order: MonomialOrder, bucket: _Bucket, enc: int,
+                  allowed: int) -> tuple[list[tuple[int, object]], int]:
+    """The colon monomials q = lcm(lead(r), enc) / enc of degree at most 1
+    over the rows r of bucket at the bits of allowed, as (lcm, r)
+    ascending, each with the first such row in insertion order, and the
+    mask of the rows whose q none of them divides.
+
+    The bucket's tables give, per ring block j, the rows whose exponent
+    there is at most enc's (at[j]) or at most one more (up[j]).  q = 1 (a
+    lead dividing enc) divides every q and comes alone.  q = x_j holds for
+    the rows in up[j] and every other at[], but not at[j]; it divides
+    exactly the q that contain x_j, the rows outside at[j]."""
+    rows = bucket.rows
+    raw = enc.to_bytes(bucket.nbytes, "little")
+    at = [t[b] for t, b in zip(bucket.tables, raw)]
+    up = [t[b - 1] for t, b in zip(bucket.tables, raw)]
+    nblocks = len(at)
+    after = [-1] * (nblocks + 1)          # after[j]: AND of at[j:]
+    for j in range(nblocks - 1, -1, -1):
+        after[j] = after[j + 1] & at[j]
+    divides = after[0] & allowed
+    if divides:
+        return [(enc, rows[(divides & -divides).bit_length() - 1])], 0
+    linear = []
+    rest = allowed
+    before = -1                           # AND of at[:j]
+    step = 1 << order._deg_shift
+    for j in range(nblocks):
+        lin = before & after[j + 1] & up[j] & ~at[j] & allowed
+        if lin:
+            rest &= at[j]
+            linear.append((enc - (1 << (_B * j)) + step, rows[(lin & -lin).bit_length() - 1]))
+        before &= at[j]
+    linear.sort(key=itemgetter(0))
+    return linear, rest
+
+
+def _minimal_lcms(order: MonomialOrder, bucket: _Bucket, enc: int,
+                  allowed: int) -> list[tuple[int, _Row]]:
+    """The minimal colon monomials q = lcm(lead(r), enc) / enc over the
+    rows r of bucket at the bits of allowed, as (lcm, r) ascending by lcm,
+    each with the first such row in insertion order.
+
+    The q generate the colon ideal <leads> : enc; a q properly divided by
+    another is dropped.  _linear_colon gives the q of degree at most 1 and
+    drops the q they divide with no lcm formed; the rows left get an lcm,
+    tested pairwise against the kept ones (a linear q divides none of
+    them)."""
+    out, rest = _linear_colon(order, bucket, enc, allowed)
+    rows = bucket.rows
+    lcm = order.mono_lcm
+    items = []
+    while rest:
+        low = rest & -rest
+        pos = low.bit_length() - 1
+        items.append((lcm(rows[pos].enc, enc), pos))
+        rest ^= low
+    xmask, gx = order._xmask, order._gx
+    kept: list[int] = []        # divisor words of the kept lcms of degree >= 2
+    prev = None
+    for li, pos in sorted(items):
+        if li == prev:
+            continue
+        prev = li
+        tw = li & xmask
+        for dw in kept:
+            if ((dw - tw) & gx) == gx:
+                break
+        else:
+            kept.append(tw | gx)
+            out.append((li, rows[pos]))
+    return out
+
+
+def _update_pairs(rows: list[_Row], bucket: _Bucket, queue, new: _Row,
                   order: MonomialOrder) -> None:
     """Gebauer-Moeller update of the pair queue for a newly inserted row.
 
     Three rules prune pairs (Gebauer & Moeller 1988).  B: a pending pair
     (i, j) dies when lead(new) divides its lcm and neither lcm(i, new) nor
     lcm(j, new) equals that lcm.  M: a new pair dies when its lcm is
-    properly divided by the lcm of an earlier surviving new pair.  F: among
-    new pairs with equal lcm only the first survives.  For ideals the
-    product criterion also drops new pairs whose leads are coprime.
+    properly divided by the lcm of another new pair, that is when its
+    lcm / lead(new) is not a minimal colon monomial (_minimal_lcms).  F:
+    among new pairs with equal lcm only the one with the lowest index
+    survives.  For ideals the product criterion also drops new pairs whose
+    leads are coprime.
 
     queue is (heap, pending).  The heap orders (lcm, i, j) entries; the
     lcm's ring degree leads its key, so pairs pop degree-first.  pending
@@ -509,34 +634,18 @@ def _update_pairs(rows: list[_Row], bucket: list[_Row], queue, new: _Row,
     xmask, gx = order._xmask, order._gx
     nenc, ndw = new.enc, order.divisor_word(new.enc)
     group = pending[new.comp]
-    # B rule; the divisibility tests below inline order.target_word
+    # B rule; the divisibility test inlines order.target_word
     group -= {(lk, i, j) for lk, i, j in group
               if ((ndw - (lk & xmask)) & gx) == gx
               and lcm(rows[i].enc, nenc) != lk
               and lcm(rows[j].enc, nenc) != lk}
-    items = sorted((lcm(r.enc, nenc), r.index) for r in bucket if r is not new)
-    # M rule: drop lcms properly divided by an earlier surviving one
-    kept: list[tuple[int, int]] = []       # (divisor word, lcm)
-    survivors = []
-    for li, i in items:
-        tw = li & xmask
-        for dw, lj in kept:
-            if ((dw - tw) & gx) == gx and lj != li:
-                break
-        else:
-            kept.append((order.divisor_word(li), li))
-            survivors.append((li, i))
-    # F rule: a single representative among equal lcms
-    seen: set[int] = set()
     product = order.rank == 1      # product criterion, valid for ideals only
     t = new.index
-    for li, i in survivors:
-        if li in seen:
+    # new is the last row of its bucket
+    for li, r in _minimal_lcms(order, bucket, nenc, (1 << (len(bucket.rows) - 1)) - 1):
+        if product and li == order.mono_mul(r.enc, nenc):
             continue
-        seen.add(li)
-        if product and li == order.mono_mul(rows[i].enc, nenc):
-            continue
-        entry = (li, i, t)
+        entry = (li, r.index, t)
         heappush(heap, entry)
         group.add(entry)
 
@@ -565,7 +674,7 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
         bucket = buckets[row.comp]
         bucket.add(row.enc, row)
         if update:
-            _update_pairs(rows, bucket.rows, (heap, pending), row, order)
+            _update_pairs(rows, bucket, (heap, pending), row, order)
 
     if seed:
         for elem in seed:
@@ -591,6 +700,226 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
     return _interreduce(rows, order, field)
 
 
+def _regular_normal_form(elem: dict, sig: int, ib: int, buckets: dict[int, _Bucket],
+                         order: MonomialOrder, field) -> dict | None:
+    """Remainder of elem, of signature word sig, under regular reductions.
+
+    As _normal_form, but a term m reduces only by a row r whose multiple
+    has the smaller signature: r.ratio + (m << ib) < sig.  Of the rows
+    whose lead divides m the first in insertion order that passes is
+    used.  If the top term has no such reducer but a row whose multiple
+    has signature sig itself, the element is singular (super
+    top-reducible) and None is returned.  Each row the test reads has its
+    room checked, which covers its signature's monomial too."""
+    p = field.p
+    split = order.split_key
+    acc = dict(elem)
+    heap = [-k for k in acc]
+    heapify(heap)
+    out: dict = {}
+    while heap:
+        key = -heappop(heap)
+        c = acc.pop(key)
+        if p is not None:
+            c %= p
+        if not c:
+            continue
+        enc, comp = split(key)
+        bucket = buckets.get(comp)
+        row = None
+        if bucket is not None:
+            bound = sig - (key << ib)
+            rows = bucket.rows
+            m = bucket.mask(enc)
+            singular = False
+            while m:
+                r = rows[(m & -m).bit_length() - 1]
+                _check_room(r, enc, order)
+                if r.ratio < bound:
+                    row = r
+                    break
+                singular = singular or r.ratio == bound
+                m &= m - 1
+            if row is None and singular and not out:
+                return None
+        if row is None:
+            out[key] = c if p is not None else field.normalize(c)
+            continue
+        delta = key - row.key
+        nc = -c
+        for tk, tc in zip(row.tkeys, row.tcoefs):
+            k = tk + delta
+            v = acc.get(k)
+            if v is None:
+                acc[k] = nc * tc
+                heappush(heap, -k)
+            else:
+                acc[k] = v + nc * tc
+    return out
+
+
+def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
+                         field) -> list[_SigRow]:
+    """Rows of a Groebner basis of <gens>, where gens[:half] and
+    gens[half:] are each a Groebner basis and the syzygies of gens are
+    those of the two halves (a direct sum), completed under signatures.
+
+    The signature of t * e_k is the term t * lead(gens[k]) with index k,
+    and signatures compare as (term key, index): the Schreyer order, with
+    a tie going to the larger index.  A signature is held as one word,
+    (term key << ib) | k.  By Schreyer's theorem (Eisenbud, Commutative
+    Algebra, Thm 15.10) the syzygies of a Groebner basis g_0, g_1, ... have
+    leading module generated by lcm(L_j, L_k) / L_k e_k for j < k with
+    leads L of one component; so a signature T e_k of the direct sum is
+    the lead of a syzygy iff an earlier generator of its half has a lead
+    dividing T L_k.  Candidates are processed by ascending signature, the
+    one with the lowest lead first, and each signature once (Gao, Volny &
+    Wang 2016, "A new framework for computing Groebner bases"):
+    - the syzygy criterion drops a candidate whose signature is a syzygy
+      lead, before it is queued;
+    - the cover criterion drops t * r when a row w of the same index has a
+      signature dividing t sig(r) and a multiple with a lower lead, that
+      is w.ratio > r.ratio;
+    - a candidate whose remainder is singular (_regular_normal_form) is
+      dropped.
+    With every syzygy lead known no candidate reduces to zero.
+
+    A pair of rows (r, n) with one lead component has candidates t * r and
+    u * n of equal lead; the larger signature is the candidate and the
+    other row its first reducer, so the pair is reduced as the S-element
+    of the two.  Which is larger depends on the ratios alone, the lcm
+    cancelling.  A new row n needs a candidate for its own side only at
+    the minimal multipliers lcm / lead(n) (_minimal_lcms): a larger one is
+    covered by the row the smaller one leaves.  Each generator enters as
+    the candidate of its own signature e_k, and its dict is dropped once
+    it is a row.
+    """
+    n = len(gens)
+    ib = n.bit_length()
+    low = (1 << ib) - 1
+    split = order.split_key
+    lcm = order.mono_lcm
+    xmask, gx = order._xmask, order._gx
+    rows: list[_SigRow] = []
+    buckets: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
+    # per lead component, its rows' ratios ascending and their bucket positions
+    by_ratio: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
+    # per half and lead component, the generator leads in index order: the
+    # first one dividing a signature's term has the lowest index
+    lead_index = [defaultdict(partial(_Bucket, order)) for _ in range(2)]
+    leads = [max(g) for g in gens]
+    heap = []
+    for k, lk in enumerate(leads):
+        enc, comp = split(lk)
+        lead_index[k >= half][comp].add(enc, k)
+        heap.append(((lk << ib) | k, lk, ~k, 0))
+    heapify(heap)
+    # per row: the monomial of its signature's term, the generator leads
+    # of its half and component, and whether it is plain (see below)
+    sig_encs: list[int] = []
+    sig_leads: list[_Bucket] = []
+    schreyer: list[int | None] = []
+    plain: list[tuple[bool, int] | None] = []
+    # per signature index, its rows' signature divisor words and ratios
+    covers: dict[int, list[tuple[int, int]]] = defaultdict(list)
+
+    def linear_schreyer(row: _SigRow) -> int:
+        """The ring blocks of the variables x with sig(row) x a multiple
+        of a Schreyer syzygy lead (all of them if sig(row) is one): a
+        multiplier that contains one makes a syzygy signature."""
+        i = row.index
+        lin = schreyer[i]
+        if lin is None:
+            hb = sig_leads[i]
+            enc = sig_encs[i]
+            below = (1 << bisect_left(hb.rows, row.ratio & low)) - 1   # generators before k
+            lin = 0
+            for li, _ in _linear_colon(order, hb, enc, below)[0]:
+                if li == enc:
+                    lin = xmask
+                    break
+                lin |= _BMASK << (((li ^ enc) & xmask).bit_length() - 1) // _B * _B
+            schreyer[i] = lin
+        return lin
+
+    def push(row: _SigRow, li: int, partner: int) -> None:
+        """Queue row * (li / lead) with its first reducer, unless its
+        signature is a syzygy lead; the caller has tested the linear
+        Schreyer multipliers."""
+        _check_room(row, li, order)
+        i = row.index
+        k = row.ratio & low
+        enc = sig_encs[i] + li - row.enc
+        j = sig_leads[i].find(enc)
+        if j is not None and j < k:
+            return
+        lk = row.key + ((li - row.enc) << _CB)
+        heappush(heap, (row.ratio + (lk << ib), lk, i, partner))
+
+    last = -1
+    while heap:
+        sig, lk, src, partner = heappop(heap)
+        if sig == last:
+            continue
+        last = sig
+        k = sig & low
+        T = sig >> ib
+        sig_enc, comp = split(T)
+        if src < 0:
+            elem = gens[~src]
+            gens[~src] = None
+        else:
+            ratio = sig - (lk << ib)
+            tw = sig_enc & xmask
+            if any(r > ratio and ((dw - tw) & gx) == gx for dw, r in covers.get(k, ())):
+                continue
+            elem = _spoly(rows[src], rows[partner], split(lk)[0], order, field)
+        red = _regular_normal_form(elem, sig, ib, buckets, order, field)
+        if not red:         # singular, or zero (which no candidate is; see above)
+            continue
+        new = _make_row(red, order, field, len(rows), sig_enc)
+        new.ratio = ratio = sig - (new.key << ib)
+        rows.append(new)
+        sig_encs.append(sig_enc)
+        sig_leads.append(lead_index[k >= half][comp])
+        schreyer.append(None)
+        covers[k].append((order.divisor_word(sig_enc), ratio))
+        # a row of signature e_k whose lead is L_k's monomial, in any
+        # component, is plain; two plain rows of one half whose L share a
+        # component never pair: L of the lower index divides the lcm, so
+        # the pair's signature is a syzygy lead
+        same = (k >= half, comp) if sig_enc == new.enc and T == leads[k] else None
+        plain.append(same)
+        bucket = buckets[new.comp]
+        ratios, positions = by_ratio[new.comp]
+        lo = bisect_left(ratios, ratio)
+        hi = bisect_right(ratios, ratio, lo)
+        # a row of equal ratio makes a singular pair, with no candidate; for
+        # a row of larger ratio the candidate is its multiple
+        bigger = 0
+        brows = bucket.rows
+        for pos in positions[lo:]:
+            bigger |= 1 << pos
+        # guard bits of the blocks where lead(new) is at most lead(r) are
+        # kept: the others are the variables of r's multiplier
+        nw = new.enc & xmask | gx
+        for pos in positions[hi:]:
+            r = brows[pos]
+            if (same is None or plain[r.index] != same) and not (
+                    ((nw - (r.enc & xmask)) & gx ^ gx) & linear_schreyer(r)):
+                push(r, lcm(r.enc, new.enc), new.index)
+        # rows of a smaller ratio: the candidate is a multiple of new
+        own = ((1 << len(brows)) - 1) & ~bigger
+        lin = linear_schreyer(new)
+        for li, r in _minimal_lcms(order, bucket, new.enc, own):
+            if (same is None or plain[r.index] != same) and not (li ^ new.enc) & lin:
+                push(new, li, r.index)
+        ratios.insert(hi, ratio)
+        positions.insert(hi, len(brows))
+        bucket.add(new.enc, new)
+    return rows
+
+
 def _interreduce(rows: list[_Row], order: MonomialOrder, field) -> list[dict]:
     """Drop redundant leads, tail-reduce the survivors, sort by lead key.
 
@@ -606,7 +935,8 @@ def _interreduce(rows: list[_Row], order: MonomialOrder, field) -> list[dict]:
     for bucket in minimal.values():
         for row in bucket.rows:
             red = {row.key: one}
-            red.update(_normal_form(dict(row.tail), minimal, order, field))
+            red.update(_normal_form(dict(zip(row.tkeys, row.tcoefs)), minimal, order,
+                                    field))
             out.append(red)
     out.sort(key=max)
     return out
@@ -681,15 +1011,20 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     first summand dominates.  (a, 0) and (b, b) generate a module whose
     elements with zero first part are exactly (0, x) for x in <a>
     intersect <b>.  The first summand orders keys as order does and
-    divisibility is per component, so (a, 0) is a reduced Groebner basis:
-    it seeds the elimination, and none of its internal S-pairs is formed.
-    An element s of both a and b goes in as (s, s) and reduces by the seed
-    row (s, 0) to (0, s).  b is the side copied into both summands: the
-    colon passes one-term elements as b, so a large a is never duplicated.
-    In the reduced elimination basis an element whose lead lacks fbit lies
-    wholly in the second summand, and its tail is reduced by every lead, so
-    those elements, moved back to F, are the reduced basis of the
-    intersection in order.
+    divisibility is per component, so (a, 0) is a reduced Groebner basis,
+    and so is (b, b), whose leads are b's in the first summand.  A
+    syzygy of the two lists together has a zero second part, so it is a
+    syzygy of b's elements there and then of a's: the syzygies are syz(a)
+    + syz(b), and Schreyer's theorem gives their leads from the leads of
+    a and b alone.  _schreyer_completion completes the two lists under
+    signatures with every syzygy lead known, so no S-pair reduces to zero.
+    An element s of both a and b goes in as (s, s) and reduces by (s, 0)
+    to (0, s).  b is the side copied into both summands: the colon passes
+    one-term elements as b, so a large a is never duplicated.
+    The completion's rows whose lead lacks fbit lie wholly in the second
+    summand and form a Groebner basis of (0, <a> intersect <b>) (the
+    first summand dominates); interreduced and moved back to F they are
+    the reduced basis of the intersection in order.
     Keys move by arithmetic alone (see MonomialOrder): the first summand's
     key is k | fbit, the second's k - r, and k - r + r = k on the way back.
     order must carry no fblock, as every caller's does; any other order
@@ -697,16 +1032,17 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     """
     if order.fblock:
         raise ValueError("intersection needs an order with no fblock")
-    b_basis = EngineBasis(b, order, field)
-    if all(b_basis.contains(e) for e in a):
+    # the containment check's rows are dropped before the elimination
+    if all(map(EngineBasis(b, order, field).contains, a)):
         return a
     r = order.rank
     ext = MonomialOrder(order.nvars, 2 * r, fblock=r)
     fbit = ext.fbit
-    seed = [{k | fbit: c for k, c in e.items()} for e in a]
-    gens = [{k2: c for k, c in e.items() for k2 in (k | fbit, k - r)} for e in b]
+    gens = [{k | fbit: c for k, c in e.items()} for e in a]
+    gens += [{k2: c for k, c in e.items() for k2 in (k | fbit, k - r)} for e in b]
+    rows = _schreyer_completion(gens, len(a), ext, field)
     return [{k + r: c for k, c in e.items()}
-            for e in buchberger_engine(gens, ext, field, seed=seed) if not max(e) & fbit]
+            for e in _interreduce([row for row in rows if not row.key & fbit], ext, field)]
 
 
 def module_quotient_engine(gens: list[dict], mono_exps: Sequence[int],

@@ -273,6 +273,17 @@ def test_kernel_seed_over_another_prime_is_its_own_run():
     assert kernel_seed_basis(field).elements == direct
 
 
+def test_kernel_seed_of_an_equal_field_is_the_cached_basis():
+    # a second GF(p1) instance equals GFP1 and hashes alike, so it finds
+    # GFP1's projection in the cache: no second engine run, no second entry
+    k0 = kernel_seed_basis(GFP1)
+    entries = kernel_seed_basis.cache_info().currsize
+    field = ModularField(groebner.PRIME1)
+    assert field == GFP1 and hash(field) == hash(GFP1) and field != GFP2
+    assert kernel_seed_basis(field) is k0
+    assert kernel_seed_basis.cache_info().currsize == entries
+
+
 def test_kernel_seed_over_zn_refuses_a_non_unit_lead(monkeypatch):
     # t1 T1 reduces t1 T1 + p1 t2 T1 to p1 t2 T1, a lead that is zero
     # modulo p1 and a unit modulo p2: no inverse modulo p1 p2
@@ -438,19 +449,33 @@ def test_colon_routes_agree_on_kernel_seed(pipe_p1):
     assert fast == slow
 
 
+def _count_s_pairs(monkeypatch):
+    """counts[-1] counts S-pairs formed, zeros[0] the remainders of the
+    signature completion that are zero."""
+    counts, zeros = [], [0]
+    spoly, regular = groebner._spoly, groebner._regular_normal_form
+
+    def counted_spoly(*args):
+        counts[-1] += 1
+        return spoly(*args)
+
+    def counted_regular(*args):
+        red = regular(*args)
+        zeros[0] += red == {}
+        return red
+
+    monkeypatch.setattr(groebner, "_spoly", counted_spoly)
+    monkeypatch.setattr(groebner, "_regular_normal_form", counted_regular)
+    return counts, zeros
+
+
 def test_pair_criteria_keep_s_pair_counts(monkeypatch):
     # S-pairs reduced over GF(p1), from scratch: the product criterion on
-    # the quartics, the B, M and F rules at rank 6 on k0, and the seeded
-    # elimination of the colon.  The bases do not depend on the criteria,
-    # so only these counts show a rule that stopped pruning
-    counts = []
-    real = groebner._spoly
-
-    def spoly(*args):
-        counts[-1] += 1
-        return real(*args)
-
-    monkeypatch.setattr(groebner, "_spoly", spoly)
+    # the quartics, the B, M and F rules at rank 6 on k0, and the
+    # signature criteria of the colon's elimination, where no S-pair
+    # reduces to zero.  The bases do not depend on the criteria, so only
+    # these counts show a rule that stopped pruning
+    counts, zeros = _count_s_pairs(monkeypatch)
     ideal = MonomialOrder(NVARS)
     counts.append(0)
     buchberger_engine([to_engine(q, ideal, GFP1) for q in riemann_ideal()], ideal, GFP1)
@@ -460,7 +485,8 @@ def test_pair_criteria_keep_s_pair_counts(monkeypatch):
                            order, GFP1)
     counts.append(0)
     module_quotient_engine(k0, CHI5_EXPS, order, GFP1)
-    assert counts == [64, 4971, 8640]
+    assert counts == [64, 4971, 1135]
+    assert zeros == [0]
 
 
 def test_m_pair_membership(pipe_p1):
@@ -541,6 +567,14 @@ def test_chi5_m_membership_and_series(pipe_p1):
     assert cm.contains(clear_denominator(extr_h(), CHI5_EXPS))
     series = pipe_p1.module_series().reduced()
     assert series.same_rational_function(GRADIENT_MODULE_SERIES)
+
+
+def test_fold_step_one_reduces_no_s_pair_to_zero(pipe_p1, fold_step_one, monkeypatch):
+    a, b, meet = fold_step_one
+    counts, zeros = _count_s_pairs(monkeypatch)
+    counts.append(0)
+    assert intersect_pair_engine(a, b, pipe_p1.order, pipe_p1.field) == meet
+    assert counts == [1163] and zeros == [0]
 
 
 @pytest.fixture(scope="module")
