@@ -4,8 +4,10 @@ Monomials are packed into single integers whose natural ordering realizes
 graded reverse lexicographic comparison; multiplying by a monomial is an
 integer addition and divisibility is a guard-bit subtraction test.  Module
 terms append the component to the packed key, giving term-over-position
-with ascending generator index as tie break.  A dominating component block
-(eliminations) extends the same key; only MonomialOrder knows its layout.
+with ascending generator index as tie break.  An elimination makes the
+first summand of F + F dominate by setting one bit above the monomial
+(MonomialOrder.fbit); besides MonomialOrder only intersect_pair_engine
+relies on the key layout.
 
 The engine provides reduced Groebner bases, normal forms, intersections
 by one elimination in F + F, module quotients (colon) by a monomial m as
@@ -34,12 +36,10 @@ modules) stay on the Buchberger loop: there the generators' syzygies are
 not known in advance, so the syzygy criterion has nothing to prune with.
 
 In the Buchberger loop S-pairs are selected by their lcm key, which
-leads with the lcm's ring degree (the normal strategy); the block bit
-sits in the term key, not in the lcm, so an elimination pops its pairs
-degree-first too.  Any fair selection order yields the same reduced
-basis, and the Gebauer-Moeller criteria do not depend on the order
-(Gebauer & Moeller 1988; Giovini et al. 1991), so the selection changes
-only the work.
+leads with the lcm's ring degree (the normal strategy).  Any fair
+selection order yields the same reduced basis, and the Gebauer-Moeller
+criteria do not depend on the order (Gebauer & Moeller 1988; Giovini et
+al. 1991), so the selection changes only the work.
 
 Each component's rows sit in a _Bucket, an index that finds a term's
 reducer without scanning: per variable block of the packed monomial, a
@@ -88,7 +88,7 @@ import hashlib
 import json
 import os
 import tempfile
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial, reduce
@@ -194,30 +194,27 @@ _CMAX = (1 << _CB) - 1
 
 
 class MonomialOrder:
-    """Term-over-position graded reverse lexicographic order with an
-    optional dominating component block.
+    """Term-over-position graded reverse lexicographic order.
 
     nvars counts the ring variables; variable v's block sits at bit _B * v,
     below the degree field, so the degree leads every monomial key.  Terms
-    with equal monomials compare by ascending generator index.  With
-    fblock = r, components below r dominate the others as a block, which
-    is how eliminations (syzygies, intersections) are read off.
+    with equal monomials compare by ascending generator index.
 
-    A term key is the packed monomial shifted left by _CB bits, the
-    component's _CMAX - comp in those bits, and, for a component below
-    fblock, the bit fbit above the monomial; term_key, split_key and
+    A term key is the packed monomial shifted left by _CB bits and the
+    component's _CMAX - comp in those bits; term_key, split_key and
     key_mul_delta are the only code that relies on this layout, besides
-    intersect_pair_engine.  Because the suffix is _CMAX - comp, in an order
-    of rank 2r with fblock = r the key of component r + c is the rank-r key
-    of component c minus r, and the key of component c is that key | fbit.
+    intersect_pair_engine.  No term key has the bit fbit above the
+    monomial: setting it puts a key above every key without it, which is
+    how an elimination makes one summand dominate.  Because the suffix is
+    _CMAX - comp, in an order of rank 2r the key of component r + c is the
+    rank-r key of component c minus r.
     """
 
-    def __init__(self, nvars: int, rank: int = 1, fblock: int = 0):
+    def __init__(self, nvars: int, rank: int = 1):
         if rank > _CMAX:
             raise ValueError("rank too large for key packing")
         self.nvars = nvars
         self.rank = rank
-        self.fblock = fblock
         k = nvars
         self.mono_bits = _B * (k + 1)
         self.fbit = 1 << (self.mono_bits + _CB)
@@ -230,7 +227,7 @@ class MonomialOrder:
         # guard bits plus everything above the degree field
         self._hmask = self._gx | ~self._dlow
         self.one = self.offset
-        self.descriptor = (nvars, rank, fblock)
+        self.descriptor = (nvars, rank)
 
     # -- packing -------------------------------------------------------------
 
@@ -284,10 +281,7 @@ class MonomialOrder:
     def term_key(self, enc: int, comp: int) -> int:
         if not 0 <= comp < self.rank:
             raise ValueError(f"component {comp} out of range")
-        key = (enc << _CB) | (_CMAX - comp)
-        if comp < self.fblock:
-            key |= self.fbit
-        return key
+        return (enc << _CB) | (_CMAX - comp)
 
     def split_key(self, key: int) -> tuple[int, int]:
         comp = _CMAX - (key & _CMAX)
@@ -331,9 +325,9 @@ class _Row:
     blockwise exponent maximum over all its terms and its top term degree,
     offset so that one guard-bit test against a target monomial shows
     whether row * (target / lead) stays in packing range (see _check_room).
-    The top degree need not be the lead's: under a block order a lead in
-    the first block can sit above a tail term of higher degree in the
-    second.
+    The top degree need not be the lead's: in an elimination a lead in the
+    dominating summand can sit above a tail term of higher degree in the
+    other.
     """
     __slots__ = ("key", "enc", "comp", "tkeys", "tcoefs", "index", "room")
 
@@ -355,8 +349,11 @@ class _SigRow(_Row):
     t * lead, shifted), so two multiples of rows with one lead compare
     their signatures by ratio alone.  The room also covers the signature's
     monomial, so a multiple whose signature would leave packing range
-    raises in _check_room."""
-    __slots__ = ("ratio",)
+    raises in _check_room.  sig_enc is the monomial of the signature's
+    term, leads the generator leads of its half and component, lin the
+    ring blocks of its linear Schreyer multipliers (None until first
+    needed) and plain its (half, component) if it is plain, else None."""
+    __slots__ = ("ratio", "sig_enc", "leads", "lin", "plain")
 
 
 _row_key = attrgetter("key")
@@ -425,8 +422,8 @@ class _Bucket:
 def _make_row(elem: dict, order: MonomialOrder, field, index: int,
               sig_enc: int | None = None) -> _Row:
     """The monic row of elem; with sig_enc, the monomial of a signature's
-    term, a _SigRow whose room covers that monomial too (its ratio is the
-    caller's to set)."""
+    term, a _SigRow whose room covers that monomial too (its signature
+    slots are the caller's to set)."""
     keys = sorted(elem, reverse=True)
     key = keys[0]
     inv = field.inv(elem[key])
@@ -658,10 +655,10 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
     and field; its internal S-pairs are skipped.  Returns element dicts
     sorted by ascending lead key; generators appearing as zero are dropped.
 
-    S-pairs are reduced by ascending lcm key, whose ring degree leads it,
-    in every order including block orders.  The selection order changes
-    only the work: any fair order gives the same reduced basis, and the
-    pair criteria of _update_pairs hold under every order.
+    S-pairs are reduced by ascending lcm key, whose ring degree leads it.
+    The selection order changes only the work: any fair order gives the
+    same reduced basis, and the pair criteria of _update_pairs hold under
+    every order.
     """
     rows: list[_Row] = []
     buckets: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
@@ -802,8 +799,6 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
     xmask, gx = order._xmask, order._gx
     rows: list[_SigRow] = []
     buckets: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
-    # per lead component, its rows' ratios ascending and their bucket positions
-    by_ratio: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
     # per half and lead component, the generator leads in index order: the
     # first one dividing a signature's term has the lowest index
     lead_index = [defaultdict(partial(_Bucket, order)) for _ in range(2)]
@@ -814,12 +809,6 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
         lead_index[k >= half][comp].add(enc, k)
         heap.append(((lk << ib) | k, lk, ~k, 0))
     heapify(heap)
-    # per row: the monomial of its signature's term, the generator leads
-    # of its half and component, and whether it is plain (see below)
-    sig_encs: list[int] = []
-    sig_leads: list[_Bucket] = []
-    schreyer: list[int | None] = []
-    plain: list[tuple[bool, int] | None] = []
     # per signature index, its rows' signature divisor words and ratios
     covers: dict[int, list[tuple[int, int]]] = defaultdict(list)
 
@@ -827,11 +816,10 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
         """The ring blocks of the variables x with sig(row) x a multiple
         of a Schreyer syzygy lead (all of them if sig(row) is one): a
         multiplier that contains one makes a syzygy signature."""
-        i = row.index
-        lin = schreyer[i]
+        lin = row.lin
         if lin is None:
-            hb = sig_leads[i]
-            enc = sig_encs[i]
+            hb = row.leads
+            enc = row.sig_enc
             below = (1 << bisect_left(hb.rows, row.ratio & low)) - 1   # generators before k
             lin = 0
             for li, _ in _linear_colon(order, hb, enc, below)[0]:
@@ -839,7 +827,7 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
                     lin = xmask
                     break
                 lin |= _BMASK << (((li ^ enc) & xmask).bit_length() - 1) // _B * _B
-            schreyer[i] = lin
+            row.lin = lin
         return lin
 
     def push(row: _SigRow, li: int, partner: int) -> None:
@@ -847,14 +835,11 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
         signature is a syzygy lead; the caller has tested the linear
         Schreyer multipliers."""
         _check_room(row, li, order)
-        i = row.index
-        k = row.ratio & low
-        enc = sig_encs[i] + li - row.enc
-        j = sig_leads[i].find(enc)
-        if j is not None and j < k:
+        j = row.leads.find(row.sig_enc + li - row.enc)
+        if j is not None and j < row.ratio & low:
             return
         lk = row.key + ((li - row.enc) << _CB)
-        heappush(heap, (row.ratio + (lk << ib), lk, i, partner))
+        heappush(heap, (row.ratio + (lk << ib), lk, row.index, partner))
 
     last = -1
     while heap:
@@ -879,43 +864,37 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
             continue
         new = _make_row(red, order, field, len(rows), sig_enc)
         new.ratio = ratio = sig - (new.key << ib)
-        rows.append(new)
-        sig_encs.append(sig_enc)
-        sig_leads.append(lead_index[k >= half][comp])
-        schreyer.append(None)
-        covers[k].append((order.divisor_word(sig_enc), ratio))
+        new.sig_enc = sig_enc
+        new.leads = lead_index[k >= half][comp]
+        new.lin = None
         # a row of signature e_k whose lead is L_k's monomial, in any
         # component, is plain; two plain rows of one half whose L share a
         # component never pair: L of the lower index divides the lcm, so
         # the pair's signature is a syzygy lead
-        same = (k >= half, comp) if sig_enc == new.enc and T == leads[k] else None
-        plain.append(same)
+        new.plain = same = (k >= half, comp) if sig_enc == new.enc and T == leads[k] else None
+        rows.append(new)
+        covers[k].append((order.divisor_word(sig_enc), ratio))
         bucket = buckets[new.comp]
-        ratios, positions = by_ratio[new.comp]
-        lo = bisect_left(ratios, ratio)
-        hi = bisect_right(ratios, ratio, lo)
-        # a row of equal ratio makes a singular pair, with no candidate; for
-        # a row of larger ratio the candidate is its multiple
-        bigger = 0
-        brows = bucket.rows
-        for pos in positions[lo:]:
-            bigger |= 1 << pos
         # guard bits of the blocks where lead(new) is at most lead(r) are
         # kept: the others are the variables of r's multiplier
         nw = new.enc & xmask | gx
-        for pos in positions[hi:]:
-            r = brows[pos]
-            if (same is None or plain[r.index] != same) and not (
-                    ((nw - (r.enc & xmask)) & gx ^ gx) & linear_schreyer(r)):
-                push(r, lcm(r.enc, new.enc), new.index)
-        # rows of a smaller ratio: the candidate is a multiple of new
-        own = ((1 << len(brows)) - 1) & ~bigger
+        # for a row of larger ratio the candidate is its multiple, for one
+        # of smaller ratio (own) a multiple of new; a row of equal ratio
+        # makes a singular pair, with no candidate.  Most rows have a
+        # smaller ratio, so the mask is built from the others
+        brows = bucket.rows
+        above = 0
+        for pos, r in enumerate(brows):
+            if r.ratio >= ratio:
+                above |= 1 << pos
+                if r.ratio > ratio and (same is None or r.plain != same) and not (
+                        ((nw - (r.enc & xmask)) & gx ^ gx) & linear_schreyer(r)):
+                    push(r, lcm(r.enc, new.enc), new.index)
+        own = ((1 << len(brows)) - 1) & ~above
         lin = linear_schreyer(new)
         for li, r in _minimal_lcms(order, bucket, new.enc, own):
-            if (same is None or plain[r.index] != same) and not (li ^ new.enc) & lin:
+            if (same is None or r.plain != same) and not (li ^ new.enc) & lin:
                 push(new, li, r.index)
-        ratios.insert(hi, ratio)
-        positions.insert(hi, len(brows))
         bucket.add(new.enc, new)
     return rows
 
@@ -1007,10 +986,10 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     The check stops at the first nonzero remainder, so a step that does
     change the basis pays little for it.
 
-    Otherwise the elimination runs in rank 2r with fblock = r, where the
-    first summand dominates.  (a, 0) and (b, b) generate a module whose
-    elements with zero first part are exactly (0, x) for x in <a>
-    intersect <b>.  The first summand orders keys as order does and
+    Otherwise the elimination runs in rank 2r, where the first summand,
+    whose keys carry the bit fbit, dominates.  (a, 0) and (b, b) generate
+    a module whose elements with zero first part are exactly (0, x) for x
+    in <a> intersect <b>.  The first summand orders keys as order does and
     divisibility is per component, so (a, 0) is a reduced Groebner basis,
     and so is (b, b), whose leads are b's in the first summand.  A
     syzygy of the two lists together has a zero second part, so it is a
@@ -1027,16 +1006,12 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     the reduced basis of the intersection in order.
     Keys move by arithmetic alone (see MonomialOrder): the first summand's
     key is k | fbit, the second's k - r, and k - r + r = k on the way back.
-    order must carry no fblock, as every caller's does; any other order
-    raises ValueError.
     """
-    if order.fblock:
-        raise ValueError("intersection needs an order with no fblock")
     # the containment check's rows are dropped before the elimination
     if all(map(EngineBasis(b, order, field).contains, a)):
         return a
     r = order.rank
-    ext = MonomialOrder(order.nvars, 2 * r, fblock=r)
+    ext = MonomialOrder(order.nvars, 2 * r)
     fbit = ext.fbit
     gens = [{k | fbit: c for k, c in e.items()} for e in a]
     gens += [{k2: c for k, c in e.items() for k2 in (k | fbit, k - r)} for e in b]
@@ -1259,8 +1234,7 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
     below it, so each lead is looked up among the earlier ones only.  A
     lead with a ring byte outside 1..C or a degree field other than the sum
     of its exponents is no packed monomial and raises ValueError too, and so
-    does a key with the block bit under an order with no fblock."""
-    limit = order.fbit << 1 if order.fblock else order.fbit
+    does a key with the bit fbit set, which no term key has."""
     floor = _CMAX - order.rank          # key & _CMAX above it: component < rank
     leads: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
     out = []
@@ -1268,7 +1242,7 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
     for terms in raw:
         elem = {k: _decode_coeff(c, field) for k, c in terms}
         if not elem or len(elem) != len(terms) or not all(
-                type(k) is int and 0 <= k < limit and k & _CMAX > floor for k in elem):
+                type(k) is int and 0 <= k < order.fbit and k & _CMAX > floor for k in elem):
             raise ValueError("malformed element")
         lead = max(elem)
         if lead <= prev or elem[lead] != 1:

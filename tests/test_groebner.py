@@ -344,18 +344,6 @@ def test_intersect_fold_with_skipped_step_matches_other_order():
     assert other == fold
 
 
-def test_intersect_pair_refuses_block_order():
-    # an fblock would collide with the block the elimination adds; the
-    # colon is an intersection and refuses it too
-    order = MonomialOrder(3, rank=2, fblock=1)
-    x, y, z = (V(3, i) for i in range(3))
-    a, b = (buchberger_engine(E(gens, order), order, QQ) for gens in ([x * y], [z]))
-    with pytest.raises(ValueError, match="no fblock"):
-        intersect_pair_engine(a, b, order, QQ)
-    with pytest.raises(ValueError, match="no fblock"):
-        module_quotient_engine(a, (1, 0, 0), order, QQ)
-
-
 def _is_intersection(meet, a, b, order, shifts):
     """meet lies in <a> and <b>, and HS(F/meet) + HS(F/(a+b)) = HS(F/a) +
     HS(F/b): for graded modules this proves meet is the intersection."""
@@ -387,7 +375,7 @@ def test_intersect_pair_shared_part_not_a_basis(monkeypatch):
     # one elimination, from (a, 0) and then (b, b); the shared elements go
     # in as (s, s) like the rest of b, and (s, 0) reduces them to (0, s)
     [(gens, half, ext)] = calls
-    assert ext.descriptor == (3, 2, 1)
+    assert ext.descriptor == (3, 2)
     assert half == len(a)
     assert gens[:half] == [{k | ext.fbit: c for k, c in e.items()} for e in a]
     assert gens[half:] == [{k2: c for k, c in e.items() for k2 in (k | ext.fbit, k - 1)}
@@ -434,7 +422,7 @@ def test_intersect_pair_random_shared_pairs(seed):
     assert any(e in b for e in a)
     # the seed of the elimination: a lifted into the dominating summand is
     # still a reduced basis
-    ext = MonomialOrder(3, 2 * order.rank, fblock=order.rank)
+    ext = MonomialOrder(3, 2 * order.rank)
     lifted = [{k | ext.fbit: c for k, c in e.items()} for e in a]
     assert buchberger_engine(lifted, ext, QQ) == lifted
     meet = intersect_pair_engine(a, b, order, QQ)
@@ -470,7 +458,7 @@ def _buchberger_elimination(a, b, order, field):
     """<a> intersect <b> by the elimination that intersect_pair_engine
     replaced: the Buchberger loop in F + F, seeded with (a, 0), on (b, b)."""
     r = order.rank
-    ext = MonomialOrder(order.nvars, 2 * r, fblock=r)
+    ext = MonomialOrder(order.nvars, 2 * r)
     seed = [{k | ext.fbit: c for k, c in e.items()} for e in a]
     gens = [{k2: c for k, c in e.items() for k2 in (k | ext.fbit, k - r)} for e in b]
     return [{k + r: c for k, c in e.items()}
@@ -733,8 +721,8 @@ def test_cache_entry_not_a_reduced_basis_is_a_miss(tmp_path, field_name, damage)
     elif damage == "monic":
         lead[1] = 2
     elif damage == "block":
-        # split_key drops the block bit, which order, with no fblock, has
-        # no use for: only the key range can refuse it
+        # split_key drops fbit, which no term key has: only the key range
+        # can refuse it
         lead[0] |= order.fbit
     elif damage == "degree":
         # the degree field one above the sum of the lead's exponents; the
@@ -980,15 +968,17 @@ def test_normal_form_matches_heap_and_scan(data):
 @given(st.data())
 def test_key_mul_delta_multiplies_terms(data):
     rank = data.draw(st.sampled_from([1, 6]))
-    order = MonomialOrder(4, rank=rank, fblock=data.draw(st.sampled_from([0, rank])))
+    order = MonomialOrder(4, rank=rank)
+    # a key of an elimination's dominating summand carries fbit
+    block = data.draw(st.sampled_from([0, order.fbit]))
     # exponents of a and b sum below 64 per variable and to at most 255 in all
     a = tuple(data.draw(st.integers(0, 31)) for _ in range(4))
     b = tuple(data.draw(st.integers(0, 63 - e)) for e in a)
     comp = data.draw(st.integers(0, rank - 1))
     ea, eb = order.encode_mono(a), order.encode_mono(b)
-    key = order.term_key(ea, comp)
+    key = order.term_key(ea, comp) | block
     moved = key + order.key_mul_delta(eb)
-    assert moved == order.term_key(order.mono_mul(ea, eb), comp)
+    assert moved == order.term_key(order.mono_mul(ea, eb), comp) | block
     assert order.split_key(moved) == (order.mono_mul(ea, eb), comp)
     assert moved - order.key_mul_delta(eb) == key
 
@@ -1001,14 +991,15 @@ def test_block_keys_move_by_arithmetic(data):
     # of the second is k - r, and + r moves a second-summand key back
     rank = data.draw(st.sampled_from([1, 6]))
     order = MonomialOrder(4, rank=rank)
-    ext = MonomialOrder(4, rank=2 * rank, fblock=rank)
+    ext = MonomialOrder(4, rank=2 * rank)
     terms = data.draw(st.lists(st.tuples(st.tuples(*[_EXPONENT] * 4),
                                          st.integers(0, rank - 1)),
                                min_size=2, max_size=8, unique=True))
     keys = [order.term_key(order.encode_mono(e), c) for e, c in terms]
-    first = [ext.term_key(ext.encode_mono(e), c) for e, c in terms]
+    first = [ext.term_key(ext.encode_mono(e), c) | ext.fbit for e, c in terms]
     second = [ext.term_key(ext.encode_mono(e), rank + c) for e, c in terms]
     assert first == [k | ext.fbit for k in keys]
+    assert [ext.split_key(k) for k in first] == [(ext.encode_mono(e), c) for e, c in terms]
     assert second == [k - rank for k in keys]
     assert [k + rank for k in second] == keys
     assert [ext.split_key(k) for k in second] == [
@@ -1020,9 +1011,9 @@ def test_block_keys_move_by_arithmetic(data):
     assert min(first) > max(second) and not any(k & ext.fbit for k in second)
 
 
-# a rank-2 order whose first component dominates: a lead there can sit
-# above tail terms of any degree in the second
-_BLOCK2 = MonomialOrder(6, rank=2, fblock=1)
+# a rank-2 order whose first component dominates, its keys carrying fbit:
+# a lead there can sit above tail terms of any degree in the second
+_BLOCK2 = MonomialOrder(6, rank=2)
 
 
 @settings(max_examples=120, deadline=None)
@@ -1036,8 +1027,8 @@ def test_overflow_guard_is_exact(data):
                      * n).filter(lambda e: sum(e) <= 255)
     terms = data.draw(st.lists(st.tuples(exps, st.integers(0, 1)),
                                min_size=1, max_size=4, unique=True))
-    row = gb._make_row({order.term_key(order.encode_mono(t), c): Fraction(1)
-                        for t, c in terms}, order, QQ, 0)
+    row = gb._make_row({order.term_key(order.encode_mono(t), c) | (0 if c else order.fbit):
+                        Fraction(1) for t, c in terms}, order, QQ, 0)
     lead = order.decode_mono(row.enc)
     mult = [data.draw(st.one_of(st.sampled_from([0, 63 - e]), st.integers(0, 63 - e)))
             for e in lead]
@@ -1058,7 +1049,8 @@ def test_overflow_guard_degree_bound():
     # the block puts a degree-60 lead above a degree-240 tail term; every
     # product exponent stays below 64, and only the degree leaves the range
     order = _BLOCK2
-    row = gb._make_row({order.term_key(order.encode_mono((10,) * 6), 0): Fraction(1),
+    row = gb._make_row({order.term_key(order.encode_mono((10,) * 6), 0) | order.fbit:
+                        Fraction(1),
                         order.term_key(order.encode_mono((40,) * 6), 1): Fraction(1)},
                        order, QQ, 0)
     assert order.decode_mono(row.enc) == (10,) * 6

@@ -584,7 +584,7 @@ def fold_step_one(pipe_p1):
 
 
 @pytest.mark.parametrize("step", [1, 2], ids=["step1", "step2"])
-def test_fold_step_is_the_intersection(pipe_p1, fold_step_one, step):
+def test_fold_step_is_the_intersection(pipe_p1, fold_step_one, step, monkeypatch):
     # the two eliminating fold steps, M(1,3) meet M(1,6) and then that
     # result meet M(3,5), each checked without the elimination: the result
     # lies in both modules and HS(F/(A meet B)) + HS(F/(A+B)) = HS(F/A) +
@@ -594,7 +594,13 @@ def test_fold_step_is_the_intersection(pipe_p1, fold_step_one, step):
     a, b, meet = fold_step_one
     if step == 2:
         a, b = meet, pipe_p1.m_pair(3, 5).engine.elements
-        meet = intersect_pair_engine(a, b, order, field)
+        # step 2's S-pairs, as test_fold_step_one_reduces_no_s_pair_to_zero
+        # pins step 1's
+        with monkeypatch.context() as m:
+            counts, zeros = _count_s_pairs(m)
+            counts.append(0)
+            meet = intersect_pair_engine(a, b, order, field)
+        assert counts == [1132] and zeros == [0]
         # the later steps change nothing: step 2 already gives chi5_m
         assert meet == pipe_p1.chi5_m().engine.elements
     assert meet != a
