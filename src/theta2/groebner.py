@@ -31,7 +31,10 @@ in advance (Eisenbud, Commutative Algebra, Thm 15.10).  Under the
 Schreyer order on signatures, the syzygy criterion, the cover criterion
 of Gao, Volny & Wang (2016) and singular discards then leave no S-pair
 that reduces to zero; in the Buchberger loop about nine in ten of them
-did.  The generic completions (k0, the seeded extensions, the bracket
+did.  Its reductions are regular: a term reduces only by a row whose
+multiple has the smaller signature.  That is the one extra rule of
+_normal_form given a signature, so both completions share one reduction
+loop.  The generic completions (k0, the seeded extensions, the bracket
 modules) stay on the Buchberger loop: there the generators' syzygies are
 not known in advance, so the syzygy criterion has nothing to prune with.
 
@@ -45,14 +48,16 @@ Each component's rows sit in a _Bucket, an index that finds a term's
 reducer without scanning: per variable block of the packed monomial, a
 table maps the target's byte to a bitmask of the rows whose lead fits it
 there, and the lowest bit of the AND of those masks is the first divisor
-in insertion order.  The same tables give the minimal multipliers
-lcm / lead of a new row (_minimal_lcms), mostly by masks.  Any divisor
-gives a valid reduction step and a reduced basis is unique, so both
-loops keep their rows in the order they find them; prepared bases, the
-final interreduction and the cache's shape check insert ascending leads,
-so for them insertion order is key order.  Normal forms pop from a heap
-of term keys only; the coefficients of the pending terms accumulate in a
-dict and are reduced modulo p once, when their key pops.
+in insertion order.  Under a signature the reducer is the first of them
+whose multiple has a smaller signature.  The same tables give the
+minimal multipliers lcm / lead of a new row (_minimal_lcms), mostly by
+masks.  Any divisor gives a valid reduction step and a reduced basis is
+unique, so both completions keep their rows in the order they find them;
+prepared bases, the final interreduction and the cache's shape check
+insert ascending leads, so for them insertion order is key order.
+Normal forms pop from a heap of term keys only; the coefficients of the
+pending terms accumulate in a dict and are reduced modulo p once, when
+their key pops.
 
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
@@ -255,13 +260,10 @@ class MonomialOrder:
 
     def divisor_word(self, a: int) -> int:
         """Divisor side of the one-subtraction divisibility test: the ring
-        blocks C - e, each with its guard bit set."""
+        blocks C - e, each with its guard bit set.  a divides b iff
+        divisor_word(a) - (b & _xmask) keeps every guard bit, i.e. has all
+        the bits of _gx."""
         return (a & self._xmask) | self._gx
-
-    def target_word(self, b: int) -> int:
-        """Target side: a divides b iff (divisor_word(a) - target_word(b))
-        keeps every guard bit, i.e. has all the bits of _gx."""
-        return b & self._xmask
 
     def mono_lcm(self, a: int, b: int) -> int:
         """Least common multiple: blockwise minimum of the stored C - e
@@ -466,7 +468,7 @@ def _check_room(row: _Row, target: int, order: MonomialOrder) -> None:
 
 
 def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
-                 field) -> dict:
+                 field, sig: int | None = None, ib: int = 0) -> dict | None:
     """Full tail-reduced remainder of elem modulo the rows of buckets.
 
     The heap holds negated term keys only, each key once; acc holds their
@@ -474,10 +476,18 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
     field) once, when the key is popped.  A reducer's tail lies below its
     lead, so every key it adds is below the popped one and a popped key
     never comes back.  The reducer of a term is the first row of its
-    component, in insertion order, whose lead divides it (_Bucket.find).
-    Over Q a remainder coefficient is normalized: an integral one is an int."""
-    if not elem:
-        return {}
+    component, in insertion order, whose lead divides it; each row read
+    has its room checked.  Over Q a remainder coefficient is normalized:
+    an integral one is an int.
+
+    With sig, the signature word of elem (see _schreyer_completion, which
+    gives ib), the reductions are regular: a term m reduces only by a row
+    r whose multiple has the smaller signature, r.ratio + (m << ib) < sig,
+    and the first row that passes is used.  If the top term has no such
+    reducer but a row whose multiple has signature sig itself, elem is
+    singular (super top-reducible) and None is returned; a row's room
+    covers its signature's monomial too.  Without sig the result is never
+    None."""
     p = field.p
     split = order.split_key
     acc = dict(elem)
@@ -493,11 +503,25 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
             continue
         enc, comp = split(key)
         bucket = buckets.get(comp)
-        row = bucket.find(enc) if bucket is not None else None
+        row = None
+        if bucket is not None:
+            bound = None if sig is None else sig - (key << ib)
+            rows = bucket.rows
+            m = bucket.mask(enc)
+            singular = False
+            while m:
+                r = rows[(m & -m).bit_length() - 1]
+                _check_room(r, enc, order)
+                if bound is None or r.ratio < bound:
+                    row = r
+                    break
+                singular = singular or r.ratio == bound
+                m &= m - 1
+            if row is None and singular and not out:
+                return None
         if row is None:
             out[key] = c if p is not None else field.normalize(c)
             continue
-        _check_room(row, enc, order)
         # same component, so the key difference is the multiplier's key delta
         delta = key - row.key
         nc = -c
@@ -631,7 +655,7 @@ def _update_pairs(rows: list[_Row], bucket: _Bucket, queue, new: _Row,
     xmask, gx = order._xmask, order._gx
     nenc, ndw = new.enc, order.divisor_word(new.enc)
     group = pending[new.comp]
-    # B rule; the divisibility test inlines order.target_word
+    # B rule: lead(new) divides the pair's lcm
     group -= {(lk, i, j) for lk, i, j in group
               if ((ndw - (lk & xmask)) & gx) == gx
               and lcm(rows[i].enc, nenc) != lk
@@ -697,64 +721,6 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
     return _interreduce(rows, order, field)
 
 
-def _regular_normal_form(elem: dict, sig: int, ib: int, buckets: dict[int, _Bucket],
-                         order: MonomialOrder, field) -> dict | None:
-    """Remainder of elem, of signature word sig, under regular reductions.
-
-    As _normal_form, but a term m reduces only by a row r whose multiple
-    has the smaller signature: r.ratio + (m << ib) < sig.  Of the rows
-    whose lead divides m the first in insertion order that passes is
-    used.  If the top term has no such reducer but a row whose multiple
-    has signature sig itself, the element is singular (super
-    top-reducible) and None is returned.  Each row the test reads has its
-    room checked, which covers its signature's monomial too."""
-    p = field.p
-    split = order.split_key
-    acc = dict(elem)
-    heap = [-k for k in acc]
-    heapify(heap)
-    out: dict = {}
-    while heap:
-        key = -heappop(heap)
-        c = acc.pop(key)
-        if p is not None:
-            c %= p
-        if not c:
-            continue
-        enc, comp = split(key)
-        bucket = buckets.get(comp)
-        row = None
-        if bucket is not None:
-            bound = sig - (key << ib)
-            rows = bucket.rows
-            m = bucket.mask(enc)
-            singular = False
-            while m:
-                r = rows[(m & -m).bit_length() - 1]
-                _check_room(r, enc, order)
-                if r.ratio < bound:
-                    row = r
-                    break
-                singular = singular or r.ratio == bound
-                m &= m - 1
-            if row is None and singular and not out:
-                return None
-        if row is None:
-            out[key] = c if p is not None else field.normalize(c)
-            continue
-        delta = key - row.key
-        nc = -c
-        for tk, tc in zip(row.tkeys, row.tcoefs):
-            k = tk + delta
-            v = acc.get(k)
-            if v is None:
-                acc[k] = nc * tc
-                heappush(heap, -k)
-            else:
-                acc[k] = v + nc * tc
-    return out
-
-
 def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
                          field) -> list[_SigRow]:
     """Rows of a Groebner basis of <gens>, where gens[:half] and
@@ -777,8 +743,8 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
     - the cover criterion drops t * r when a row w of the same index has a
       signature dividing t sig(r) and a multiple with a lower lead, that
       is w.ratio > r.ratio;
-    - a candidate whose remainder is singular (_regular_normal_form) is
-      dropped.
+    - a candidate whose remainder is singular (_normal_form with the
+      candidate's signature, which reduces regularly) is dropped.
     With every syzygy lead known no candidate reduces to zero.
 
     A pair of rows (r, n) with one lead component has candidates t * r and
@@ -859,7 +825,7 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
             if any(r > ratio and ((dw - tw) & gx) == gx for dw, r in covers.get(k, ())):
                 continue
             elem = _spoly(rows[src], rows[partner], split(lk)[0], order, field)
-        red = _regular_normal_form(elem, sig, ib, buckets, order, field)
+        red = _normal_form(elem, buckets, order, field, sig, ib)
         if not red:         # singular, or zero (which no candidate is; see above)
             continue
         new = _make_row(red, order, field, len(rows), sig_enc)

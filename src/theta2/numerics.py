@@ -331,6 +331,11 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
     matrix coordinates (z0, z1, z2) are varied directly with no half factors
     on the off-diagonal, stated here because any consistent convention
     passes the ratio and identity tests.
+
+    Only (a) depends on the theta constants.  (b) and (c) are algebraic
+    identities that hold for any values f and gradients df: with random
+    complex f and df in place of the series their residuals stay at
+    rounding level, so they check the bracket arithmetic, not the forms.
     """
     chars = [Characteristic((a[0], a[1]), (0, 0)) for a in SECOND_KIND_ORDER]
 

@@ -795,7 +795,7 @@ def test_cache_failed_store_leaves_no_temp_file(tmp_path, monkeypatch):
 
 def mono_divides(order, a, b):
     """The engine's one-subtraction test: monomial a divides monomial b."""
-    return (order.divisor_word(a) - order.target_word(b)) & order._gx == order._gx
+    return (order.divisor_word(a) - (b & order._xmask)) & order._gx == order._gx
 
 
 def test_monomial_order_packing_roundtrip():
@@ -894,9 +894,12 @@ def test_bucket_finds_first_divisor_in_insertion_order(data):
             assert buckets[comp].find(order.encode_mono(t)) == scan
 
 
-def _scan_normal_form(elem, rows, order, field):
+def _scan_normal_form(elem, rows, order, field, sig=None, ib=0):
     """Reference normal form: a heap of (key, coefficient) entries, summed
-    when equal keys pop, and a scan of the rows in the order given."""
+    when equal keys pop, and a scan of the rows in the order given.  With
+    the signature word sig a row reduces a term only if its multiple's
+    signature is below sig; None if the top term has no such reducer but
+    a row whose multiple has signature sig."""
     heap = [(-k, c) for k, c in elem.items()]
     heapq.heapify(heap)
     out = {}
@@ -909,12 +912,20 @@ def _scan_normal_form(elem, rows, order, field):
             continue
         key = -nk
         enc, comp = order.split_key(key)
-        row = next((r for r in rows if r.comp == comp and mono_divides(order, r.enc, enc)),
-                   None)
+        row, singular = None, False
+        for r in rows:
+            if r.comp != comp or not mono_divides(order, r.enc, enc):
+                continue
+            gb._check_room(r, enc, order)
+            if sig is None or r.ratio + (key << ib) < sig:
+                row = r
+                break
+            singular = singular or r.ratio + (key << ib) == sig
         if row is None:
+            if singular and not out:
+                return None
             out[key] = c
             continue
-        gb._check_room(row, enc, order)
         for tk, tc in zip(row.tkeys, row.tcoefs):
             heapq.heappush(heap, (-(tk + key - row.key), field.normalize(-c * tc)))
     return out
@@ -942,11 +953,31 @@ def test_normal_form_matches_heap_and_scan(data):
         return {order.term_key(order.encode_mono(e), comp): data.draw(coeff)
                 for e, comp in terms + list(extra)}
 
+    # in the signature mode the rows carry signatures, whose monomials their
+    # room covers, and elem a signature word; index words are ib bits wide
+    signed = data.draw(st.booleans())
+    ib = data.draw(st.integers(1, 3)) if signed else 0
+
+    def sig_term():
+        """A signature term (key, index) of a regular reduction."""
+        e, comp = data.draw(st.tuples(st.tuples(*[small] * width),
+                                      st.integers(0, order.rank - 1)))
+        return (order.term_key(order.encode_mono(e), comp),
+                data.draw(st.integers(0, (1 << ib) - 1)))
+
     rows = {}
     for elem in (element() for _ in range(data.draw(st.integers(2, 6)))):
         rows.setdefault(max(elem), elem)        # one row per lead
-    rows = [gb._make_row(e, order, field, i) for i, e in enumerate(rows.values())]
-    rows = data.draw(st.permutations(rows))
+    made = []
+    for i, e in enumerate(rows.values()):
+        if signed:
+            t, k = sig_term()
+            row = gb._make_row(e, order, field, i, order.split_key(t)[0])
+            row.ratio = ((t - row.key) << ib) + k
+        else:
+            row = gb._make_row(e, order, field, i)
+        made.append(row)
+    rows = data.draw(st.permutations(made))
     buckets = defaultdict(partial(gb._Bucket, order))
     for row in rows:
         buckets[row.comp].add(row.enc, row)
@@ -954,14 +985,28 @@ def test_normal_form_matches_heap_and_scan(data):
     multiples = [(tuple(x + data.draw(st.integers(0, 1)) for x in order.decode_mono(r.enc)),
                   r.comp) for r in rows]
     elem = element(t for t in multiples if max(t[0]) < 64)
+    sig = None
+    if signed:
+        # a fresh signature, or that of a row's multiple at a term of elem
+        # it divides, which makes that term singular if no earlier divisor
+        # has a smaller multiple
+        t, k = sig_term()
+        sig = data.draw(st.sampled_from([(t << ib) + k] + [
+            r.ratio + (m << ib) for m in elem for r in rows
+            if order.split_key(m)[1] == r.comp
+            and mono_divides(order, r.enc, order.split_key(m)[0])]))
     try:
-        expected = _scan_normal_form(elem, rows, order, field)
+        expected = _scan_normal_form(elem, rows, order, field, sig, ib)
     except DerivationError:
         with pytest.raises(DerivationError):
-            gb._normal_form(elem, buckets, order, field)
+            gb._normal_form(elem, buckets, order, field, sig, ib)
         return
-    # same terms in the same (descending) order: cache entries store dicts
-    assert list(gb._normal_form(elem, buckets, order, field).items()) == list(expected.items())
+    red = gb._normal_form(elem, buckets, order, field, sig, ib)
+    if expected is None:
+        assert red is None
+    else:
+        # same terms in the same (descending) order: cache entries store dicts
+        assert list(red.items()) == list(expected.items())
 
 
 @settings(max_examples=80, deadline=None)

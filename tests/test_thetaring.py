@@ -453,19 +453,20 @@ def _count_s_pairs(monkeypatch):
     """counts[-1] counts S-pairs formed, zeros[0] the remainders of the
     signature completion that are zero."""
     counts, zeros = [], [0]
-    spoly, regular = groebner._spoly, groebner._regular_normal_form
+    spoly, normal_form = groebner._spoly, groebner._normal_form
 
     def counted_spoly(*args):
         counts[-1] += 1
         return spoly(*args)
 
-    def counted_regular(*args):
-        red = regular(*args)
-        zeros[0] += red == {}
+    def counted_normal_form(elem, buckets, order, field, sig=None, ib=0):
+        red = normal_form(elem, buckets, order, field, sig, ib)
+        if sig is not None:
+            zeros[0] += red == {}
         return red
 
     monkeypatch.setattr(groebner, "_spoly", counted_spoly)
-    monkeypatch.setattr(groebner, "_regular_normal_form", counted_regular)
+    monkeypatch.setattr(groebner, "_normal_form", counted_normal_form)
     return counts, zeros
 
 
