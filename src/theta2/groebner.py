@@ -31,12 +31,20 @@ in advance (Eisenbud, Commutative Algebra, Thm 15.10).  Under the
 Schreyer order on signatures, the syzygy criterion, the cover criterion
 of Gao, Volny & Wang (2016) and singular discards then leave no S-pair
 that reduces to zero; in the Buchberger loop about nine in ten of them
-did.  Its reductions are regular: a term reduces only by a row whose
-multiple has the smaller signature.  That is the one extra rule of
+did.  Its reductions are regular, a term reducing only by a row whose
+multiple has the smaller signature, and reach the top term only: the
+loop stops at the first term with no regular reducer and keeps the rest
+as it stands, since the criteria read leads and signatures alone and the
+final interreduction reduces the tails.  Those are the extra rules of
 _normal_form given a signature, so both completions share one reduction
-loop.  The generic completions (k0, the seeded extensions, the bracket
-modules) stay on the Buchberger loop: there the generators' syzygies are
-not known in advance, so the syzygy criterion has nothing to prune with.
+loop.  A row gets a candidate only at its minimal multipliers, on both
+sides of a pair: it is offered t * lead only if no multiplier it was
+offered before divides t.  The row that the smaller multiple leaves
+covers the larger one; otherwise the smaller one was a syzygy, covered or
+singular, and its multiples inherit that.  The generic completions (k0,
+the seeded extensions, the bracket modules) stay on the Buchberger loop:
+there the generators' syzygies are not known in advance, so the syzygy
+criterion has nothing to prune with.
 
 In the Buchberger loop S-pairs are selected by their lcm key, which
 leads with the lcm's ring degree (the normal strategy).  Any fair
@@ -54,7 +62,8 @@ minimal multipliers lcm / lead of a new row (_minimal_lcms), mostly by
 masks.  Any divisor gives a valid reduction step and a reduced basis is
 unique, so both completions keep their rows in the order they find them;
 prepared bases, the final interreduction and the cache's shape check
-insert ascending leads, so for them insertion order is key order.
+insert ascending leads, so for them insertion order is key order, and
+they build each bucket with one _Bucket.extend.
 Normal forms pop from a heap of term keys only; the coefficients of the
 pending terms accumulate in a dict and are reduced modulo p once, when
 their key pops.
@@ -93,7 +102,7 @@ import hashlib
 import json
 import os
 import tempfile
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial, reduce
@@ -253,7 +262,7 @@ class MonomialOrder:
         return enc + (deg << self._deg_shift)
 
     def decode_mono(self, enc: int) -> tuple[int, ...]:
-        return tuple(_C - ((enc >> (_B * v)) & _BMASK) for v in range(self.nvars))
+        return tuple(_C - b for b in (enc & self._xmask).to_bytes(self.nvars, "little"))
 
     def mono_mul(self, a: int, b: int) -> int:
         return a + b - self.offset
@@ -351,14 +360,16 @@ class _SigRow(_Row):
     t * lead, shifted), so two multiples of rows with one lead compare
     their signatures by ratio alone.  The room also covers the signature's
     monomial, so a multiple whose signature would leave packing range
-    raises in _check_room.  sig_enc is the monomial of the signature's
-    term, leads the generator leads of its half and component, lin the
-    ring blocks of its linear Schreyer multipliers (None until first
-    needed) and plain its (half, component) if it is plain, else None."""
-    __slots__ = ("ratio", "sig_enc", "leads", "lin", "plain")
+    raises in _check_room.  sig_word is the divisor word of the
+    signature's monomial, leads the generator leads of its half and
+    component, and offered the divisor words of the multiples of the lead
+    that the row has been offered as candidates, a tuple: most rows get
+    none or a few."""
+    __slots__ = ("ratio", "sig_word", "leads", "offered")
 
 
 _row_key = attrgetter("key")
+_bit = (1).__lshift__       # a position's mask bit
 
 
 class _Bucket:
@@ -404,6 +415,34 @@ class _Bucket:
                 t[_C - e] = full | bit
                 tops[j] = e + 1
 
+    def extend(self, items: Iterable[tuple[int, object]]) -> None:
+        """Append the rows of items, (lead monomial, row) pairs, with the
+        tables that one add per pair gives: per block, the mask of the new
+        rows at each byte, then one pass up the exponents that ORs them
+        into the table until every new row and every old top is passed."""
+        rows = self.rows
+        start = len(rows)
+        exact = [[0] * (_C + 1) for _ in self.tables]
+        bit = 1 << start
+        for enc, row in items:
+            rows.append(row)
+            # zip stops at the last table, before the degree byte
+            for ex, b in zip(exact, enc.to_bytes(self.nbytes, "little")):
+                ex[b] |= bit
+            bit <<= 1
+        new = bit - (1 << start)
+        old = (1 << start) - 1
+        tops = self.tops
+        for j, (t, ex) in enumerate(zip(self.tables, exact)):
+            top = tops[j]
+            acc = x = 0
+            while acc != new or x < top:
+                b = _C - x
+                acc |= ex[b]
+                t[b] = (t[b] if x < top else old) | acc
+                x += 1
+            tops[j] = x
+
     def mask(self, enc: int) -> int:
         """The bits of the rows whose lead divides enc."""
         # map stops at the last table, before the degree byte
@@ -419,6 +458,35 @@ class _Bucket:
         if not m:
             return None
         return self.rows[(m & -m).bit_length() - 1]
+
+
+class _SigBucket(_Bucket):
+    """A _Bucket of _SigRows with the masks of the completion's pair
+    filters (see _schreyer_completion): the rows' ratios ascending with
+    their positions in the same order, the bits of the plain rows per
+    (half, component), and per ring block the bits of the rows whose
+    linear Schreyer multipliers contain that block's variable."""
+    __slots__ = ("ratios", "ranked", "plain", "lin")
+
+    def __init__(self, order: MonomialOrder):
+        super().__init__(order)
+        self.ratios: list[int] = []
+        self.ranked: list[int] = []
+        self.plain: dict[tuple[bool, int], int] = defaultdict(int)
+        self.lin = [0] * order.nvars
+
+
+def _index(items: Iterable[tuple[int, int, object]],
+           order: MonomialOrder) -> dict[int, _Bucket]:
+    """Buckets of (component, lead monomial, row) items, one extend each."""
+    groups: dict[int, list] = defaultdict(list)
+    for comp, enc, row in items:
+        groups[comp].append((enc, row))
+    out = {}
+    for comp, group in groups.items():
+        out[comp] = bucket = _Bucket(order)
+        bucket.extend(group)
+    return out
 
 
 def _make_row(elem: dict, order: MonomialOrder, field, index: int,
@@ -469,7 +537,8 @@ def _check_room(row: _Row, target: int, order: MonomialOrder) -> None:
 
 def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
                  field, sig: int | None = None, ib: int = 0) -> dict | None:
-    """Full tail-reduced remainder of elem modulo the rows of buckets.
+    """Full tail-reduced remainder of elem modulo the rows of buckets; with
+    a signature, the top-reduced element.
 
     The heap holds negated term keys only, each key once; acc holds their
     coefficients as plain sums of products, reduced modulo p (for a prime
@@ -483,11 +552,16 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
     With sig, the signature word of elem (see _schreyer_completion, which
     gives ib), the reductions are regular: a term m reduces only by a row
     r whose multiple has the smaller signature, r.ratio + (m << ib) < sig,
-    and the first row that passes is used.  If the top term has no such
-    reducer but a row whose multiple has signature sig itself, elem is
-    singular (super top-reducible) and None is returned; a row's room
-    covers its signature's monomial too.  Without sig the result is never
-    None."""
+    and the first row that passes is used.  Only the top term is reduced:
+    at the first term with no such reducer the loop stops, and that term
+    and the rest of the pending terms are returned as they stand, in
+    descending key order.  That suffices for the completion: its
+    criteria, the two-sided minimal-multiplier rule among them, read only
+    the leads and signatures of its rows, and _interreduce tail-reduces
+    the rows it keeps.  If that term has a row whose multiple has
+    signature sig itself, elem is singular (super top-reducible) and None
+    is returned; a row's room covers its signature's monomial too.
+    Without sig the result is never None."""
     p = field.p
     split = order.split_key
     acc = dict(elem)
@@ -504,11 +578,11 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
         enc, comp = split(key)
         bucket = buckets.get(comp)
         row = None
+        singular = False
         if bucket is not None:
             bound = None if sig is None else sig - (key << ib)
             rows = bucket.rows
             m = bucket.mask(enc)
-            singular = False
             while m:
                 r = rows[(m & -m).bit_length() - 1]
                 _check_room(r, enc, order)
@@ -517,11 +591,17 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
                     break
                 singular = singular or r.ratio == bound
                 m &= m - 1
-            if row is None and singular and not out:
-                return None
         if row is None:
+            if singular:
+                return None
             out[key] = c if p is not None else field.normalize(c)
-            continue
+            if sig is None:
+                continue
+            for k in sorted(acc, reverse=True):
+                c = acc[k] % p if p is not None else field.normalize(acc[k])
+                if c:
+                    out[k] = c
+            return out
         # same component, so the key difference is the multiplier's key delta
         delta = key - row.key
         nc = -c
@@ -558,10 +638,10 @@ def _spoly(ri: _Row, rj: _Row, lcm_enc: int, order: MonomialOrder, field) -> dic
 # ---------------------------------------------------------------------------
 
 def _linear_colon(order: MonomialOrder, bucket: _Bucket, enc: int,
-                  allowed: int) -> tuple[list[tuple[int, object]], int]:
+                  allowed: int) -> tuple[list[tuple[int, int]], int]:
     """The colon monomials q = lcm(lead(r), enc) / enc of degree at most 1
-    over the rows r of bucket at the bits of allowed, as (lcm, r)
-    ascending, each with the first such row in insertion order, and the
+    over the rows r of bucket at the bits of allowed, as (lcm, position)
+    ascending, each with the position of the first such row, and the
     mask of the rows whose q none of them divides.
 
     The bucket's tables give, per ring block j, the rows whose exponent
@@ -569,7 +649,6 @@ def _linear_colon(order: MonomialOrder, bucket: _Bucket, enc: int,
     lead dividing enc) divides every q and comes alone.  q = x_j holds for
     the rows in up[j] and every other at[], but not at[j]; it divides
     exactly the q that contain x_j, the rows outside at[j]."""
-    rows = bucket.rows
     raw = enc.to_bytes(bucket.nbytes, "little")
     at = [t[b] for t, b in zip(bucket.tables, raw)]
     up = [t[b - 1] for t, b in zip(bucket.tables, raw)]
@@ -579,7 +658,7 @@ def _linear_colon(order: MonomialOrder, bucket: _Bucket, enc: int,
         after[j] = after[j + 1] & at[j]
     divides = after[0] & allowed
     if divides:
-        return [(enc, rows[(divides & -divides).bit_length() - 1])], 0
+        return [(enc, (divides & -divides).bit_length() - 1)], 0
     linear = []
     rest = allowed
     before = -1                           # AND of at[:j]
@@ -588,17 +667,17 @@ def _linear_colon(order: MonomialOrder, bucket: _Bucket, enc: int,
         lin = before & after[j + 1] & up[j] & ~at[j] & allowed
         if lin:
             rest &= at[j]
-            linear.append((enc - (1 << (_B * j)) + step, rows[(lin & -lin).bit_length() - 1]))
+            linear.append((enc - (1 << (_B * j)) + step, (lin & -lin).bit_length() - 1))
         before &= at[j]
     linear.sort(key=itemgetter(0))
     return linear, rest
 
 
 def _minimal_lcms(order: MonomialOrder, bucket: _Bucket, enc: int,
-                  allowed: int) -> list[tuple[int, _Row]]:
+                  allowed: int) -> list[tuple[int, int]]:
     """The minimal colon monomials q = lcm(lead(r), enc) / enc over the
-    rows r of bucket at the bits of allowed, as (lcm, r) ascending by lcm,
-    each with the first such row in insertion order.
+    rows r of bucket at the bits of allowed, as (lcm, position) ascending
+    by lcm, each with the position of the first such row.
 
     The q generate the colon ideal <leads> : enc; a q properly divided by
     another is dropped.  _linear_colon gives the q of degree at most 1 and
@@ -627,7 +706,7 @@ def _minimal_lcms(order: MonomialOrder, bucket: _Bucket, enc: int,
                 break
         else:
             kept.append(tw | gx)
-            out.append((li, rows[pos]))
+            out.append((li, pos))
     return out
 
 
@@ -663,7 +742,8 @@ def _update_pairs(rows: list[_Row], bucket: _Bucket, queue, new: _Row,
     product = order.rank == 1      # product criterion, valid for ideals only
     t = new.index
     # new is the last row of its bucket
-    for li, r in _minimal_lcms(order, bucket, nenc, (1 << (len(bucket.rows) - 1)) - 1):
+    for li, pos in _minimal_lcms(order, bucket, nenc, (1 << (len(bucket.rows) - 1)) - 1):
+        r = bucket.rows[pos]
         if product and li == order.mono_mul(r.enc, nenc):
             continue
         entry = (li, r.index, t)
@@ -743,19 +823,37 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
     - the cover criterion drops t * r when a row w of the same index has a
       signature dividing t sig(r) and a multiple with a lower lead, that
       is w.ratio > r.ratio;
-    - a candidate whose remainder is singular (_normal_form with the
-      candidate's signature, which reduces regularly) is dropped.
-    With every syzygy lead known no candidate reduces to zero.
+    - a candidate whose top-reduced form is singular (_normal_form with
+      the candidate's signature, which reduces regularly and only the top
+      term) is dropped.
+    With every syzygy lead known no candidate reduces to zero.  Rows are
+    only top-reduced: the criteria read leads and signatures alone, and
+    the caller's _interreduce reduces the tails of the rows it keeps.
 
     A pair of rows (r, n) with one lead component has candidates t * r and
     u * n of equal lead; the larger signature is the candidate and the
     other row its first reducer, so the pair is reduced as the S-element
     of the two.  Which is larger depends on the ratios alone, the lcm
-    cancelling.  A new row n needs a candidate for its own side only at
-    the minimal multipliers lcm / lead(n) (_minimal_lcms): a larger one is
-    covered by the row the smaller one leaves.  Each generator enters as
-    the candidate of its own signature e_k, and its dict is dropped once
-    it is a row.
+    cancelling; equal ratios make a singular pair, with no candidate.  A
+    row gets candidates only at its minimal multipliers, on both sides:
+    if t' properly divides t, t' * r is processed first, and the row it
+    leaves covers t * r (a signature dividing t sig(r), a larger ratio);
+    otherwise t' * r was a syzygy lead, covered or singular (the singular
+    row has the larger ratio too), and t * r inherits that.  So a row
+    keeps the divisor words of the multipliers it has been offered, and a
+    row of larger ratio gets a candidate from a new row only if none of
+    them divides the new multiplier; the new row's own multipliers are the
+    minimal ones over the rows of smaller ratio (_minimal_lcms).  An equal
+    multiplier offered later repeats a signature and a lead with a later
+    partner, which the queue would pop second.
+
+    The filters that drop syzygy leads before a candidate is formed are
+    masks of the bucket (_SigBucket): a plain row of signature e_k whose
+    lead is L_k's monomial pairs with no plain row of its (half,
+    component), and a multiplier that contains a variable x with sig(r) x
+    a Schreyer syzygy lead (r's linear Schreyer multipliers) makes one.
+    Each generator enters as the candidate of its own signature e_k, and
+    its dict is dropped once it is a row.
     """
     n = len(gens)
     ib = n.bit_length()
@@ -764,44 +862,25 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
     lcm = order.mono_lcm
     xmask, gx = order._xmask, order._gx
     rows: list[_SigRow] = []
-    buckets: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
+    buckets: dict[int, _SigBucket] = defaultdict(partial(_SigBucket, order))
+    leads = [max(g) for g in gens]
     # per half and lead component, the generator leads in index order: the
     # first one dividing a signature's term has the lowest index
-    lead_index = [defaultdict(partial(_Bucket, order)) for _ in range(2)]
-    leads = [max(g) for g in gens]
-    heap = []
+    halves: tuple[list, list] = ([], [])
     for k, lk in enumerate(leads):
         enc, comp = split(lk)
-        lead_index[k >= half][comp].add(enc, k)
-        heap.append(((lk << ib) | k, lk, ~k, 0))
+        halves[k >= half].append((comp, enc, k))
+    lead_index = [_index(h, order) for h in halves]
+    heap = [((lk << ib) | k, lk, ~k, 0) for k, lk in enumerate(leads)]
     heapify(heap)
     # per signature index, its rows' signature divisor words and ratios
-    covers: dict[int, list[tuple[int, int]]] = defaultdict(list)
-
-    def linear_schreyer(row: _SigRow) -> int:
-        """The ring blocks of the variables x with sig(row) x a multiple
-        of a Schreyer syzygy lead (all of them if sig(row) is one): a
-        multiplier that contains one makes a syzygy signature."""
-        lin = row.lin
-        if lin is None:
-            hb = row.leads
-            enc = row.sig_enc
-            below = (1 << bisect_left(hb.rows, row.ratio & low)) - 1   # generators before k
-            lin = 0
-            for li, _ in _linear_colon(order, hb, enc, below)[0]:
-                if li == enc:
-                    lin = xmask
-                    break
-                lin |= _BMASK << (((li ^ enc) & xmask).bit_length() - 1) // _B * _B
-            row.lin = lin
-        return lin
+    covers: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
 
     def push(row: _SigRow, li: int, partner: int) -> None:
         """Queue row * (li / lead) with its first reducer, unless its
-        signature is a syzygy lead; the caller has tested the linear
-        Schreyer multipliers."""
+        signature is a syzygy lead; the caller has applied the filters."""
         _check_room(row, li, order)
-        j = row.leads.find(row.sig_enc + li - row.enc)
+        j = row.leads.find(row.sig_word - gx + li - row.enc)
         if j is not None and j < row.ratio & low:
             return
         lk = row.key + ((li - row.enc) << _CB)
@@ -822,7 +901,7 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
         else:
             ratio = sig - (lk << ib)
             tw = sig_enc & xmask
-            if any(r > ratio and ((dw - tw) & gx) == gx for dw, r in covers.get(k, ())):
+            if any(r > ratio and ((dw - tw) & gx) == gx for dw, r in zip(*covers[k])):
                 continue
             elem = _spoly(rows[src], rows[partner], split(lk)[0], order, field)
         red = _normal_form(elem, buckets, order, field, sig, ib)
@@ -830,58 +909,85 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
             continue
         new = _make_row(red, order, field, len(rows), sig_enc)
         new.ratio = ratio = sig - (new.key << ib)
-        new.sig_enc = sig_enc
-        new.leads = lead_index[k >= half][comp]
-        new.lin = None
+        new.sig_word = order.divisor_word(sig_enc)
+        new.leads = hb = lead_index[k >= half][comp]
+        new.offered = ()
+        rows.append(new)
+        cover_words, cover_ratios = covers[k]
+        cover_words.append(new.sig_word)
+        cover_ratios.append(ratio)
+        bucket = buckets[new.comp]
+        brows = bucket.rows
+        bit = 1 << len(brows)
+        # the ring blocks of the variables x with sig(new) x a multiple of
+        # a Schreyer syzygy lead (all of them if sig(new) is one)
+        lin = 0
+        for li, _ in _linear_colon(order, hb, sig_enc, (1 << bisect_left(hb.rows, k)) - 1)[0]:
+            if li == sig_enc:
+                lin = xmask
+                break
+            lin |= _BMASK << (((li ^ sig_enc) & xmask).bit_length() - 1) // _B * _B
         # a row of signature e_k whose lead is L_k's monomial, in any
         # component, is plain; two plain rows of one half whose L share a
         # component never pair: L of the lower index divides the lcm, so
         # the pair's signature is a syzygy lead
-        new.plain = same = (k >= half, comp) if sig_enc == new.enc and T == leads[k] else None
-        rows.append(new)
-        covers[k].append((order.divisor_word(sig_enc), ratio))
-        bucket = buckets[new.comp]
-        # guard bits of the blocks where lead(new) is at most lead(r) are
-        # kept: the others are the variables of r's multiplier
-        nw = new.enc & xmask | gx
-        # for a row of larger ratio the candidate is its multiple, for one
-        # of smaller ratio (own) a multiple of new; a row of equal ratio
-        # makes a singular pair, with no candidate.  Most rows have a
-        # smaller ratio, so the mask is built from the others
-        brows = bucket.rows
-        above = 0
-        for pos, r in enumerate(brows):
-            if r.ratio >= ratio:
-                above |= 1 << pos
-                if r.ratio > ratio and (same is None or r.plain != same) and not (
-                        ((nw - (r.enc & xmask)) & gx ^ gx) & linear_schreyer(r)):
-                    push(r, lcm(r.enc, new.enc), new.index)
-        own = ((1 << len(brows)) - 1) & ~above
-        lin = linear_schreyer(new)
-        for li, r in _minimal_lcms(order, bucket, new.enc, own):
-            if (same is None or r.plain != same) and not (li ^ new.enc) & lin:
-                push(new, li, r.index)
+        same = (k >= half, comp) if sig_enc == new.enc and T == leads[k] else None
+        plain = bucket.plain[same] if same is not None else 0
+        # the rows of larger ratio whose multiple is no syzygy lead by the
+        # filters: r's multiplier contains x_j iff r's exponent at j is
+        # below new's, the rows of table entry byte + 1
+        ratios, ranked = bucket.ratios, bucket.ranked
+        lo = bisect_left(ratios, ratio)
+        hi = bisect_right(ratios, ratio, lo)
+        skip = plain
+        for t, b, lm in zip(bucket.tables, new.enc.to_bytes(bucket.nbytes, "little"),
+                            bucket.lin):
+            if lm and b < _C:
+                skip |= t[b + 1] & lm
+        above = sum(map(_bit, ranked[hi:])) & ~skip
+        while above:
+            r = brows[(above & -above).bit_length() - 1]
+            above &= above - 1
+            li = lcm(r.enc, new.enc)
+            tw = li & xmask
+            if not any(((dw - tw) & gx) == gx for dw in r.offered):
+                r.offered += (tw | gx,)
+                push(r, li, new.index)
+        own = (bit - 1) ^ sum(map(_bit, ranked[lo:]))
+        if own & ~plain:
+            for li, pos in _minimal_lcms(order, bucket, new.enc, own):
+                if not (plain >> pos) & 1 and not (li ^ new.enc) & lin:
+                    new.offered += (li & xmask | gx,)
+                    push(new, li, brows[pos].index)
         bucket.add(new.enc, new)
+        ratios.insert(hi, ratio)
+        ranked.insert(hi, len(brows) - 1)
+        if same is not None:
+            bucket.plain[same] |= bit
+        for j in range(order.nvars):
+            if lin >> (_B * j) & 1:
+                bucket.lin[j] |= bit
     return rows
 
 
 def _interreduce(rows: list[_Row], order: MonomialOrder, field) -> list[dict]:
     """Drop redundant leads, tail-reduce the survivors, sort by lead key.
 
-    A lead never divides a term below it, so each row's own entry in the
-    minimal rows cannot reduce its tail and need not be left out."""
-    minimal: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
-    for row in sorted(rows, key=_row_key):
-        bucket = minimal[row.comp]
-        if bucket.find(row.enc) is None:
-            bucket.add(row.enc, row)
+    The rows are indexed in ascending key order, so a row is minimal iff
+    the lowest bit of its lead's mask is its own: no row before it divides
+    its lead.  The first divisor of a term in key order is a minimal row,
+    so the tails reduce by minimal rows alone, and a lead never divides a
+    term below it, so a row's own entry cannot reduce its tail."""
+    index = _index(((r.comp, r.enc, r) for r in sorted(rows, key=_row_key)), order)
     out = []
     one = field.convert(1)
-    for bucket in minimal.values():
-        for row in bucket.rows:
+    for bucket in index.values():
+        for pos, row in enumerate(bucket.rows):
+            m = bucket.mask(row.enc)
+            if m & -m != 1 << pos:
+                continue
             red = {row.key: one}
-            red.update(_normal_form(dict(zip(row.tkeys, row.tcoefs)), minimal, order,
-                                    field))
+            red.update(_normal_form(dict(zip(row.tkeys, row.tcoefs)), index, order, field))
             out.append(red)
     out.sort(key=max)
     return out
@@ -904,10 +1010,9 @@ class EngineBasis:
 
     def normal_form(self, elem: dict) -> dict:
         if self._buckets is None:
-            self._buckets = defaultdict(partial(_Bucket, self.order))
-            for i, e in enumerate(self.elements):
-                row = _make_row(e, self.order, self.field, i)
-                self._buckets[row.comp].add(row.enc, row)
+            rows = (_make_row(e, self.order, self.field, i)
+                    for i, e in enumerate(self.elements))
+            self._buckets = _index(((r.comp, r.enc, r) for r in rows), self.order)
         return _normal_form(elem, self._buckets, self.order, self.field)
 
     def contains(self, elem: dict) -> bool:
@@ -981,9 +1086,11 @@ def intersect_pair_engine(a: list[dict], b: list[dict], order: MonomialOrder,
     fbit = ext.fbit
     gens = [{k | fbit: c for k, c in e.items()} for e in a]
     gens += [{k2: c for k, c in e.items() for k2 in (k | fbit, k - r)} for e in b]
-    rows = _schreyer_completion(gens, len(a), ext, field)
-    return [{k + r: c for k, c in e.items()}
-            for e in _interreduce([row for row in rows if not row.key & fbit], ext, field)]
+    # only the second summand's rows outlive the completion, and only the
+    # reduced basis the copy back to F
+    meet = _interreduce([row for row in _schreyer_completion(gens, len(a), ext, field)
+                         if not row.key & fbit], ext, field)
+    return [{k + r: c for k, c in e.items()} for e in meet]
 
 
 def module_quotient_engine(gens: list[dict], mono_exps: Sequence[int],
@@ -1197,12 +1304,13 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
     order: no empty element or repeated key, every component below the
     rank, monic leads in strictly ascending key order, and no lead dividing
     another in its component.  A lead's divisors in its component lie
-    below it, so each lead is looked up among the earlier ones only.  A
-    lead with a ring byte outside 1..C or a degree field other than the sum
-    of its exponents is no packed monomial and raises ValueError too, and so
-    does a key with the bit fbit set, which no term key has."""
+    below it, so the leads, indexed in order, are checked at the end: the
+    mask of each lead must be its own bit alone.  A lead with a ring byte
+    outside 1..C or a degree field other than the sum of its exponents is
+    no packed monomial and raises ValueError too, and so does a key with
+    the bit fbit set, which no term key has."""
     floor = _CMAX - order.rank          # key & _CMAX above it: component < rank
-    leads: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
+    leads = []
     out = []
     prev = -1
     for terms in raw:
@@ -1219,10 +1327,12 @@ def _decode_basis(raw: list, order: MonomialOrder, field) -> list[dict]:
         if not 0 < min(ring) <= max(ring) <= _C or (
                 enc >> order._deg_shift != order.nvars * _C - sum(ring)):
             raise ValueError("lead out of packing range")
-        if leads[comp].find(enc) is not None:
-            raise ValueError("a lead divides a later lead")
-        leads[comp].add(enc, lead)
+        leads.append((comp, enc, enc))
         out.append(elem)
+    for bucket in _index(leads, order).values():
+        for pos, enc in enumerate(bucket.rows):
+            if bucket.mask(enc) != 1 << pos:
+                raise ValueError("a lead divides a later lead")
     return out
 
 

@@ -894,12 +894,52 @@ def test_bucket_finds_first_divisor_in_insertion_order(data):
             assert buckets[comp].find(order.encode_mono(t)) == scan
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bucket_extend_equals_sequential_adds(data):
+    # one extend gives the tables, tops and rows that one add per row
+    # gives, for leads in key order or not, on an empty bucket or after
+    # earlier adds
+    order = _index_order(data)
+    exps = st.tuples(*[st.one_of(st.integers(0, 3), _EXPONENT)] * order.nvars)
+    first, then = (data.draw(st.lists(exps, max_size=8)) for _ in range(2))
+    if data.draw(st.booleans()):
+        then.sort(key=lambda e: order.encode_mono(e))
+    added, extended = gb._Bucket(order), gb._Bucket(order)
+    for i, e in enumerate(first):
+        added.add(order.encode_mono(e), i)
+        extended.add(order.encode_mono(e), i)
+    for i, e in enumerate(then, len(first)):
+        added.add(order.encode_mono(e), i)
+    extended.extend((order.encode_mono(e), i) for i, e in enumerate(then, len(first)))
+    assert extended.rows == added.rows
+    assert extended.tops == added.tops
+    assert extended.tables == added.tables
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_decode_mono_reads_the_ring_blocks(data):
+    # the bytes of the ring blocks against a shift and mask per variable
+    order = MonomialOrder(data.draw(st.integers(1, 10)),
+                          rank=data.draw(st.sampled_from([1, 6])))
+    exps = tuple(data.draw(_EXPONENT) for _ in range(order.nvars))
+    if sum(exps) > 255:
+        exps = tuple(e // 4 for e in exps)
+    enc = order.encode_mono(exps)
+    old = tuple(gb._C - ((enc >> (gb._B * v)) & gb._BMASK) for v in range(order.nvars))
+    assert order.decode_mono(enc) == old == exps
+    key = order.term_key(enc, order.rank - 1) | order.fbit
+    assert order.decode_mono(order.split_key(key)[0]) == exps
+
+
 def _scan_normal_form(elem, rows, order, field, sig=None, ib=0):
     """Reference normal form: a heap of (key, coefficient) entries, summed
     when equal keys pop, and a scan of the rows in the order given.  With
     the signature word sig a row reduces a term only if its multiple's
-    signature is below sig; None if the top term has no such reducer but
-    a row whose multiple has signature sig."""
+    signature is below sig, and only the top is reduced: at the first term
+    with no such reducer the rest is returned as it stands, in descending
+    key order, or None if a row's multiple there has signature sig."""
     heap = [(-k, c) for k, c in elem.items()]
     heapq.heapify(heap)
     out = {}
@@ -922,10 +962,19 @@ def _scan_normal_form(elem, rows, order, field, sig=None, ib=0):
                 break
             singular = singular or r.ratio + (key << ib) == sig
         if row is None:
-            if singular and not out:
+            if singular:
                 return None
             out[key] = c
-            continue
+            if sig is None:
+                continue
+            rest = defaultdict(int)
+            for nk, v in heap:
+                rest[-nk] += v
+            for k in sorted(rest, reverse=True):
+                v = field.normalize(rest[k])
+                if v:
+                    out[k] = v
+            return out
         for tk, tc in zip(row.tkeys, row.tcoefs):
             heapq.heappush(heap, (-(tk + key - row.key), field.normalize(-c * tc)))
     return out

@@ -451,9 +451,11 @@ def test_colon_routes_agree_on_kernel_seed(pipe_p1):
 
 def _count_s_pairs(monkeypatch):
     """counts[-1] counts S-pairs formed, zeros[0] the remainders of the
-    signature completion that are zero."""
-    counts, zeros = [], [0]
-    spoly, normal_form = groebner._spoly, groebner._normal_form
+    signature completion that are zero, and queued[0] the candidates the
+    signature completion queues (the 4-tuple heap entries; the Buchberger
+    loop queues 3-tuples, and the generators enter by heapify)."""
+    counts, zeros, queued = [], [0], [0]
+    spoly, normal_form, push = groebner._spoly, groebner._normal_form, groebner.heappush
 
     def counted_spoly(*args):
         counts[-1] += 1
@@ -465,9 +467,14 @@ def _count_s_pairs(monkeypatch):
             zeros[0] += red == {}
         return red
 
+    def counted_push(heap, entry):
+        queued[0] += type(entry) is tuple and len(entry) == 4
+        push(heap, entry)
+
     monkeypatch.setattr(groebner, "_spoly", counted_spoly)
     monkeypatch.setattr(groebner, "_normal_form", counted_normal_form)
-    return counts, zeros
+    monkeypatch.setattr(groebner, "heappush", counted_push)
+    return counts, zeros, queued
 
 
 def test_pair_criteria_keep_s_pair_counts(monkeypatch):
@@ -475,8 +482,9 @@ def test_pair_criteria_keep_s_pair_counts(monkeypatch):
     # the quartics, the B, M and F rules at rank 6 on k0, and the
     # signature criteria of the colon's elimination, where no S-pair
     # reduces to zero.  The bases do not depend on the criteria, so only
-    # these counts show a rule that stopped pruning
-    counts, zeros = _count_s_pairs(monkeypatch)
+    # these counts show a rule that stopped pruning; the colon's queued
+    # candidates show the minimal-multiplier rule and the pair filters
+    counts, zeros, queued = _count_s_pairs(monkeypatch)
     ideal = MonomialOrder(NVARS)
     counts.append(0)
     buchberger_engine([to_engine(q, ideal, GFP1) for q in riemann_ideal()], ideal, GFP1)
@@ -488,6 +496,7 @@ def test_pair_criteria_keep_s_pair_counts(monkeypatch):
     module_quotient_engine(k0, CHI5_EXPS, order, GFP1)
     assert counts == [64, 4971, 1135]
     assert zeros == [0]
+    assert queued == [5047]
 
 
 def test_m_pair_membership(pipe_p1):
@@ -572,10 +581,11 @@ def test_chi5_m_membership_and_series(pipe_p1):
 
 def test_fold_step_one_reduces_no_s_pair_to_zero(pipe_p1, fold_step_one, monkeypatch):
     a, b, meet = fold_step_one
-    counts, zeros = _count_s_pairs(monkeypatch)
+    counts, zeros, queued = _count_s_pairs(monkeypatch)
     counts.append(0)
     assert intersect_pair_engine(a, b, pipe_p1.order, pipe_p1.field) == meet
     assert counts == [1163] and zeros == [0]
+    assert queued == [2578]
 
 
 @pytest.fixture(scope="module")
@@ -598,10 +608,10 @@ def test_fold_step_is_the_intersection(pipe_p1, fold_step_one, step, monkeypatch
         # step 2's S-pairs, as test_fold_step_one_reduces_no_s_pair_to_zero
         # pins step 1's
         with monkeypatch.context() as m:
-            counts, zeros = _count_s_pairs(m)
+            counts, zeros, queued = _count_s_pairs(m)
             counts.append(0)
             meet = intersect_pair_engine(a, b, order, field)
-        assert counts == [1132] and zeros == [0]
+        assert counts == [1132] and zeros == [0] and queued == [2237]
         # the later steps change nothing: step 2 already gives chi5_m
         assert meet == pipe_p1.chi5_m().engine.elements
     assert meet != a
