@@ -46,11 +46,15 @@ the seeded extensions, the bracket modules) stay on the Buchberger loop:
 there the generators' syzygies are not known in advance, so the syzygy
 criterion has nothing to prune with.
 
-In the Buchberger loop S-pairs are selected by their lcm key, which
-leads with the lcm's ring degree (the normal strategy).  Any fair
-selection order yields the same reduced basis, and the Gebauer-Moeller
-criteria do not depend on the order (Gebauer & Moeller 1988; Giovini et
-al. 1991), so the selection changes only the work.
+The Buchberger loop keeps its S-pairs in one heap and pops them by lcm
+key, which leads with the lcm's ring degree (the normal strategy).  Any
+fair selection order yields the same reduced basis, and the
+Gebauer-Moeller criteria do not depend on the order (Gebauer & Moeller
+1988; Giovini et al. 1991), so the selection changes only the work.  M
+and F act when a row is inserted (_minimal_lcms), the product criterion
+and B when a pair pops; B then reads the rows inserted while the pair
+waited, so it decides as an update of every waiting pair at each insert
+would (see buchberger_engine).
 
 Each component's rows sit in a _Bucket, an index that finds a term's
 reducer without scanning: per variable block of the packed monomial, a
@@ -634,7 +638,7 @@ def _spoly(ri: _Row, rj: _Row, lcm_enc: int, order: MonomialOrder, field) -> dic
 
 
 # ---------------------------------------------------------------------------
-# Buchberger with Gebauer-Moeller pair pruning
+# Completions: minimal pair lcms, the Buchberger loop, signatures
 # ---------------------------------------------------------------------------
 
 def _linear_colon(order: MonomialOrder, bucket: _Bucket, enc: int,
@@ -710,47 +714,6 @@ def _minimal_lcms(order: MonomialOrder, bucket: _Bucket, enc: int,
     return out
 
 
-def _update_pairs(rows: list[_Row], bucket: _Bucket, queue, new: _Row,
-                  order: MonomialOrder) -> None:
-    """Gebauer-Moeller update of the pair queue for a newly inserted row.
-
-    Three rules prune pairs (Gebauer & Moeller 1988).  B: a pending pair
-    (i, j) dies when lead(new) divides its lcm and neither lcm(i, new) nor
-    lcm(j, new) equals that lcm.  M: a new pair dies when its lcm is
-    properly divided by the lcm of another new pair, that is when its
-    lcm / lead(new) is not a minimal colon monomial (_minimal_lcms).  F:
-    among new pairs with equal lcm only the one with the lowest index
-    survives.  For ideals the product criterion also drops new pairs whose
-    leads are coprime.
-
-    queue is (heap, pending).  The heap orders (lcm, i, j) entries; the
-    lcm's ring degree leads its key, so pairs pop degree-first.  pending
-    maps each lead component to the set of its entries neither reduced nor
-    pruned, so B scans only new's component.  A pruned entry stays in the
-    heap and is skipped when it is popped.
-    """
-    heap, pending = queue
-    lcm = order.mono_lcm
-    xmask, gx = order._xmask, order._gx
-    nenc, ndw = new.enc, order.divisor_word(new.enc)
-    group = pending[new.comp]
-    # B rule: lead(new) divides the pair's lcm
-    group -= {(lk, i, j) for lk, i, j in group
-              if ((ndw - (lk & xmask)) & gx) == gx
-              and lcm(rows[i].enc, nenc) != lk
-              and lcm(rows[j].enc, nenc) != lk}
-    product = order.rank == 1      # product criterion, valid for ideals only
-    t = new.index
-    # new is the last row of its bucket
-    for li, pos in _minimal_lcms(order, bucket, nenc, (1 << (len(bucket.rows) - 1)) - 1):
-        r = bucket.rows[pos]
-        if product and li == order.mono_mul(r.enc, nenc):
-            continue
-        entry = (li, r.index, t)
-        heappush(heap, entry)
-        group.add(entry)
-
-
 def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
                       seed: list[dict] | None = None) -> list[dict]:
     """Reduced Groebner basis of the submodule generated by gens (and seed).
@@ -759,44 +722,72 @@ def buchberger_engine(gens: Iterable[dict], order: MonomialOrder, field,
     and field; its internal S-pairs are skipped.  Returns element dicts
     sorted by ascending lead key; generators appearing as zero are dropped.
 
-    S-pairs are reduced by ascending lcm key, whose ring degree leads it.
-    The selection order changes only the work: any fair order gives the
-    same reduced basis, and the pair criteria of _update_pairs hold under
-    every order.
+    The pairs wait in one heap of (lcm, i, j) entries, i < j, and pop by
+    ascending lcm key, whose ring degree leads it.  The selection order
+    changes only the work: any fair order gives the same reduced basis,
+    and the pair rules below hold under every order.  They act at two
+    points (Gebauer & Moeller 1988):
+    - when row j is inserted it queues a pair only with the first row i of
+      each minimal lcm / lead(j) (_minimal_lcms): M drops a pair whose lcm
+      another of j's pairs properly divides, F all but the first of equal
+      lcm;
+    - when (i, j) pops it is dropped, for ideals, if the leads of i and j
+      are coprime (the product criterion), and by B if a row n inserted
+      after j has a lead dividing L = lcm(i, j) with lcm(i, n) != L and
+      lcm(j, n) != L.
+    The rows inserted while (i, j) waited are exactly the rows after j in
+    its bucket, so B at pop takes the decision that an update of every
+    waiting pair at each insert would take.  A row n before j that passed
+    that test would make lcm(j, n) properly divide L, and M dropped such a
+    pair when j came in; so the scan starts after j for speed only.
     """
     rows: list[_Row] = []
     buckets: dict[int, _Bucket] = defaultdict(partial(_Bucket, order))
     heap: list[tuple[int, int, int]] = []
-    pending: dict[int, set[tuple[int, int, int]]] = defaultdict(set)
+    where: list[int] = []          # each row's position in its bucket
+    lcm = order.mono_lcm
+    product = order.rank == 1      # product criterion, valid for ideals only
 
-    def insert(elem: dict, update: bool) -> None:
+    def insert(elem: dict, pairs: bool) -> None:
         row = _make_row(elem, order, field, len(rows))
         rows.append(row)
         bucket = buckets[row.comp]
+        where.append(len(bucket.rows))
         bucket.add(row.enc, row)
-        if update:
-            _update_pairs(rows, bucket, (heap, pending), row, order)
+        if pairs:
+            # row is the last of its bucket
+            for li, pos in _minimal_lcms(order, bucket, row.enc,
+                                         (1 << (len(bucket.rows) - 1)) - 1):
+                heappush(heap, (li, bucket.rows[pos].index, row.index))
 
     if seed:
         for elem in seed:
             if elem:
-                insert(elem, update=False)
+                insert(elem, pairs=False)
     for elem in sorted((e for e in gens if e), key=max):
         red = _normal_form(elem, buckets, order, field)
         if red:
-            insert(red, update=True)
+            insert(red, pairs=True)
 
     while heap:
-        entry = heappop(heap)
-        lk, i, j = entry
-        group = pending[rows[i].comp]
-        if entry not in group:
+        lk, i, j = heappop(heap)
+        ri, rj = rows[i], rows[j]
+        if product and lk == order.mono_mul(ri.enc, rj.enc):
             continue
-        group.remove(entry)
-        red = _normal_form(_spoly(rows[i], rows[j], lk, order, field),
-                           buckets, order, field)
+        bucket = buckets[ri.comp]
+        brows = bucket.rows
+        start = where[j] + 1
+        later = bucket.mask(lk) >> start       # B: the divisors of L after j
+        while later:
+            n = brows[start + (later & -later).bit_length() - 1].enc
+            if lcm(ri.enc, n) != lk and lcm(rj.enc, n) != lk:
+                break
+            later &= later - 1
+        if later:
+            continue
+        red = _normal_form(_spoly(ri, rj, lk, order, field), buckets, order, field)
         if red:
-            insert(red, update=True)
+            insert(red, pairs=True)
 
     return _interreduce(rows, order, field)
 

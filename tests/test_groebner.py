@@ -431,25 +431,28 @@ def test_intersect_pair_random_shared_pairs(seed):
     assert intersect_pair_engine(b, a, order, QQ) == meet
 
 
+def _random_element(rng, order, field):
+    """An engine element of 1 to 3 terms of one degree, 1 to 3, in random
+    components."""
+    deg = rng.randint(1, 3)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * order.nvars
+        for _ in range(deg):
+            e[rng.randrange(order.nvars)] += 1
+        terms[order.term_key(order.encode_mono(tuple(e)), rng.randrange(order.rank))] = (
+            field.convert(rng.choice([-3, -2, -1, 1, 2, 3])))
+    return terms
+
+
 def _random_module_pair(rng, field):
     """Reduced bases a, b of two random submodules in 2 to 5 variables and
     rank 1 to 3, each from 1 to 6 generators of degree 1 to 3, and their
     order."""
     nvars, rank = rng.randint(2, 5), rng.randint(1, 3)
     order = MonomialOrder(nvars, rank=rank)
-
-    def element():
-        deg = rng.randint(1, 3)
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            e = [0] * nvars
-            for _ in range(deg):
-                e[rng.randrange(nvars)] += 1
-            terms[order.term_key(order.encode_mono(tuple(e)), rng.randrange(rank))] = (
-                field.convert(rng.choice([-3, -2, -1, 1, 2, 3])))
-        return terms
-
-    a, b = (buchberger_engine([element() for _ in range(rng.randint(1, 6))], order, field)
+    a, b = (buchberger_engine([_random_element(rng, order, field)
+                               for _ in range(rng.randint(1, 6))], order, field)
             for _ in range(2))
     return a, b, order
 
@@ -475,6 +478,87 @@ def test_intersect_pair_matches_buchberger_elimination(field):
         expected = _buchberger_elimination(a, b, order, field)
         assert intersect_pair_engine(a, b, order, field) == expected, seed
         assert intersect_pair_engine(b, a, order, field) == expected, seed
+
+
+def _reference_basis(gens, order, field):
+    """Reduced basis of <gens> with no pair criterion: rows are reduced by
+    their first divisor, and the S-element of every two rows of one
+    component is reduced, lowest lcm first, until all of them reduce to
+    zero; the engine, given that Groebner basis as a seed, only
+    interreduces it."""
+    def lead(e):
+        enc, comp = order.split_key(max(e))
+        return comp, order.decode_mono(enc)
+
+    def add_multiple(f, g, exps, c):
+        """f + c * x^exps * g"""
+        out = dict(f)
+        for k, v in g.items():
+            enc, comp = order.split_key(k)
+            m = tuple(a + b for a, b in zip(order.decode_mono(enc), exps))
+            key = order.term_key(order.encode_mono(m), comp)
+            s = field.normalize(out.get(key, 0) + c * v)
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return out
+
+    def reduce(f):
+        out = {}
+        while f:
+            top = max(f)
+            comp, m = lead(f)
+            for g in rows:
+                gc, gm = lead(g)
+                if gc == comp and all(a <= b for a, b in zip(gm, m)):
+                    f = add_multiple(f, g, [b - a for a, b in zip(gm, m)],
+                                     -f[top] * field.inv(g[max(g)]))
+                    break
+            else:
+                out[top] = f.pop(top)
+        return out
+
+    rows = []
+    pairs = []              # (lcm key, i, j): the lowest lcm first
+    todo = [dict(e) for e in gens]
+    while todo or pairs:
+        if todo:
+            red = reduce(todo.pop())
+        else:
+            _, i, j = heapq.heappop(pairs)
+            (_, mi), (_, mj) = lead(rows[i]), lead(rows[j])
+            lcm = [max(a, b) for a, b in zip(mi, mj)]
+            s = add_multiple({}, rows[i], [a - b for a, b in zip(lcm, mi)],
+                             field.inv(rows[i][max(rows[i])]))
+            red = reduce(add_multiple(s, rows[j], [a - b for a, b in zip(lcm, mj)],
+                                      -field.inv(rows[j][max(rows[j])])))
+        if red:
+            comp, m = lead(red)
+            for i, g in enumerate(rows):
+                gc, gm = lead(g)
+                if gc == comp:
+                    lcm = tuple(max(a, b) for a, b in zip(gm, m))
+                    heapq.heappush(pairs, (order.term_key(order.encode_mono(lcm), comp),
+                                           i, len(rows)))
+            rows.append(red)
+    return buchberger_engine([], order, field, seed=rows)
+
+
+@pytest.mark.parametrize("field", [GFP1, QQ], ids=["p1", "q"])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_pair_rules_match_criteria_free_reference(field, seed):
+    # modules of rank 2 or 3 in 2 or 3 variables, some completed from a
+    # seed that is the engine's reduced basis of their first generators:
+    # the B, M and F rules must drop no S-pair that the basis needs
+    rng = random.Random(seed)
+    order = MonomialOrder(rng.randint(2, 3), rank=rng.randint(2, 3))
+    gens = [_random_element(rng, order, field) for _ in range(rng.randint(2, 7))]
+    split = rng.randint(0, len(gens) - 1)
+    seed_basis = buchberger_engine(gens[:split], order, field) if split else None
+    assert (buchberger_engine(gens[split:], order, field, seed=seed_basis)
+            == _reference_basis(gens, order, field))
 
 
 def test_intersect_pair_known_answers():

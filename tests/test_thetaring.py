@@ -479,11 +479,13 @@ def _count_s_pairs(monkeypatch):
 
 def test_pair_criteria_keep_s_pair_counts(monkeypatch):
     # S-pairs reduced over GF(p1), from scratch: the product criterion on
-    # the quartics, the B, M and F rules at rank 6 on k0, and the
-    # signature criteria of the colon's elimination, where no S-pair
-    # reduces to zero.  The bases do not depend on the criteria, so only
-    # these counts show a rule that stopped pruning; the colon's queued
-    # candidates show the minimal-multiplier rule and the pair filters
+    # the quartics and the B, M and F rules at rank 6 on k0 (M and F act
+    # when a row comes in, B and the product criterion when a pair pops),
+    # and the signature criteria of the colon's elimination, where no
+    # S-pair reduces to zero.  The bases do not depend on the criteria, so
+    # only these counts show a rule that stopped pruning; the colon's
+    # queued candidates show the minimal-multiplier rule and the pair
+    # filters
     counts, zeros, queued = _count_s_pairs(monkeypatch)
     ideal = MonomialOrder(NVARS)
     counts.append(0)
@@ -497,6 +499,26 @@ def test_pair_criteria_keep_s_pair_counts(monkeypatch):
     assert counts == [64, 4971, 1135]
     assert zeros == [0]
     assert queued == [5047]
+
+
+def test_seeded_completions_keep_s_pair_counts(pipe_p1, monkeypatch):
+    # the two seeded extensions over GF(p1), whose seed rows sit before
+    # every new row of their bucket: the catalog span (k0 plus the 102
+    # four- and five-term relations) and m_pair(1, 3) (the kernel plus
+    # P T1 and P T3)
+    k0, kernel = pipe_p1.kernel_seed().engine.elements, pipe_p1.total_kernel().engine.elements
+    order, field = pipe_p1.order, pipe_p1.field
+    counts, _, _ = _count_s_pairs(monkeypatch)
+    counts.append(0)
+    span = buchberger_engine(pipe_p1._engine([r.element for r in extr_a() + extr_b()]),
+                             order, field, seed=k0)
+    counts.append(0)
+    m13 = buchberger_engine(pipe_p1._engine(pipe_p1._pair_generators(1, 3)),
+                            order, field, seed=kernel)
+    assert counts == [1020, 848]
+    monkeypatch.undo()
+    assert span == pipe_p1.catalog_span().engine.elements
+    assert m13 == pipe_p1.m_pair(1, 3).engine.elements
 
 
 def test_m_pair_membership(pipe_p1):
