@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from functools import partial
+from math import inf
 
 from . import thetaring
 from .errors import DerivationError, EvaluationError
@@ -283,8 +284,8 @@ def nonnegative_int(text: str) -> int:
 
 def positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be greater than 0, got {value}")
+    if not 0 < value < inf:
+        raise argparse.ArgumentTypeError(f"must be finite and greater than 0, got {value}")
     return value
 
 

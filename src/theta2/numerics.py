@@ -18,7 +18,7 @@ per sample point, shared by all of that point's finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, pi
+from math import exp, inf, pi
 from typing import Sequence
 
 import numpy as np
@@ -62,8 +62,8 @@ class EvalConfig:
     target_eps: float = 1e-12
 
     def __post_init__(self):
-        if self.radius < 1 or self.target_eps <= 0:
-            raise ValueError("need radius >= 1 and target_eps > 0")
+        if self.radius < 1 or not 0 < self.target_eps < inf:
+            raise ValueError("need radius >= 1 and a finite target_eps > 0")
 
 
 def tail_bound(lambda_min: float, radius: int) -> float:

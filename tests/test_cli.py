@@ -268,6 +268,8 @@ def test_usage_error_exit_code(capsys):
     ["--radius", "0", "verify", "numeric"],
     ["--eps", "0", "verify", "numeric"],
     ["--eps", "-0.5", "verify", "numeric"],
+    ["--eps", "inf", "verify", "numeric"],
+    ["--eps", "nan", "verify", "numeric"],
     ["--jobs", "0", "structure"],
     ["--seed", "-1", "verify", "numeric"],
 ])

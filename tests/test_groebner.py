@@ -7,6 +7,7 @@ import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -596,6 +597,32 @@ def test_hilbert_series_module_shifts():
     # free rank-2 module with generator degrees 1 and 2
     hs = hilbert_series_engine([], MonomialOrder(2, rank=2), (1, 2))
     assert hs.expand(4) == [0, 1, 3, 5, 7]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hilbert_series_counts_standard_monomials(data):
+    # monomial modules, with non-minimal and repeated generators and the
+    # unit allowed: degree d of the series counts the (monomial, component)
+    # pairs of degree d that no lead of that component divides
+    n = data.draw(st.integers(2, 5))
+    rank = data.draw(st.integers(1, 3))
+    shifts = tuple(data.draw(st.integers(0, 2)) for _ in range(rank))
+    leads = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n),
+                                         st.integers(0, rank - 1)), max_size=8))
+    order = MonomialOrder(n, rank)
+    basis = [{order.term_key(order.encode_mono(e), c): 1} for e, c in leads]
+    dims = hilbert_series_engine(basis, order, shifts).expand(7)
+    for d in range(8):
+        count = 0
+        for c in range(rank):
+            if d < shifts[c]:
+                continue
+            for vs in combinations_with_replacement(range(n), d - shifts[c]):
+                mono = [vs.count(v) for v in range(n)]
+                count += not any(lc == c and all(map(int.__le__, e, mono))
+                                 for e, lc in leads)
+        assert dims[d] == count
 
 
 def _slice_codimension(gens, degree, n):
@@ -1280,7 +1307,7 @@ def test_hilbert_numerator_needs_no_deep_recursion():
     sys.setrecursionlimit(150)
     try:
         hs = hilbert_series_engine(basis, order, (0,))
-        num = gb._hilbert_numerator((((12,) * 20),), {})
+        num = gb._hilbert_numerator((order.encode_mono((12,) * 20),), order, {})
     finally:
         sys.setrecursionlimit(limit)
     assert hs == HilbertSeries.from_coeffs({0: 1, 240: -1}, denom_exp=20)

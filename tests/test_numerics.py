@@ -230,3 +230,28 @@ def test_second_kind_checks(points):
     # the measured constant is pi^3/32 times the imaginary unit
     c = rep["jacobian_constant"]
     assert abs(c - 1j * np.pi**3 / 32) < 1e-6
+
+
+def test_second_kind_checks_on_stand_in_forms(points, monkeypatch):
+    # smooth random functions of the matrix entries in place of the theta
+    # series, one per characteristic, and a random constant for chi5: the
+    # Jacobian ratio (a) must fail, while the bracket and triple identities
+    # (b) and (c) hold for any values and gradients
+    rng = np.random.default_rng(5)
+    forms = {}
+
+    def stand_in(m, entries, lattice, z=None):
+        if m not in forms:
+            forms[m] = (rng.normal(size=3) + 1j * rng.normal(size=3),
+                        complex(rng.normal(), rng.normal()))
+        a, b = forms[m]
+        return None, None, np.array([b * np.exp(np.dot(a, entries))])
+
+    c5 = complex(rng.normal(), rng.normal())
+    monkeypatch.setattr(numerics, "_series_terms", stand_in)
+    monkeypatch.setattr(numerics, "chi5", lambda Z, cfg: c5)
+    rep = second_kind_checks(points[:5], CFG)
+    assert len(forms) == 4
+    assert rep["jacobian_rel_spread"] > 1e-2
+    assert rep["bracket_max_residual"] < 1e-7
+    assert rep["triple_max_residual"] < 1e-7
