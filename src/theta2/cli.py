@@ -65,6 +65,7 @@ def _suite_numeric(args) -> list[dict]:
     cfg = _cfg(args)
     points = numerics.sample_siegel(args.seed, args.points)
     tables = [numerics.point_values(Z, cfg) for Z in points]
+    stack = numerics.stack_values(tables)
     checks = []
 
     groups = [("riemann-quartics", [("", q) for q in thetaring.riemann_ideal()], 1e-9)]
@@ -76,8 +77,7 @@ def _suite_numeric(args) -> list[dict]:
     for name, items, tol in groups:
         worst = 0.0
         for _, e in items:
-            for table in tables:
-                worst = max(worst, numerics.relation_residual(e, table))
+            worst = max(worst, float(numerics.stacked_residuals(e, stack).max()))
         checks.append({
             "name": name,
             "count": len(items),
@@ -151,6 +151,8 @@ def _suite_brackets(args) -> list[dict]:
     cfg = _cfg(args)
     points = numerics.sample_siegel(args.seed, args.points)
     rep = numerics.second_kind_checks(points, cfg)
+    # the bracket and triple-bracket identities hold for any values and
+    # derivatives: they check the bracket arithmetic, not the theta constants
     checks = [
         {
             "name": "jacobian-ratio-constant",
@@ -162,12 +164,14 @@ def _suite_brackets(args) -> list[dict]:
         },
         {
             "name": "bracket-identity",
+            "kind": "arithmetic-self-check",
             "max_residual": rep["bracket_max_residual"],
             "tolerance": 1e-7,
             "status": "pass" if rep["bracket_max_residual"] < 1e-7 else "fail",
         },
         {
             "name": "triple-bracket-identity",
+            "kind": "arithmetic-self-check",
             "max_residual": rep["triple_max_residual"],
             "tolerance": 1e-7,
             "status": "pass" if rep["triple_max_residual"] < 1e-7 else "fail",

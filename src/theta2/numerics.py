@@ -10,14 +10,18 @@ below double precision already.
 Catalog elements are evaluated from a per-point table, `PointValues`: the
 ten even constants and the six odd gradients, computed once per point
 after one tail-bound check and one lattice build.  Every residual and
-determinant ratio at that point reads the same table.  The second-kind
-bracket checks likewise run one tail-bound check and build one lattice
-per sample point, shared by all of that point's finite differences.
+determinant ratio at that point reads the same table, and `ValueStack`
+stacks the tables of all sample points so one pass over an element's terms
+evaluates it at every point.  The second-kind bracket checks likewise run
+one tail-bound check and build one lattice per sample point; each
+constant's derivatives are exact weighted sums of the lattice terms its
+value sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from math import exp, inf, pi
 from typing import Sequence
 
@@ -163,18 +167,13 @@ def grad_values(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> np.ndarray:
 @dataclass(frozen=True)
 class PointValues:
     """Everything a catalog element needs at one point: the ten even
-    constants, the six gradients (shape (6, 2)) and their six norms,
-    computed once here.  `point_values` makes both arrays read-only, so one
-    table can serve every element."""
+    constants and the six gradients (shape (6, 2)), computed once here.
+    `point_values` makes both arrays read-only, so one table can serve every
+    element."""
 
     point: SiegelPoint
     thetas: np.ndarray
     grads: np.ndarray
-    grad_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "grad_norms",
-                           tuple(float(np.linalg.norm(g)) for g in self.grads))
 
 
 def point_values(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> PointValues:
@@ -208,7 +207,24 @@ def sample_siegel(seed: int, count: int) -> list[SiegelPoint]:
 # Symbolic element evaluation
 # ---------------------------------------------------------------------------
 
-def _mono_value(values: np.ndarray, exps: Sequence[int]) -> complex:
+@dataclass(frozen=True)
+class ValueStack:
+    """The value tables of P points stacked with the point axis last: the
+    even constants (10, P), the gradients (6, 2, P) and their norms (6, P)."""
+
+    thetas: np.ndarray
+    grads: np.ndarray
+    grad_norms: np.ndarray
+
+
+def stack_values(tables: Sequence[PointValues]) -> ValueStack:
+    """One stack of the given tables, in their order."""
+    grads = np.stack([t.grads for t in tables], axis=-1)
+    return ValueStack(np.stack([t.thetas for t in tables], axis=-1), grads,
+                      np.linalg.norm(grads, axis=1))
+
+
+def _mono_value(values: np.ndarray, exps: Sequence[int]):
     v = 1.0 + 0.0j
     for base, e in zip(values, exps):
         if e:
@@ -216,52 +232,59 @@ def _mono_value(values: np.ndarray, exps: Sequence[int]) -> complex:
     return v
 
 
-def eval_element(e: ModuleElement | GradedPoly, table: PointValues):
-    """Evaluate a catalog element at a point, given the point's value table.
+def eval_stacked(e: ModuleElement | GradedPoly, stack: ValueStack):
+    """Evaluate a catalog element at every point of a value stack.
 
     The ten even first-kind constants are substituted for the variables;
     rank-6 elements additionally pair component i with gradient i.  Returns
-    (value, scale) where scale sums the magnitudes of the individual terms,
-    so residuals can be reported relative to the cancellation mass.
+    (value, scale), value of shape (P,) or (2, P), where scale (P,) sums the
+    magnitudes of the individual terms, so residuals can be reported
+    relative to the cancellation mass.
     """
     if e.nvars != len(EVEN_CHARS):
         raise ValueError("variable count does not match the ten theta constants")
     if isinstance(e, ModuleElement) and e.rank != len(ODD_CHARS):
         raise ValueError("vector evaluation expects rank 6 over the gradients")
-    values = table.thetas
+    values = stack.thetas
     if isinstance(e, GradedPoly):
-        total = 0.0 + 0.0j
-        scale = 0.0
-        for exps, c in e.terms.items():
-            term = complex(c) * _mono_value(values, exps)
-            total += term
-            scale += abs(term)
-        return total, scale
-    grads = table.grads
-    total = np.zeros(2, dtype=complex)
-    scale = 0.0
-    for i, p in enumerate(e.components):
-        gnorm = table.grad_norms[i]
+        # one component paired with the constant 1, which multiplies exactly
+        ones = np.ones((1, values.shape[1]))
+        polys, grads, norms = [e], ones, ones
+    else:
+        polys, grads, norms = e.components, stack.grads, stack.grad_norms
+    total = np.zeros(grads.shape[1:], dtype=complex)
+    scale = np.zeros(values.shape[1])
+    for p, grad, gnorm in zip(polys, grads, norms):
         for exps, c in p.terms.items():
             coeff = complex(c) * _mono_value(values, exps)
-            total = total + coeff * grads[i]
-            scale += abs(coeff) * gnorm
-    if e.denominator is not None:
+            total = total + coeff * grad
+            scale = scale + np.abs(coeff) * gnorm
+    if isinstance(e, ModuleElement) and e.denominator is not None:
         dval = _mono_value(values, e.denominator)
-        if abs(dval) < 1e-6 * max(scale, 1.0):
+        if np.any(np.abs(dval) < 1e-6 * np.maximum(scale, 1.0)):
             raise EvaluationError("denominator too small at this point; resample")
         total = total / dval
-        scale = scale / abs(dval)
+        scale = scale / np.abs(dval)
     return total, scale
 
 
+def stacked_residuals(e: ModuleElement | GradedPoly, stack: ValueStack) -> np.ndarray:
+    """Relative residuals |value| / sum of term magnitudes, one per point;
+    0 where that sum is 0."""
+    value, scale = eval_stacked(e, stack)
+    mag = np.abs(value) if value.ndim == 1 else np.linalg.norm(value, axis=0)
+    return np.divide(mag, scale, out=np.zeros_like(scale), where=scale != 0.0)
+
+
+def eval_element(e: ModuleElement | GradedPoly, table: PointValues):
+    """`eval_stacked` at one point's value table: (value, scale)."""
+    value, scale = eval_stacked(e, stack_values([table]))
+    return value.T[0], scale[0]
+
+
 def relation_residual(e: ModuleElement | GradedPoly, table: PointValues) -> float:
-    """Relative residual |value| / sum of term magnitudes."""
-    value, scale = eval_element(e, table)
-    mag = float(np.linalg.norm(value)) if isinstance(value, np.ndarray) else abs(value)
-    if scale == 0.0:
-        return 0.0
-    return mag / scale
+    """Relative residual |value| / sum of term magnitudes at one point."""
+    return float(stacked_residuals(e, stack_values([table]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +319,23 @@ def dtable_ratios(tables: Sequence[PointValues]):
 # Second-kind bracket and Jacobian checks
 # ---------------------------------------------------------------------------
 
-def _fd_gradient(func, w: tuple[complex, complex, complex], h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of func in the three matrix entries w."""
-    out = []
-    for c in range(3):
-        dz = [0.0, 0.0, 0.0]
-        dz[c] = h
-        fp = func(tuple(x + d for x, d in zip(w, dz)))
-        fm = func(tuple(x + -d for x, d in zip(w, dz)))
-        out.append((fp - fm) / (2 * h))
-    return np.array(out)
+def _second_kind_values(entries: tuple[complex, complex, complex],
+                        lattice: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The four second-kind constants f (first kind with characteristic
+    (a, 0) at the doubled matrix, whose entries are given) and their exact
+    derivatives df, shape (4, 3), in the undoubled entries (z0, z1, z2).
 
-
-def _fd_gradient_richardson(func, w: tuple[complex, complex, complex],
-                            h: float = 1e-4) -> np.ndarray:
-    g1 = _fd_gradient(func, w, h)
-    g2 = _fd_gradient(func, w, h / 2)
-    return (4 * g2 - g1) / 3
+    Each lattice term e = exp(2 pi i (z0 x^2 + 2 z1 x y + z2 y^2)) has
+    derivatives 2 pi i (x^2, 2 x y, y^2) e, so df weights the terms f sums.
+    """
+    f = np.empty(4, dtype=complex)
+    df = np.empty((4, 3), dtype=complex)
+    for r, a in enumerate(SECOND_KIND_ORDER):
+        x, y, e = _series_terms(Characteristic(a, (0, 0)), entries, lattice)
+        f[r] = e.sum()
+        df[r] = (2j * pi * (x * x * e).sum(), 4j * pi * (x * y * e).sum(),
+                 2j * pi * (y * y * e).sum())
+    return f, df
 
 
 def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConfig()) -> dict:
@@ -327,34 +350,23 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
     (c) the four-term identity for the triple bracket built from the wedge
         of d(g/f) and d(h/f), scaled by f^3.
 
-    Derivatives are central differences with one Richardson step; the
-    matrix coordinates (z0, z1, z2) are varied directly with no half factors
-    on the off-diagonal, stated here because any consistent convention
-    passes the ratio and identity tests.
+    Derivatives are exact: weighted sums of the lattice terms each
+    constant sums.  The matrix coordinates (z0, z1, z2) are the variables,
+    with no half factors on the off-diagonal, stated here because any
+    consistent convention passes the ratio and identity tests.
 
     Only (a) depends on the theta constants.  (b) and (c) are algebraic
     identities that hold for any values f and gradients df: with random
     complex f and df in place of the series their residuals stay at
     rounding level, so they check the bracket arithmetic, not the forms.
     """
-    chars = [Characteristic((a[0], a[1]), (0, 0)) for a in SECOND_KIND_ORDER]
-
     constants = []
     bracket_resid = []
     triple_resid = []
     for Z in points:
-        # the second-kind constants (first kind with characteristic (a, 0) at
-        # 2W) at every point W the differences visit, from one check and one
-        # lattice: every finite-difference shift is real, so each
-        # shifted W has Im(2W) == Im(2Z) bit for bit and the same tail bound,
-        # so W is passed as bare entries and no point is built (or checked)
-        # per difference
-        lattice = _checked_lattice(Z.scaled(2.0), cfg)
-        f_funcs = [lambda w, m=m: complex(
-                       _series_terms(m, tuple(x * 2.0 for x in w), lattice)[2].sum())
-                   for m in chars]
-        f = np.array([fn(Z.entries()) for fn in f_funcs])
-        df = np.array([_fd_gradient_richardson(fn, Z.entries()) for fn in f_funcs])
+        # one tail-bound check and one lattice at 2Z for all four constants
+        doubled = Z.scaled(2.0)
+        f, df = _second_kind_values(doubled.entries(), _checked_lattice(doubled, cfg))
 
         # (a) jacobian of the three quotients
         jac = np.zeros((3, 3), dtype=complex)
@@ -369,42 +381,29 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
             return f[j] * df[i] - f[i] * df[j]
 
         worst = 0.0
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    if len({i, j, k}) < 3:
-                        continue
-                    lhs = f[k] * bracket(i, j)
-                    rhs = f[j] * bracket(i, k) + f[i] * bracket(k, j)
-                    scale = (np.abs(f[k] * bracket(i, j)).sum()
-                             + np.abs(f[j] * bracket(i, k)).sum()
-                             + np.abs(f[i] * bracket(k, j)).sum())
-                    if scale > 0:
-                        worst = max(worst, float(np.abs(lhs - rhs).sum() / scale))
+        for i, j, k in itertools.permutations(range(4), 3):
+            lhs, rhs1, rhs2 = f[k] * bracket(i, j), f[j] * bracket(i, k), f[i] * bracket(k, j)
+            scale = np.abs(lhs).sum() + np.abs(rhs1).sum() + np.abs(rhs2).sum()
+            if scale > 0:
+                worst = max(worst, float(np.abs(lhs - (rhs1 + rhs2)).sum() / scale))
         bracket_resid.append(worst)
 
         # (c) triple bracket: f^3 * d(g/f) ^ d(h/f) as a 3-vector of 2-form
         # coefficients; expands to f dg^dh - g df^dh + h df^dg
         def wedge(u, v):
-            return np.array([
-                u[1] * v[2] - u[2] * v[1],
-                u[0] * v[2] - u[2] * v[0],
-                u[0] * v[1] - u[1] * v[0],
-            ])
+            return np.array([u[1] * v[2] - u[2] * v[1], u[0] * v[2] - u[2] * v[0],
+                             u[0] * v[1] - u[1] * v[0]])
 
         def triple(i, j, k):
             return (f[i] * wedge(df[j], df[k])
                     - f[j] * wedge(df[i], df[k])
                     + f[k] * wedge(df[i], df[j]))
 
-        lhs = f[3] * triple(0, 1, 2)
-        rhs = (f[0] * triple(1, 2, 3) - f[1] * triple(0, 2, 3)
-               + f[2] * triple(0, 1, 3))
-        scale = float(np.abs(f[3] * triple(0, 1, 2)).sum()
-                      + np.abs(f[0] * triple(1, 2, 3)).sum()
-                      + np.abs(f[1] * triple(0, 2, 3)).sum()
-                      + np.abs(f[2] * triple(0, 1, 3)).sum())
-        triple_resid.append(float(np.abs(lhs - rhs).sum() / scale))
+        lhs, rhs1, rhs2, rhs3 = (f[3] * triple(0, 1, 2), f[0] * triple(1, 2, 3),
+                                 f[1] * triple(0, 2, 3), f[2] * triple(0, 1, 3))
+        scale = float(np.abs(lhs).sum() + np.abs(rhs1).sum() + np.abs(rhs2).sum()
+                      + np.abs(rhs3).sum())
+        triple_resid.append(float(np.abs(lhs - (rhs1 - rhs2 + rhs3)).sum() / scale))
 
     constants = np.array(constants)
     mean = complex(constants.mean())
@@ -416,5 +415,5 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
         "bracket_max_residual": max(bracket_resid),
         "triple_max_residual": max(triple_resid),
         "points": len(points),
-        "derivative_convention": "central differences in (z0, z1, z2), no half factors",
+        "derivative_convention": "exact derivatives in (z0, z1, z2), no half factors",
     }

@@ -107,11 +107,17 @@ def test_truncation_failure_is_an_evaluation_error(capsys):
 def test_verify_brackets(capsys):
     code, out = run(capsys, "--points", "3", "verify", "brackets")
     assert code == 0
-    assert json.loads(out)["status"] == "pass"
+    report = json.loads(out)
+    assert report["status"] == "pass"
+    # (b) and (c) hold for any values and derivatives, and say so
+    labelled = [c["name"] for c in report["checks"]
+                if c.get("kind") == "arithmetic-self-check"]
+    assert labelled == ["bracket-identity", "triple-bracket-identity"]
 
 
 def test_verify_brackets_checks_each_point_once(capsys, monkeypatch):
-    # one tail-bound check for the point's finite differences, one for chi5
+    # one tail-bound check for the doubled point's lattice, whose terms give
+    # the constants and their exact derivatives, and one for chi5
     calls = []
     original = numerics.tail_bound
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from theta2 import numerics
-from theta2.chars import EVEN_CHARS, ODD_CHARS
+from theta2.chars import EVEN_CHARS, ODD_CHARS, Characteristic
 from theta2.errors import EvaluationError
 from theta2.numerics import (
     EvalConfig,
@@ -16,6 +16,8 @@ from theta2.numerics import (
     point_values,
     relation_residual,
     sample_siegel,
+    stack_values,
+    stacked_residuals,
     theta,
     theta_grad,
     second_kind_checks,
@@ -163,6 +165,53 @@ def test_table_residuals_equal_per_element_evaluation(points):
             assert relation_residual(e, table) == expected
 
 
+def _loop_mono_value(values, exps):
+    v = 1.0 + 0.0j
+    for base, e in zip(values, exps):
+        if e:
+            v *= base**e
+    return v
+
+
+def _loop_residual(e, table):
+    """The one-point evaluation the stacked evaluator replaced, term by
+    term with scalar arithmetic: the reference for `stacked_residuals`."""
+    values = table.thetas
+    if isinstance(e, GradedPoly):
+        total, scale = 0.0 + 0.0j, 0.0
+        for exps, c in e.terms.items():
+            term = complex(c) * _loop_mono_value(values, exps)
+            total += term
+            scale += abs(term)
+        return abs(total) / scale if scale else 0.0
+    total, scale = np.zeros(2, dtype=complex), 0.0
+    for i, p in enumerate(e.components):
+        gnorm = float(np.linalg.norm(table.grads[i]))
+        for exps, c in p.terms.items():
+            coeff = complex(c) * _loop_mono_value(values, exps)
+            total = total + coeff * table.grads[i]
+            scale += abs(coeff) * gnorm
+    if e.denominator is not None:
+        dval = _loop_mono_value(values, e.denominator)
+        total, scale = total / dval, scale / abs(dval)
+    return float(np.linalg.norm(total)) / scale if scale else 0.0
+
+
+def test_stacked_residuals_equal_per_point_loop(points):
+    # one pass over the terms for all points against the per-point loop;
+    # powers and norms may round differently, within a bound fixed from the dtype
+    tol = 16 * np.finfo(float).eps
+    elements = riemann_ideal() + [r.element for r in all_relations()]
+    assert len(elements) == 142
+    tables = [point_values(Z, CFG) for Z in points]
+    stack = stack_values(tables)
+    for e in elements:
+        got = stacked_residuals(e, stack)
+        assert got.shape == (len(points),)
+        for value, table in zip(got, tables):
+            assert abs(value - _loop_residual(e, table)) <= tol
+
+
 def test_tail_bound_checked_once_per_table(monkeypatch):
     calls = []
     original = numerics.tail_bound
@@ -226,26 +275,62 @@ def test_second_kind_checks(points):
     rep = second_kind_checks(points[:5], CFG)
     assert rep["bracket_max_residual"] < 1e-7
     assert rep["triple_max_residual"] < 1e-7
-    assert rep["jacobian_rel_spread"] < 1e-6
-    # the measured constant is pi^3/32 times the imaginary unit
+    # the measured constant is pi^3/32 times the imaginary unit; exact
+    # derivatives hold it to rounding level (differences read 1e-12)
     c = rep["jacobian_constant"]
-    assert abs(c - 1j * np.pi**3 / 32) < 1e-6
+    assert abs(c - 1j * np.pi**3 / 32) < 1e-14
+    assert rep["jacobian_rel_spread"] < 1e-13
+
+
+def _fd_gradient(func, w, h):
+    """Central finite differences of func in the three matrix entries w."""
+    out = []
+    for c in range(3):
+        dz = [0.0, 0.0, 0.0]
+        dz[c] = h
+        fp = func(tuple(x + d for x, d in zip(w, dz)))
+        fm = func(tuple(x + -d for x, d in zip(w, dz)))
+        out.append((fp - fm) / (2 * h))
+    return np.array(out)
+
+
+def _fd_gradient_richardson(func, w, h=1e-4):
+    g1 = _fd_gradient(func, w, h)
+    g2 = _fd_gradient(func, w, h / 2)
+    return (4 * g2 - g1) / 3
+
+
+def test_second_kind_derivatives_match_finite_differences(points):
+    # reference: central differences with one Richardson step of each
+    # constant, the first-kind series with characteristic (a, 0) at 2W
+    for Z in points[:3]:
+        doubled = Z.scaled(2.0)
+        lattice = numerics._checked_lattice(doubled, CFG)
+        f, df = numerics._second_kind_values(doubled.entries(), lattice)
+        for r, a in enumerate(numerics.SECOND_KIND_ORDER):
+            m = Characteristic(a, (0, 0))
+
+            def value(w, m=m):
+                return complex(numerics._series_terms(
+                    m, tuple(x * 2.0 for x in w), lattice)[2].sum())
+
+            assert f[r] == value(Z.entries())
+            fd = _fd_gradient_richardson(value, Z.entries())
+            assert np.abs(df[r] - fd).max() <= 1e-8 * np.abs(df[r]).max()
 
 
 def test_second_kind_checks_on_stand_in_forms(points, monkeypatch):
-    # smooth random functions of the matrix entries in place of the theta
-    # series, one per characteristic, and a random constant for chi5: the
-    # Jacobian ratio (a) must fail, while the bracket and triple identities
-    # (b) and (c) hold for any values and gradients
+    # random lattice coordinates and terms in place of the theta series,
+    # drawn afresh for each characteristic at each point, and a random
+    # constant for chi5: the Jacobian ratio (a) must fail, while the bracket
+    # and triple identities (b) and (c) hold for any values and gradients
     rng = np.random.default_rng(5)
     forms = {}
 
     def stand_in(m, entries, lattice, z=None):
-        if m not in forms:
-            forms[m] = (rng.normal(size=3) + 1j * rng.normal(size=3),
-                        complex(rng.normal(), rng.normal()))
-        a, b = forms[m]
-        return None, None, np.array([b * np.exp(np.dot(a, entries))])
+        forms[m] = forms.get(m, 0) + 1
+        x, y = rng.normal(size=(2, 9))
+        return x, y, rng.normal(size=9) + 1j * rng.normal(size=9)
 
     c5 = complex(rng.normal(), rng.normal())
     monkeypatch.setattr(numerics, "_series_terms", stand_in)
