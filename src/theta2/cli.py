@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from math import inf
 
 from . import thetaring
@@ -59,12 +59,21 @@ def _cfg(args) -> numerics.EvalConfig:
 # verify suites
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _point_tables(seed: int, count: int,
+                  cfg: numerics.EvalConfig) -> tuple[numerics.PointValues, ...]:
+    """The sample points' value tables; verify all's numeric and brackets
+    suites sample the same points."""
+    from . import numerics
+
+    return tuple(numerics.point_values(Z, cfg) for Z in numerics.sample_siegel(seed, count))
+
+
 def _suite_numeric(args) -> list[dict]:
     from . import numerics
 
     cfg = _cfg(args)
-    points = numerics.sample_siegel(args.seed, args.points)
-    tables = [numerics.point_values(Z, cfg) for Z in points]
+    tables = _point_tables(args.seed, args.points, cfg)
     stack = numerics.stack_values(tables)
     checks = []
 
@@ -150,7 +159,9 @@ def _suite_brackets(args) -> list[dict]:
 
     cfg = _cfg(args)
     points = numerics.sample_siegel(args.seed, args.points)
-    rep = numerics.second_kind_checks(points, cfg)
+    # verify all has the numeric suite's tables, whose theta constants give chi5
+    tables = _point_tables(args.seed, args.points, cfg) if args.suite == "all" else None
+    rep = numerics.second_kind_checks(points, cfg, tables)
     # the bracket and triple-bracket identities hold for any values and
     # derivatives: they check the bracket arithmetic, not the theta constants
     checks = [

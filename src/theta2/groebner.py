@@ -176,6 +176,8 @@ class ModularField:
         self.name = f"p{p}"
 
     def convert(self, c):
+        if type(c) is int:
+            return c % self.p
         c = Fraction(c)
         return c.numerator * pow(c.denominator, -1, self.p) % self.p
 
@@ -1021,18 +1023,22 @@ class EngineBasis:
         return not self.normal_form(elem)
 
     def modulo(self, field) -> "EngineBasis":
-        """A basis over Z/(p1 p2) read modulo p1 or p2, as a basis over field.
+        """A basis over Q or Z/(p1 p2) read modulo field's p, as a basis
+        over field; a coefficient maps by field.convert, so a Fraction
+        maps to numerator times the inverse of its denominator.
 
         Every lead is monic, so each reduction of the run that made this
-        basis is a reduction modulo the prime too (one whose coefficient
-        vanishes there does nothing), and each S-pair the run reduced to
-        zero or pruned by its leads is one the prime's run may skip.  The
+        basis is a reduction modulo p too (one whose coefficient vanishes
+        there does nothing), and each S-pair the run reduced to zero or
+        pruned by its leads is one the run modulo p may skip.  The
         projection is therefore the reduced basis, over field, of the
-        projected generators; a term whose coefficient the prime divides
-        drops out."""
-        p = field.p
-        return EngineBasis([{k: c % p for k, c in e.items() if c % p} for e in self.elements],
-                           self.order, field)
+        projected generators; a term whose coefficient p divides drops
+        out.  From Z/(p1 p2) to p1 or p2 that always holds.  From Q it
+        holds when every lead coefficient the run inverted was a unit
+        modulo p, a lucky modulus (Pauer 1992): the caller checks that."""
+        conv = field.convert
+        return EngineBasis([{k: v for k, c in e.items() if (v := conv(c))}
+                            for e in self.elements], self.order, field)
 
     def structure(self) -> Iterator[list[tuple[tuple[int, ...], int]]]:
         """Coefficient-free support shape, comparable across coefficient

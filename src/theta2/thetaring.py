@@ -6,14 +6,14 @@ of degree 1).  This module derives the relation catalogs (20 three-term,
 30 four-term, 72 five-term) and certifies them with the multiplication
 oracle: there is one oracle per process, and each catalog is derived once
 per process and returned as a tuple.  k0, the three-term relations plus
-the ideal layer, is computed once over Z/(p1 p2), which by the Chinese
-remainder theorem stands for both primes: the oracle and the pipelines
-over GF(p1) and GF(p2) start from it.  The oracle reduces each chi5
-multiple it needs once.  The module then computes the full relation
-kernel as a colon module, intersects the fifteen localized modules, handles
-the extra generator with its 360-element orbit, and produces the Hilbert
-series of the intersection, plus the two second-kind presentations with
-their series.
+the ideal layer, is computed once over Q; read modulo p1 p2, which by the
+Chinese remainder theorem stands for both primes, it is the k0 that the
+oracle and the pipelines over GF(p1) and GF(p2) start from.  The oracle
+reduces each chi5 multiple it needs once.  The module then computes the
+full relation kernel as a colon module, intersects the fifteen localized
+modules, handles the extra generator with its 360-element orbit, and
+produces the Hilbert series of the intersection, plus the two second-kind
+presentations with their series.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence
 
 from . import chars
@@ -34,6 +35,7 @@ from .groebner import (
     EngineBasis,
     GroebnerBasis,
     MonomialOrder,
+    RationalField,
     buchberger_engine,
     hilbert_series_engine,
     intersect_engine,
@@ -235,16 +237,50 @@ def kernel_seed_generators() -> list[ModuleElement]:
     return [r.element for r in rel_d()] + ideal_times_free()
 
 
+class _UnitWitness(RationalField):
+    """QQ for one engine run, noting whether every lead coefficient the
+    run inverts is a unit modulo p1 p2."""
+
+    units = True
+
+    def inv(self, c):
+        if gcd(c.numerator * c.denominator, ZN.p) != 1:
+            self.units = False
+        return super().inv(c)
+
+
+@lru_cache(maxsize=None)
+def _kernel_seed_over_q() -> tuple[EngineBasis, bool]:
+    """k0 over Q, and whether every lead its run inverted is a unit
+    modulo p1 p2."""
+    order = MonomialOrder(NVARS, rank=RANK)
+    witness = _UnitWitness()
+    elements = buchberger_engine([to_engine(g, order, QQ) for g in kernel_seed_generators()],
+                                 order, witness)
+    return EngineBasis(elements, order, QQ), witness.units
+
+
 @lru_cache(maxsize=None)
 def kernel_seed_basis(field) -> EngineBasis:
     """k0 over one field, built once per process and shared by every
-    pipeline over that field.  Over GF(p1) and GF(p2) it is the projection
-    of k0 over Z/(p1 p2), the oracle's basis (see EngineBasis.modulo); over
-    any other field it is one engine run.  Over Z/(p1 p2) a lead
-    coefficient that one prime divides has no inverse, and that ends the
-    derivation: it is a DerivationError."""
+    pipeline over that field.
+
+    Over Q it is one engine run.  When every lead that run inverts is a
+    unit modulo p1 p2, the run read modulo p1 p2 is a run over Z/(p1 p2),
+    so k0 over Z/(p1 p2), the oracle's basis, is the Q basis read modulo
+    p1 p2 (see EngineBasis.modulo).  Over GF(p1) and GF(p2) it is the
+    projection of k0 over Z/(p1 p2) in turn.  Otherwise, and over any
+    other field, it is one engine run.  Over Z/(p1 p2) a lead coefficient
+    that one prime divides has no inverse, and that ends the derivation:
+    it is a DerivationError."""
     if field in (GFP1, GFP2):
         return kernel_seed_basis(ZN).modulo(field)
+    if field is QQ or field == ZN:
+        k0, units = _kernel_seed_over_q()
+        if field is QQ:
+            return k0
+        if units:
+            return k0.modulo(ZN)
     order = MonomialOrder(NVARS, rank=RANK)
     gens = [to_engine(g, order, field) for g in kernel_seed_generators()]
     try:

@@ -208,6 +208,50 @@ def test_verify_all_two_jobs_starts_one_pool(capsys, monkeypatch, cache_dir):
     assert parallel == serial
 
 
+_K0_ONCE = """
+from theta2 import cli, numerics, thetaring
+from theta2.groebner import QQ, ZN, MonomialOrder, to_engine
+
+order = MonomialOrder(thetaring.NVARS, rank=thetaring.RANK)
+supports = [sorted(to_engine(g, order, QQ)) for g in thetaring.kernel_seed_generators()]
+k0_runs, chi5_calls = [], []
+engine, chi5 = thetaring.buchberger_engine, numerics.chi5
+
+
+def counting_engine(gens, order, field, *a, **k):
+    gens = list(gens)
+    if [sorted(g) for g in gens] == supports:
+        k0_runs.append(field)
+    return engine(gens, order, field, *a, **k)
+
+
+def counting_chi5(*a, **k):
+    chi5_calls.append(a)
+    return chi5(*a, **k)
+
+
+thetaring.buchberger_engine = counting_engine
+numerics.chi5 = counting_chi5
+assert cli.main(["--seed", "1", "--points", "2", "--coeff-mode", "q", "verify", "all"]) == 0
+assert len(k0_runs) == 1 and k0_runs[0].p is None, k0_runs
+k0 = thetaring.kernel_seed_basis(QQ)
+projection = [{k: ZN.convert(c) for k, c in e.items() if ZN.convert(c)} for e in k0.elements]
+assert thetaring.kernel_seed_basis(ZN).elements == projection
+assert chi5_calls == []
+"""
+
+
+def test_verify_all_over_q_builds_k0_once():
+    # a fresh process, so that no catalog or k0 is cached: the oracle's k0
+    # over Z/(p1 p2) and the kernel suite's k0 over Q come from one engine
+    # run, over Q; the brackets suite reads chi5 from the numeric suite's
+    # tables
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", _K0_ONCE], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_structure_report_command(capsys, cache_dir, pipe_p1):
     # pipe_p1 warms the on-disk cache for the heavy stages
     code, out = run(capsys, "--coeff-mode", "p1", "--cache-dir", cache_dir,

@@ -175,6 +175,26 @@ def test_mod_n_basis_reads_as_each_prime_basis():
         assert sum(map(len, basis.elements)) - sum(map(len, direct)) == dropped
 
 
+def test_rational_basis_reads_modulo_n_through_convert():
+    # a Fraction maps to its numerator times the inverse of its
+    # denominator, and a term whose numerator p divides drops out
+    a, b = (ORDER2.term_key(ORDER2.encode_mono(e), 0) for e in ((1, 0), (0, 1)))
+    basis = EngineBasis([{a: 1, b: Fraction(PRIME1, 3)}], ORDER2, QQ)
+    for field in (ZN, GFP1, GFP2):
+        (e,) = basis.modulo(field).elements
+        assert e[a] == 1
+        assert e.get(b, 0) == PRIME1 * pow(3, -1, field.p) % field.p
+    assert b not in basis.modulo(GFP1).elements[0]
+    # a rational run whose inverted leads, 2 and 7/2, are units modulo p1 p2
+    x, y = V(2, 0), V(2, 1)
+    gens = [x + x + y, y * y + y * y + y * y - x * y]     # 2x + y, 3y^2 - xy
+    rational = EngineBasis(buchberger_engine(E(gens, ORDER2), ORDER2, QQ), ORDER2, QQ)
+    assert Fraction(1, 2) in [c for e in rational.elements for c in e.values()]
+    for field in (ZN, GFP1, GFP2):
+        direct = buchberger_engine(E(gens, ORDER2, field), ORDER2, field)
+        assert rational.modulo(field).elements == direct
+
+
 def test_rational_basis_of_integral_input_has_int_coefficients():
     # the quartics have unit leads: no Fraction is ever made for them
     order = MonomialOrder(NVARS)

@@ -252,16 +252,18 @@ def test_extr_b_numeric(points):
         assert relation_residual(r.element, table) < 1e-9
 
 
-def test_kernel_seed_over_zn_projects_to_each_prime():
-    # k0 over Z/(p1 p2), read modulo each prime, is that prime's own k0
-    basis = kernel_seed_basis(ZN)
-    assert basis.field is ZN
-    order = basis.order
-    for field in (GFP1, GFP2):
+def test_kernel_seed_over_q_projects_to_zn_and_each_prime():
+    # k0 over Q, read modulo p1 p2, p1 and p2, is that field's own k0: a
+    # direct engine run over it
+    k0 = kernel_seed_basis(QQ)
+    assert k0.field is QQ
+    order = k0.order
+    for field in (ZN, GFP1, GFP2):
         direct = buchberger_engine([to_engine(g, order, field) for g in kernel_seed_generators()],
                                    order, field)
-        assert basis.modulo(field).elements == direct
+        assert k0.modulo(field).elements == direct
         assert kernel_seed_basis(field).elements == direct
+    assert kernel_seed_basis(ZN).field is ZN
 
 
 def test_kernel_seed_over_another_prime_is_its_own_run():
@@ -286,11 +288,21 @@ def test_kernel_seed_of_an_equal_field_is_the_cached_basis():
 
 def test_kernel_seed_over_zn_refuses_a_non_unit_lead(monkeypatch):
     # t1 T1 reduces t1 T1 + p1 t2 T1 to p1 t2 T1, a lead that is zero
-    # modulo p1 and a unit modulo p2: no inverse modulo p1 p2
+    # modulo p1 and a unit modulo p2: no inverse modulo p1 p2.  The Q run,
+    # uncached so that it reads these generators, notes that lead; Z/(p1 p2)
+    # then makes its own run, which refuses it, and the Q basis stays exact
     t1, t2 = GradedPoly.variable(NVARS, 0), GradedPoly.variable(NVARS, 1)
     gens = [ModuleElement.generator(NVARS, 6, 0, shifts=SHIFTS, coeff=c)
             for c in (t1, t1 + t2.scale(groebner.PRIME1))]
     monkeypatch.setattr(thetaring, "kernel_seed_generators", lambda: gens)
+    monkeypatch.setattr(thetaring, "_kernel_seed_over_q", thetaring._kernel_seed_over_q.__wrapped__)
+    k0, units = thetaring._kernel_seed_over_q()
+    assert not units
+    order = k0.order
+    exact = sorted((to_engine(ModuleElement.generator(NVARS, 6, 0, shifts=SHIFTS, coeff=c),
+                              order, QQ) for c in (t1, t2)), key=max)
+    assert k0.field is QQ and k0.elements == exact
+    assert kernel_seed_basis.__wrapped__(QQ).elements == exact
     with pytest.raises(DerivationError, match="not a unit"):
         kernel_seed_basis.__wrapped__(ZN)
     with pytest.raises(ValueError):
