@@ -6,14 +6,14 @@ of degree 1).  This module derives the relation catalogs (20 three-term,
 30 four-term, 72 five-term) and certifies them with the multiplication
 oracle: there is one oracle per process, and each catalog is derived once
 per process and returned as a tuple.  k0, the three-term relations plus
-the ideal layer, is computed once over Q; read modulo p1 p2, which by the
-Chinese remainder theorem stands for both primes, it is the k0 that the
-oracle and the pipelines over GF(p1) and GF(p2) start from.  The oracle
-reduces each chi5 multiple it needs once.  The module then computes the
-full relation kernel as a colon module, intersects the fifteen localized
-modules, handles the extra generator with its 360-element orbit, and
-produces the Hilbert series of the intersection, plus the two second-kind
-presentations with their series.
+the ideal layer, is computed once over Q.  The oracle works on it exactly,
+and a pipeline over a prime starts from it read modulo that prime when the
+prime is lucky for the Q run.  The oracle reduces each chi5 multiple it
+needs once.  The module then computes the full relation kernel as a colon
+module, intersects the fifteen localized modules, handles the extra
+generator with its 360-element orbit, and produces the Hilbert series of
+the intersection, plus the two second-kind presentations with their
+series.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .errors import DerivationError
 from .groebner import (
     QQ,
     GFP1,
-    GFP2,
-    ZN,
     BasisCache,
     EngineBasis,
     GroebnerBasis,
@@ -238,26 +236,27 @@ def kernel_seed_generators() -> list[ModuleElement]:
 
 
 class _UnitWitness(RationalField):
-    """QQ for one engine run, noting whether every lead coefficient the
-    run inverts is a unit modulo p1 p2."""
+    """QQ for one engine run, noting the product of the numerators and
+    denominators of the lead coefficients other than +-1 that the run
+    inverts: every such lead is a unit modulo m when m is prime to it."""
 
-    units = True
+    leads = 1
 
     def inv(self, c):
-        if gcd(c.numerator * c.denominator, ZN.p) != 1:
-            self.units = False
+        if c != 1 and c != -1:
+            self.leads *= c.numerator * c.denominator
         return super().inv(c)
 
 
 @lru_cache(maxsize=None)
-def _kernel_seed_over_q() -> tuple[EngineBasis, bool]:
-    """k0 over Q, and whether every lead its run inverted is a unit
-    modulo p1 p2."""
+def _kernel_seed_over_q() -> tuple[EngineBasis, int]:
+    """k0 over Q, and the product of the numerators and denominators of
+    the leads other than +-1 that its run inverted."""
     order = MonomialOrder(NVARS, rank=RANK)
     witness = _UnitWitness()
     elements = buchberger_engine([to_engine(g, order, QQ) for g in kernel_seed_generators()],
                                  order, witness)
-    return EngineBasis(elements, order, QQ), witness.units
+    return EngineBasis(elements, order, QQ), witness.leads
 
 
 @lru_cache(maxsize=None)
@@ -265,22 +264,18 @@ def kernel_seed_basis(field) -> EngineBasis:
     """k0 over one field, built once per process and shared by every
     pipeline over that field.
 
-    Over Q it is one engine run.  When every lead that run inverts is a
-    unit modulo p1 p2, the run read modulo p1 p2 is a run over Z/(p1 p2),
-    so k0 over Z/(p1 p2), the oracle's basis, is the Q basis read modulo
-    p1 p2 (see EngineBasis.modulo).  Over GF(p1) and GF(p2) it is the
-    projection of k0 over Z/(p1 p2) in turn.  Otherwise, and over any
-    other field, it is one engine run.  Over Z/(p1 p2) a lead coefficient
-    that one prime divides has no inverse, and that ends the derivation:
-    it is a DerivationError."""
-    if field in (GFP1, GFP2):
-        return kernel_seed_basis(ZN).modulo(field)
-    if field is QQ or field == ZN:
-        k0, units = _kernel_seed_over_q()
-        if field is QQ:
-            return k0
-        if units:
-            return k0.modulo(ZN)
+    Over Q it is one engine run.  Modulo m, a prime or a product of
+    primes, it is that run read modulo m when every lead the run inverted
+    is a unit modulo m: m is then a lucky modulus (Pauer 1992), and the
+    run read modulo m is a run over Z/m (see EngineBasis.modulo).
+    Otherwise it is one engine run over Z/m.  Modulo a composite m a lead
+    coefficient that one prime factor divides has no inverse, and that
+    ends the derivation: it is a DerivationError."""
+    k0, leads = _kernel_seed_over_q()
+    if field.p is None:
+        return k0
+    if gcd(leads, field.p) == 1:
+        return k0.modulo(field)
     order = MonomialOrder(NVARS, rank=RANK)
     gens = [to_engine(g, order, field) for g in kernel_seed_generators()]
     try:
@@ -366,26 +361,24 @@ class RelationOracle:
     """Membership oracle: an element is a relation iff its chi5 multiple lies
     in the module spanned by the three-term relations plus the ideal layer.
 
-    The oracle holds its own copy of k0 over Z/(p1 p2) and a table with the
-    normal form over Z/(p1 p2) of each multiple chi5 x^e T_c it has met,
-    keyed by (c, e) with c 0-based: each is computed once, and the sign
-    search and the certification read it.  Sign patterns are decided over
-    GF(p1), from the table modulo p1.  An element is certified when the
-    sum of its terms' entries is zero modulo p1 p2, that is (Chinese
-    remainder theorem) when its chi5 multiple reduces to zero under GF(p1)
-    and under GF(p2).
+    The oracle holds its own copy of k0 over Q and a table with the exact
+    normal form of each multiple chi5 x^e T_c it has met, keyed by (c, e)
+    with c 0-based: each is computed once, and the sign search and the
+    certification read it.  Sign patterns are decided over Q, and an
+    element is certified when the sum of its terms' entries is zero, that
+    is when its chi5 multiple reduces to zero over Q.
     """
 
     def __init__(self):
-        self.fields = (GFP1, GFP2)
-        k0 = kernel_seed_basis(ZN)
+        self.fields = (QQ,)     # the field label of perfbench/tracing.py's oracle span
+        k0 = kernel_seed_basis(QQ)
         # its own copy: the reducer index the normal forms build goes with the oracle
-        self.basis = EngineBasis(k0.elements, k0.order, k0.field)
-        self.table: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+        self.basis = EngineBasis(k0.elements, k0.order, QQ)
+        self.table: dict[tuple[int, tuple[int, ...]], dict] = {}
 
-    def _entry(self, comp: int, exps: tuple[int, ...]) -> dict[int, int]:
-        """The normal form of chi5 x^exps T_comp over Z/(p1 p2); computed
-        on first use."""
+    def _entry(self, comp: int, exps: tuple[int, ...]) -> dict:
+        """The normal form of chi5 x^exps T_comp over Q; computed on first
+        use."""
         nf = self.table.get((comp, exps))
         if nf is None:
             order = self.basis.order
@@ -394,33 +387,29 @@ class RelationOracle:
         return nf
 
     def certify(self, element: ModuleElement) -> bool:
-        """chi5 * element reduces to zero under GF(p1) and GF(p2): the sum
-        of its terms' table entries vanishes modulo p1 p2."""
+        """chi5 * element reduces to zero over Q: the sum of its terms'
+        table entries vanishes."""
         if element.denominator is not None:
             raise ValueError("cannot certify an element carrying a denominator tag")
-        n = self.basis.field.p
-        total: dict[int, int] = {}
+        total: dict = {}
         for comp, poly in enumerate(element.components):
             for exps, c in poly.terms.items():
-                c = self.basis.field.convert(c)
                 for k, v in self._entry(comp, exps).items():
                     total[k] = total.get(k, 0) + c * v
-        return not any(v % n for v in total.values())
+        return not any(total.values())
 
     def solve_signs(self, terms: Sequence[tuple[int, tuple[int, ...]]]) -> list[int] | None:
         """Signs s with sum s_i * mono_i * T_{comp_i} a relation, or None.
 
         Equivalent to enumerating the sign patterns up to a global flip:
-        the candidates' normal forms are read off the table modulo p1, and
-        the unique vanishing combination is found; exactly one pattern may
-        pass.  The first entry is normalized to +1.
+        the candidates' normal forms are read off the table, and the
+        unique vanishing combination over Q is found; exactly one pattern
+        may pass.  The first entry is normalized to +1.
         """
-        # _nullspace reduces every entry modulo p1
-        null = _nullspace([self._entry(comp - 1, exps) for comp, exps in terms],
-                          self.fields[0])
+        null = _nullspace([self._entry(comp - 1, exps) for comp, exps in terms], QQ)
         if len(null) != 1:
             return None
-        return _sign_vector(null[0], self.fields[0])
+        return _sign_vector(null[0], QQ)
 
     def build_relation(self, kind: str, indices: tuple,
                        terms: Sequence[tuple[int, tuple[int, ...]]]) -> RelationRecord:
@@ -433,7 +422,7 @@ class RelationOracle:
     def signed_relation(self, kind: str, indices: tuple,
                         terms: Sequence[tuple[int, tuple[int, ...]]],
                         signs: Sequence[int]) -> RelationRecord:
-        """The relation with the given term signs, certified under every field."""
+        """The relation with the given term signs, certified over Q."""
         comps = {comp: GradedPoly.monomial(NVARS, exps, s)
                  for (comp, exps), s in zip(terms, signs)}
         elem = ModuleElement(

@@ -210,12 +210,12 @@ def test_verify_all_two_jobs_starts_one_pool(capsys, monkeypatch, cache_dir):
 
 _K0_ONCE = """
 from theta2 import cli, numerics, thetaring
-from theta2.groebner import QQ, ZN, MonomialOrder, to_engine
+from theta2.groebner import QQ, ZN, EngineBasis, MonomialOrder, to_engine
 
 order = MonomialOrder(thetaring.NVARS, rank=thetaring.RANK)
 supports = [sorted(to_engine(g, order, QQ)) for g in thetaring.kernel_seed_generators()]
-k0_runs, chi5_calls = [], []
-engine, chi5 = thetaring.buchberger_engine, numerics.chi5
+k0_runs, chi5_calls, projections = [], [], []
+engine, chi5, modulo = thetaring.buchberger_engine, numerics.chi5, EngineBasis.modulo
 
 
 def counting_engine(gens, order, field, *a, **k):
@@ -230,10 +230,17 @@ def counting_chi5(*a, **k):
     return chi5(*a, **k)
 
 
+def counting_modulo(self, field):
+    projections.append(field)
+    return modulo(self, field)
+
+
 thetaring.buchberger_engine = counting_engine
 numerics.chi5 = counting_chi5
+EngineBasis.modulo = counting_modulo
 assert cli.main(["--seed", "1", "--points", "2", "--coeff-mode", "q", "verify", "all"]) == 0
 assert len(k0_runs) == 1 and k0_runs[0].p is None, k0_runs
+assert projections == [], projections
 k0 = thetaring.kernel_seed_basis(QQ)
 projection = [{k: ZN.convert(c) for k, c in e.items() if ZN.convert(c)} for e in k0.elements]
 assert thetaring.kernel_seed_basis(ZN).elements == projection
@@ -242,10 +249,10 @@ assert chi5_calls == []
 
 
 def test_verify_all_over_q_builds_k0_once():
-    # a fresh process, so that no catalog or k0 is cached: the oracle's k0
-    # over Z/(p1 p2) and the kernel suite's k0 over Q come from one engine
-    # run, over Q; the brackets suite reads chi5 from the numeric suite's
-    # tables
+    # a fresh process, so that no catalog or k0 is cached: the oracle and
+    # the kernel suite read one k0, from one engine run over Q, and neither
+    # reads it modulo anything; the brackets suite reads chi5 from the
+    # numeric suite's tables
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", _K0_ONCE], env=env, capture_output=True,
                           text=True)

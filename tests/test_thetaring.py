@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -266,12 +267,14 @@ def test_kernel_seed_over_q_projects_to_zn_and_each_prime():
     assert kernel_seed_basis(ZN).field is ZN
 
 
-def test_kernel_seed_over_another_prime_is_its_own_run():
-    # a prime that does not divide p1 p2 gets its own k0, not a projection
+def test_kernel_seed_over_another_lucky_prime_is_its_own_run():
+    # any prime that no lead of the Q run shares a factor with reads the
+    # Q basis, and that projection is the prime's own engine run
     field = ModularField(2147483587)
     order = MonomialOrder(NVARS, rank=6)
     direct = buchberger_engine([to_engine(g, order, field) for g in kernel_seed_generators()],
                                order, field)
+    assert thetaring._kernel_seed_over_q()[1] == 1
     assert kernel_seed_basis(field).elements == direct
 
 
@@ -287,22 +290,28 @@ def test_kernel_seed_of_an_equal_field_is_the_cached_basis():
 
 
 def test_kernel_seed_over_zn_refuses_a_non_unit_lead(monkeypatch):
-    # t1 T1 reduces t1 T1 + p1 t2 T1 to p1 t2 T1, a lead that is zero
-    # modulo p1 and a unit modulo p2: no inverse modulo p1 p2.  The Q run,
-    # uncached so that it reads these generators, notes that lead; Z/(p1 p2)
-    # then makes its own run, which refuses it, and the Q basis stays exact
+    # t1 T1 reduces t1 T1 + p1 t2 T1 to p1 t2 T1, so the Q run inverts the
+    # lead p1: every modulus prime to p1 reads the Q basis, and the others
+    # make their own run.  GF(p1) loses t2 T1; modulo p1 p2 the lead p1 t2
+    # T1 is no unit, which ends that run.  The runs are uncached so that
+    # they read these generators, and the Q basis stays exact
     t1, t2 = GradedPoly.variable(NVARS, 0), GradedPoly.variable(NVARS, 1)
     gens = [ModuleElement.generator(NVARS, 6, 0, shifts=SHIFTS, coeff=c)
             for c in (t1, t1 + t2.scale(groebner.PRIME1))]
     monkeypatch.setattr(thetaring, "kernel_seed_generators", lambda: gens)
     monkeypatch.setattr(thetaring, "_kernel_seed_over_q", thetaring._kernel_seed_over_q.__wrapped__)
-    k0, units = thetaring._kernel_seed_over_q()
-    assert not units
+    k0, leads = thetaring._kernel_seed_over_q()
+    assert leads == groebner.PRIME1
     order = k0.order
     exact = sorted((to_engine(ModuleElement.generator(NVARS, 6, 0, shifts=SHIFTS, coeff=c),
                               order, QQ) for c in (t1, t2)), key=max)
     assert k0.field is QQ and k0.elements == exact
     assert kernel_seed_basis.__wrapped__(QQ).elements == exact
+    p2 = kernel_seed_basis.__wrapped__(GFP2)
+    assert p2.field is GFP2 and p2.elements == k0.modulo(GFP2).elements == exact
+    p1 = kernel_seed_basis.__wrapped__(GFP1)
+    assert p1.field is GFP1 and p1.elements == [to_engine(gens[0], order, GFP1)]
+    assert p1.elements != k0.modulo(GFP1).elements
     with pytest.raises(DerivationError, match="not a unit"):
         kernel_seed_basis.__wrapped__(ZN)
     with pytest.raises(ValueError):
@@ -311,11 +320,12 @@ def test_kernel_seed_over_zn_refuses_a_non_unit_lead(monkeypatch):
 
 def test_certify_agrees_with_direct_normal_forms(oracle):
     # the table-based certificate against a direct normal form of the chi5
-    # multiple over each prime, for all 122 relations and a one-sign flip
+    # multiple over Q and over each prime, for all 122 relations and a
+    # one-sign flip
     order = MonomialOrder(NVARS, rank=6)
     direct = [EngineBasis(buchberger_engine(
         [to_engine(g, order, f) for g in kernel_seed_generators()], order, f), order, f)
-        for f in (GFP1, GFP2)]
+        for f in (QQ, GFP1, GFP2)]
     chi5 = GradedPoly.monomial(NVARS, CHI5_EXPS)
     rels = all_relations()
     assert len(rels) == 122
@@ -327,8 +337,20 @@ def test_certify_agrees_with_direct_normal_forms(oracle):
         for e, expected in ((r.element, True), (flipped, False)):
             scaled = e.mul_poly(chi5)
             assert [b.contains(to_engine(scaled, order, b.field)) for b in direct] == \
-                [expected] * 2
+                [expected] * 3
             assert oracle.certify(e) is expected
+
+
+def test_certify_is_exact(oracle):
+    # a certified relation plus p1 p2 x^e T1, where chi5 x^e T1 is not in
+    # k0: its entries sum to zero modulo p1 p2 but not over Q
+    r = rel_d()[0]
+    assert oracle.certify(r.element)
+    exps = (3,) + (0,) * (NVARS - 1)
+    assert oracle._entry(0, exps)
+    shift = ModuleElement.generator(NVARS, 6, 0, shifts=SHIFTS, coeff=GradedPoly.monomial(
+        NVARS, exps, groebner.PRIME1 * groebner.PRIME2))
+    assert not oracle.certify(r.element + shift)
 
 
 def test_relation_table_holds_each_multiple_once(monkeypatch):
@@ -349,31 +371,30 @@ def test_relation_table_holds_each_multiple_once(monkeypatch):
     assert sextets.__wrapped__() == sextets()
     assert extr_b.__wrapped__() == extr_b()
     assert len(fresh.table) == 480
-    assert calls == [ZN] * 480
+    assert calls == [QQ] * 480
 
 
 def test_catalogs_keep_no_oracle():
     # once the three catalogs exist the process oracle, its table and its
-    # reducer index are dropped; the cached k0 over Z/(p1 p2) never builds one
+    # reducer index are dropped; the cached k0 over Q never builds one
     default_oracle()
     assert all_relations.__wrapped__() == all_relations()
     assert default_oracle.cache_info().currsize == 0
-    assert kernel_seed_basis(ZN)._buckets is None
+    assert kernel_seed_basis(QQ)._buckets is None
 
 
 def test_relation_table_keeps_wide_coefficients():
-    # an entry is the normal form over Z/(p1 p2) as the engine returns it,
-    # residues of any width, stored once and read back as is
+    # an entry is the exact normal form as the engine returns it, a wide
+    # int and a Fraction alike, stored once and read back as is
     oracle = RelationOracle()
     order = oracle.basis.order
     lead, *tail = (order.term_key(order.encode_mono(e), 0)
                    for e in (CHI5_EXPS, (0,) * 9 + (10,), (0,) * 8 + (1, 9)))
     assert lead > max(tail)
-    wide = {tail[0]: 3 ** 30, tail[1]: -5}
-    oracle.basis = EngineBasis([{lead: 1, **{k: -c % ZN.p for k, c in wide.items()}}],
-                               order, ZN)
+    wide = {tail[0]: 3 ** 80, tail[1]: Fraction(-5, 7)}
+    oracle.basis = EngineBasis([{lead: 1, **{k: -c for k, c in wide.items()}}], order, QQ)
     entry = oracle._entry(0, (0,) * NVARS)
-    assert entry == {k: c % ZN.p for k, c in wide.items()}
+    assert entry == wide and type(entry[tail[1]]) is Fraction
     assert oracle._entry(0, (0,) * NVARS) is entry
     assert oracle.table == {(0, (0,) * NVARS): entry}
 
@@ -548,7 +569,7 @@ def test_m_pair_membership(pipe_p1):
 
 def test_kernel_seed_shared_with_oracle():
     # the p1 pipeline's k0 is the one per-process basis, the projection of
-    # the oracle's k0 over Z/(p1 p2)
+    # the oracle's k0 over Q
     k0 = StructurePipeline(GFP1).kernel_seed().engine
     assert k0 is kernel_seed_basis(GFP1)
     assert k0.elements == default_oracle().basis.modulo(GFP1).elements
