@@ -108,7 +108,13 @@ C - e with 0 <= e < C = 64, so its value lies in 1..C and the guard bit
 ring degree, at most 255.  The guard-bit subtractions of divisibility and
 lcm rely on this.  Inputs are checked when encoded, and the engine raises
 DerivationError before it forms a term product or a pair lcm that would
-leave these ranges.
+leave these ranges.  A pair lcm is checked where it is formed (mono_lcm,
+or _minimal_lcms for a one-variable colon step).  A product row * t is
+checked degree first (_check_room): a row keeps its top term degree, a
+signature's monomial counted, and no product term has an exponent or a
+degree above top + deg t, so a sum of at most C - 1 settles it.  Only
+otherwise is the row's blockwise exponent maximum formed from its keys,
+for an exact guard-bit test.
 """
 
 from __future__ import annotations
@@ -123,7 +129,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import and_, attrgetter, getitem, itemgetter
+from operator import and_, attrgetter, getitem, itemgetter, neg
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DerivationError
@@ -346,27 +352,29 @@ def to_engine(e: ModuleElement | GradedPoly, order: MonomialOrder, field) -> dic
 
 
 class _Row:
-    """A monic row plus the word of the engine's packing-range test.
+    """A monic row plus its top term degree, for the engine's packing-range
+    test.
 
     The tail below the lead is held as two parallel tuples, its term keys
-    in descending order and their coefficients.  room holds the row's
-    blockwise exponent maximum over all its terms and its top term degree,
-    offset so that one guard-bit test against a target monomial shows
-    whether row * (target / lead) stays in packing range (see _check_room).
-    The top degree need not be the lead's: in an elimination a lead in the
-    dominating summand can sit above a tail term of higher degree in the
-    other.
+    in descending order and their coefficients.  top is the highest degree
+    of a term of the row, or of a _SigRow's signature monomial.  Multiplied
+    by t = target / lead, no product term then has an exponent or a degree
+    above top + deg t, so _check_room passes at once when that is at most
+    C - 1; only otherwise does it form the blockwise exponent maximum of
+    the row's terms.  The top degree need not be the lead's: in an
+    elimination a lead in the dominating summand can sit above a tail term
+    of higher degree in the other.
     """
-    __slots__ = ("key", "enc", "comp", "tkeys", "tcoefs", "index", "room")
+    __slots__ = ("key", "enc", "comp", "tkeys", "tcoefs", "index", "top")
 
-    def __init__(self, key, enc, comp, tkeys, tcoefs, index, room):
+    def __init__(self, key, enc, comp, tkeys, tcoefs, index, top):
         self.key = key
         self.enc = enc
         self.comp = comp
         self.tkeys = tkeys
         self.tcoefs = tcoefs
         self.index = index
-        self.room = room
+        self.top = top
 
 
 class _SigRow(_Row):
@@ -375,13 +383,13 @@ class _SigRow(_Row):
     ratio is the row's signature word minus its lead key shifted by the
     signature's index bits: t * row has signature word ratio + (key of
     t * lead, shifted), so two multiples of rows with one lead compare
-    their signatures by ratio alone.  The room also covers the signature's
-    monomial, so a multiple whose signature would leave packing range
-    raises in _check_room.  sig_word is the divisor word of the
-    signature's monomial, leads the generator leads of its half and
-    component, and offered the divisor words of the multiples of the lead
-    that the row has been offered as candidates, a tuple: most rows get
-    none or a few."""
+    their signatures by ratio alone.  sig_word is the divisor word of the
+    signature's monomial; the packing-range test covers that monomial too
+    (its degree counts in top), so a multiple whose signature would leave
+    packing range raises in _check_room.  leads is the index of the
+    generator leads of the signature's half and component, and offered the
+    divisor words of the multiples of the lead that the row has been
+    offered as candidates, a tuple: most rows get none or a few."""
     __slots__ = ("ratio", "sig_word", "leads", "offered")
 
 
@@ -509,44 +517,59 @@ def _index(items: Iterable[tuple[int, int, object]],
 def _make_row(elem: dict, order: MonomialOrder, field, index: int,
               sig_enc: int | None = None) -> _Row:
     """The monic row of elem; with sig_enc, the monomial of a signature's
-    term, a _SigRow whose room covers that monomial too (its signature
-    slots are the caller's to set)."""
+    term, a _SigRow whose top degree and sig_word cover that monomial too
+    (its other signature slots are the caller's to set).
+
+    Keys descend by degree within each summand, and every key with fbit
+    lies above every key without it, so the top term degree is that of the
+    first key or of the first key without fbit."""
     keys = sorted(elem, reverse=True)
     key = keys[0]
     inv = field.inv(elem[key])
     norm = field.normalize
     tkeys = tuple(keys[1:])
     tcoefs = tuple(norm(inv * elem[k]) for k in tkeys)
-    split = order.split_key
-    enc, comp = split(key)
-    xmask, gx = order._xmask, order._gx
-    dshift = order._deg_shift
-    # blockwise exponent maximum over all terms (minimum of the stored
-    # C - e blocks) and the top term degree
-    lo = enc & xmask
-    dmax = (enc >> dshift) & _BMASK
-    encs = [split(k)[0] for k in tkeys]
-    if sig_enc is not None:
-        encs.append(sig_enc)
-    for e in encs:
-        x = e & xmask
-        d = ((lo | gx) - x) & gx
-        lo ^= (lo ^ x) & (d - (d >> 7))
-        dmax = max(dmax, (e >> dshift) & _BMASK)
-    # room + target (ring blocks and degree) holds, per block, a guard bit
-    # plus C - 1 - (max exponent + multiplier exponent), and above them
-    # top degree + multiplier degree: in range iff every guard bit is kept
-    # and nothing spills past the degree field
-    room = (((lo - order._ones) | gx) - (enc & order._dlow)
-            + (dmax << dshift))
-    cls = _Row if sig_enc is None else _SigRow
-    return cls(key, enc, comp, tkeys, tcoefs, index, room)
+    enc, comp = order.split_key(key)
+    shift = _CB + order._deg_shift
+    top = (key >> shift) & _BMASK
+    if key & order.fbit:
+        second = bisect_right(keys, -order.fbit, key=neg)
+        if second < len(keys):
+            top = max(top, keys[second] >> shift)
+    if sig_enc is None:
+        return _Row(key, enc, comp, tkeys, tcoefs, index, top)
+    row = _SigRow(key, enc, comp, tkeys, tcoefs, index,
+                  max(top, sig_enc >> order._deg_shift))
+    row.sig_word = order.divisor_word(sig_enc)
+    return row
 
 
 def _check_room(row: _Row, target: int, order: MonomialOrder) -> None:
     """Raise unless row * (target / lead) keeps every exponent below C and
-    every degree at most 255; the lead must divide target."""
-    if ((row.room + (target & order._dlow)) & order._hmask) != order._gx:
+    every degree at most 255; the lead must divide target.
+
+    No product term has an exponent or a degree above row.top + deg t, t =
+    target / lead, so a sum of at most C - 1 passes at once.  target is
+    read with any bits above its degree field, so a degree that spilled
+    past 255 fails there and in the exact test that follows.  That test
+    takes the blockwise exponent maximum over the row's terms and a
+    _SigRow's signature monomial (the minimum of the stored C - e blocks),
+    offset so that, added to target, every block keeps its guard bit iff
+    maximum + multiplier exponent < C and nothing lands above the degree
+    field iff top + deg t <= 255."""
+    shift = order._deg_shift
+    if (target >> shift) - (row.enc >> shift) + row.top < _C:
+        return
+    xmask, gx = order._xmask, order._gx
+    lo = row.enc & xmask
+    encs = [(k >> _CB) & xmask for k in row.tkeys]
+    if isinstance(row, _SigRow):
+        encs.append(row.sig_word ^ gx)
+    for x in encs:
+        d = ((lo | gx) - x) & gx
+        lo ^= (lo ^ x) & (d - (d >> 7))
+    room = ((lo - order._ones) | gx) - (row.enc & order._dlow) + (row.top << shift)
+    if ((room + target) & order._hmask) != gx:
         raise DerivationError(
             f"product of a row and {order.decode_mono(target)} / "
             f"{order.decode_mono(row.enc)} leaves the packing range")
@@ -563,8 +586,9 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
     lead, so every key it adds is below the popped one and a popped key
     never comes back.  The reducer of a term is the first row of its
     component, in insertion order, whose lead divides it; each row read
-    has its room checked.  Over Q a remainder coefficient is normalized:
-    an integral one is an int.
+    has its multiple checked against the packing range.  Over Q a
+    remainder coefficient that is not an int is normalized: an integral
+    one becomes an int.
 
     With sig, the signature word of elem (see _schreyer_completion, which
     gives ib), the reductions are regular: a term m reduces only by a row
@@ -577,10 +601,17 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
     the leads and signatures of its rows, and _interreduce tail-reduces
     the rows it keeps.  If that term has a row whose multiple has
     signature sig itself, elem is singular (super top-reducible) and None
-    is returned; a row's room covers its signature's monomial too.
-    Without sig the result is never None."""
+    is returned; the range check covers a row's signature monomial too.
+    Without sig the result is never None.
+
+    Each popped term splits its key, ANDs its reducers' mask and makes
+    the degree-first range test inline, as split_key, _Bucket.mask and
+    _check_room would; _check_room runs only for a row that fails the
+    degree test."""
     p = field.p
-    split = order.split_key
+    norm = field.normalize
+    monomask = (1 << order.mono_bits) - 1
+    shift = order._deg_shift
     acc = dict(elem)
     heap = [-k for k in acc]
     heapify(heap)
@@ -592,17 +623,22 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
             c %= p
         if not c:
             continue
-        enc, comp = split(key)
-        bucket = buckets.get(comp)
+        bucket = buckets.get(_CMAX - (key & _CMAX))
         row = None
         singular = False
         if bucket is not None:
-            bound = None if sig is None else sig - (key << ib)
+            enc = (key >> _CB) & monomask
             rows = bucket.rows
-            m = bucket.mask(enc)
+            # map stops at the last table, before the degree byte
+            m = reduce(and_, map(getitem, bucket.tables, enc.to_bytes(bucket.nbytes, "little")))
+            if m < 0:       # every table said "every row"
+                m &= (1 << len(rows)) - 1
+            bound = None if sig is None else sig - (key << ib)
+            deg = enc >> shift
             while m:
                 r = rows[(m & -m).bit_length() - 1]
-                _check_room(r, enc, order)
+                if deg - (r.enc >> shift) + r.top >= _C:
+                    _check_room(r, enc, order)
                 if bound is None or r.ratio < bound:
                     row = r
                     break
@@ -611,11 +647,15 @@ def _normal_form(elem: dict, buckets: dict[int, _Bucket], order: MonomialOrder,
         if row is None:
             if singular:
                 return None
-            out[key] = c if p is not None else field.normalize(c)
+            out[key] = c if p is not None or type(c) is int else norm(c)
             if sig is None:
                 continue
             for k in sorted(acc, reverse=True):
-                c = acc[k] % p if p is not None else field.normalize(acc[k])
+                c = acc[k]
+                if p is not None:
+                    c %= p
+                elif type(c) is not int:
+                    c = norm(c)
                 if c:
                     out[k] = c
             return out
@@ -665,15 +705,18 @@ def _linear_colon(order: MonomialOrder, bucket: _Bucket, enc: int,
     there is at most enc's (at[j]) or at most one more (up[j]).  q = 1 (a
     lead dividing enc) divides every q and comes alone.  q = x_j holds for
     the rows in up[j] and every other at[], but not at[j]; it divides
-    exactly the q that contain x_j, the rows outside at[j]."""
+    exactly the q that contain x_j, the rows outside at[j].  A row of
+    x_j stays in rest until block j, so the walk stops once rest is
+    empty, and it reads up[j] only for a block with candidates."""
     raw = enc.to_bytes(bucket.nbytes, "little")
-    at = [t[b] for t, b in zip(bucket.tables, raw)]
-    up = [t[b - 1] for t, b in zip(bucket.tables, raw)]
+    tables = bucket.tables
+    # map stops at the last table, before the degree byte
+    at = list(map(getitem, tables, raw))
     nblocks = len(at)
-    after = [-1] * (nblocks + 1)          # after[j]: AND of at[j:]
+    after = [allowed] * (nblocks + 1)     # after[j]: the allowed rows of at[j:]
     for j in range(nblocks - 1, -1, -1):
         after[j] = after[j + 1] & at[j]
-    divides = after[0] & allowed
+    divides = after[0]
     if divides:
         return [(enc, (divides & -divides).bit_length() - 1)], 0
     linear = []
@@ -681,10 +724,14 @@ def _linear_colon(order: MonomialOrder, bucket: _Bucket, enc: int,
     before = -1                           # AND of at[:j]
     step = 1 << order._deg_shift
     for j in range(nblocks):
-        lin = before & after[j + 1] & up[j] & ~at[j] & allowed
+        if not rest:
+            break
+        lin = before & after[j + 1] & ~at[j]
         if lin:
-            rest &= at[j]
-            linear.append((enc - (1 << (_B * j)) + step, (lin & -lin).bit_length() - 1))
+            lin &= tables[j][raw[j] - 1]
+            if lin:
+                rest &= at[j]
+                linear.append((enc - (1 << (_B * j)) + step, (lin & -lin).bit_length() - 1))
         before &= at[j]
     linear.sort(key=itemgetter(0))
     return linear, rest
@@ -700,8 +747,11 @@ def _minimal_lcms(order: MonomialOrder, bucket: _Bucket, enc: int,
     another is dropped.  _linear_colon gives the q of degree at most 1 and
     drops the q they divide with no lcm formed; the rows left get an lcm,
     tested pairwise against the kept ones (a linear q divides none of
-    them)."""
+    them).  Every lcm of a linear q has enc's degree plus one, so one past
+    255 raises here, as mono_lcm raises for the others."""
     out, rest = _linear_colon(order, bucket, enc, allowed)
+    if out and (deg := out[-1][0] >> order._deg_shift) > _BMASK:
+        raise DerivationError(f"lcm of degree {deg} is out of packing range")
     rows = bucket.rows
     lcm = order.mono_lcm
     items = []
@@ -826,7 +876,8 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
       lead, before it is queued;
     - the cover criterion drops t * r when a row w of the same index has a
       signature dividing t sig(r) and a multiple with a lower lead, that
-      is w.ratio > r.ratio;
+      is w.ratio > r.ratio; each index keeps its rows' ratios sorted, so
+      only the rows of larger ratio are tested;
     - a candidate whose top-reduced form is singular (_normal_form with
       the candidate's signature, which reduces regularly and only the top
       term) is dropped.
@@ -877,7 +928,8 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
     lead_index = [_index(h, order) for h in halves]
     heap = [((lk << ib) | k, lk, ~k, 0) for k, lk in enumerate(leads)]
     heapify(heap)
-    # per signature index, its rows' signature divisor words and ratios
+    # per signature index, its rows' ratios ascending and their signature
+    # divisor words in the same order
     covers: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
 
     def push(row: _SigRow, li: int, partner: int) -> None:
@@ -905,7 +957,9 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
         else:
             ratio = sig - (lk << ib)
             tw = sig_enc & xmask
-            if any(r > ratio and ((dw - tw) & gx) == gx for dw, r in zip(*covers[k])):
+            cover_ratios, cover_words = covers[k]
+            if any(((dw - tw) & gx) == gx
+                   for dw in cover_words[bisect_right(cover_ratios, ratio):]):
                 continue
             elem = _spoly(rows[src], rows[partner], split(lk)[0], order, field)
         red = _normal_form(elem, buckets, order, field, sig, ib)
@@ -913,13 +967,13 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
             continue
         new = _make_row(red, order, field, len(rows), sig_enc)
         new.ratio = ratio = sig - (new.key << ib)
-        new.sig_word = order.divisor_word(sig_enc)
         new.leads = hb = lead_index[k >= half][comp]
         new.offered = ()
         rows.append(new)
-        cover_words, cover_ratios = covers[k]
-        cover_words.append(new.sig_word)
-        cover_ratios.append(ratio)
+        cover_ratios, cover_words = covers[k]
+        at = bisect_right(cover_ratios, ratio)
+        cover_ratios.insert(at, ratio)
+        cover_words.insert(at, new.sig_word)
         bucket = buckets[new.comp]
         brows = bucket.rows
         bit = 1 << len(brows)
@@ -948,7 +1002,8 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
                             bucket.lin):
             if lm and b < _C:
                 skip |= t[b + 1] & lm
-        above = sum(map(_bit, ranked[hi:])) & ~skip
+        larger = sum(map(_bit, ranked[hi:]))
+        above = larger & ~skip
         while above:
             r = brows[(above & -above).bit_length() - 1]
             above &= above - 1
@@ -957,7 +1012,7 @@ def _schreyer_completion(gens: list[dict], half: int, order: MonomialOrder,
             if not any(((dw - tw) & gx) == gx for dw in r.offered):
                 r.offered += (tw | gx,)
                 push(r, li, new.index)
-        own = (bit - 1) ^ sum(map(_bit, ranked[lo:]))
+        own = (bit - 1) ^ (larger + sum(map(_bit, ranked[lo:hi])))
         if own & ~plain:
             for li, pos in _minimal_lcms(order, bucket, new.enc, own):
                 if not (plain >> pos) & 1 and not (li ^ new.enc) & lin:

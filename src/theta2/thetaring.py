@@ -471,12 +471,18 @@ def extr_a() -> tuple[RelationRecord, ...]:
 
 def _balanced_blocks() -> list[tuple[frozenset[int], ...]]:
     """Blocks of one decomposition per odd label covering each even label
-    exactly three times, in the order of a depth-first walk over the odd
-    labels 1..6 and their decompositions.
+    exactly three times, any two of them sharing exactly two even labels,
+    in the order of a depth-first walk over the odd labels 1..6 and their
+    decompositions.
 
     The walk keeps one int with a 3-bit count per even label.  A count
     grows by at most one per step, so a count above three sets its field's
     top bit, which one AND finds; a leaf counts when every field reads 3.
+    A partial block is pruned at the first two forms that do not share
+    exactly two labels: the forms have five labels each, so the difference
+    of the two has not three, and _extr_b_assignments rejects the block
+    whenever one of them is cancelled.  No block that sextets keeps is
+    lost.
     """
     fields = [1 << 3 * (k - 1) for k in range(1, 11)]
     over = 4 * sum(fields)
@@ -493,7 +499,7 @@ def _balanced_blocks() -> list[tuple[frozenset[int], ...]]:
                 found.append(chosen)
             continue
         for d, add in reversed(decos[idx]):
-            if not (nxt := counts + add) & over:
+            if not (nxt := counts + add) & over and all(len(d & c) == 2 for c in chosen):
                 stack.append((idx + 1, chosen + (d,), nxt))
     return found
 
@@ -527,17 +533,18 @@ def sextets() -> tuple[tuple[SForm, ...], ...]:
 
     Candidates are the balanced blocks; a block survives only if all six
     cancellations admit an oracle-certified five-term relation, whose terms
-    its forms keep.  The search must produce exactly 12 blocks partitioning
-    all 72 forms.
+    its forms keep.  All six squared-theta assignments are read before the
+    first oracle solve, so a block that one of them rejects costs none.
+    The search must produce exactly 12 blocks partitioning all 72 forms.
     """
     oracle = default_oracle()
     valid = []
     for block in _balanced_blocks():
+        assignments = [_extr_b_assignments(block, cancel) for cancel in range(1, 7)]
+        if any(ms is None for ms in assignments):
+            continue
         certified = []
-        for cancel in range(1, 7):
-            ms = _extr_b_assignments(block, cancel)
-            if ms is None:
-                break
+        for cancel, ms in enumerate(assignments, 1):
             terms = tuple((oi, _addexp(_sq(ms[oi]), _exps(block[oi - 1])))
                           for oi in range(1, 7) if oi != cancel)
             signs = oracle.solve_signs(terms)
@@ -820,10 +827,13 @@ class StructurePipeline:
     # -- series and the main check --------------------------------------------
 
     def module_series(self) -> HilbertSeries:
-        """Series of the intersection module, shifted down by the product degree."""
-        hs_kernel = self.total_kernel().hilbert_series()
-        hs_cm = self.chi5_m().hilbert_series()
-        return (hs_kernel - hs_cm).shifted(-10)
+        """Series of the intersection module, shifted down by the product
+        degree; computed once per pipeline."""
+        if "series" not in self._store:
+            hs_kernel = self.total_kernel().hilbert_series()
+            hs_cm = self.chi5_m().hilbert_series()
+            self._store["series"] = (hs_kernel - hs_cm).shifted(-10)
+        return self._store["series"]
 
     def kernel_report(self) -> dict:
         """This field's check in `theta2 verify kernel`: every catalog

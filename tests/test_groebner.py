@@ -8,6 +8,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -1303,6 +1304,140 @@ def test_signature_out_of_range_raises():
     # a row with no signature has the room of its terms alone
     gb._check_room(gb._make_row(x, order, GFP1, 0), order.encode_mono((60, 0, 0, 0, 0)),
                    order)
+
+
+# five variables, so that a product's degree can pass 255 while every
+# exponent stays below 64; rank 2 with fbit, so that a lead can sit above
+# tail terms of higher degree
+_ROOM = MonomialOrder(5, rank=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_room_test_matches_decoded_products(data):
+    # _check_room raises iff some term of row * t, t = target / lead, or
+    # the signature monomial times t, decoded, has an exponent of 64 or
+    # more or a degree above 255.  Exponents 60-63 give top degrees above
+    # 63, where the exact blockwise test runs; a target past degree 255
+    # keeps the spilled degree above its degree field, as mono_mul leaves it
+    order = _ROOM
+    exp = st.one_of(st.integers(0, 3), st.integers(60, 63))
+    exps = st.tuples(*[exp] * order.nvars).filter(lambda e: sum(e) <= 255)
+    terms = data.draw(st.lists(st.tuples(exps, st.integers(0, 1), st.booleans()),
+                               min_size=1, max_size=4, unique=True))
+    elem = {order.term_key(order.encode_mono(e), c) | (order.fbit if f else 0): 1
+            for e, c, f in terms}
+    sig = data.draw(st.none() | exps)
+    row = gb._make_row(elem, order, GFP1, 0, None if sig is None else order.encode_mono(sig))
+    lead = order.decode_mono(row.enc)
+    mult = tuple(data.draw(st.one_of(st.integers(0, min(3, 63 - e)), st.integers(0, 63 - e)))
+                 for e in lead)
+    target = order.mono_mul(row.enc, order.encode_mono(mult))
+    products = [order.decode_mono(order.split_key(k)[0]) for k in elem]
+    products += [] if sig is None else [sig]
+    overflow = any(any(e + m >= 64 for e, m in zip(t, mult)) or sum(t) + sum(mult) > 255
+                   for t in products)
+    if overflow:
+        with pytest.raises(DerivationError, match="packing range"):
+            gb._check_room(row, target, order)
+    else:
+        gb._check_room(row, target, order)
+
+
+def test_room_test_boundary_is_exact():
+    # a lead x_0 of the dominating summand above a tail term x_0^60: top
+    # degree 60.  x_0^3 * row has top degree 63, the last the degree test
+    # passes; x_0^4 * row has 64, where the exact test decides, and x_0^64
+    # is out of range, while x_1^4 * row stays in it
+    order = _ROOM
+    lead = order.term_key(order.encode_mono((1, 0, 0, 0, 0)), 0) | order.fbit
+    tail = order.term_key(order.encode_mono((60, 0, 0, 0, 0)), 1)
+    row = gb._make_row({lead: 1, tail: 1}, order, GFP1, 0)
+    assert row.top == 60
+    gb._check_room(row, order.encode_mono((4, 0, 0, 0, 0)), order)
+    gb._check_room(row, order.encode_mono((1, 4, 0, 0, 0)), order)
+    with pytest.raises(DerivationError, match="packing range"):
+        gb._check_room(row, order.encode_mono((5, 0, 0, 0, 0)), order)
+
+
+def test_room_test_refuses_a_spilled_degree():
+    # the linear colon step x_0 from a lead of degree 255 has degree 256,
+    # one past the degree field; the row's exponents all stay below 64
+    order = MonomialOrder(5)
+    lead = order.encode_mono((51,) * 5)
+    bucket = gb._Bucket(order)
+    other = order.encode_mono((52, 50, 51, 51, 51))
+    bucket.add(other, SimpleNamespace(enc=other))
+    [(step, pos)], rest = gb._linear_colon(order, bucket, lead, 1)
+    assert (pos, rest) == (0, 0) and step >> order._deg_shift == 256
+    row = gb._make_row({order.term_key(lead, 0): 1}, order, GFP1, 0)
+    with pytest.raises(DerivationError, match="packing range"):
+        gb._check_room(row, step, order)
+    with pytest.raises(DerivationError, match="packing range"):
+        gb._minimal_lcms(order, bucket, lead, 1)
+
+
+@pytest.mark.parametrize("field", [GFP1, QQ], ids=["p1", "q"])
+@pytest.mark.parametrize("pair", [((52, 50, 51, 51, 51), (51,) * 5),
+                                  ((53, 50, 50, 51, 51), (51, 52, 51, 51, 50))],
+                         ids=["linear", "two variables"])
+def test_pair_lcm_past_degree_255_raises(pair, field):
+    # two leads of degree 255 whose lcm has degree 256 or 258: the
+    # elimination and the Buchberger loop refuse the pair, whether its
+    # colon monomial is one variable or more
+    order = MonomialOrder(5)
+    a, b = ([{order.term_key(order.encode_mono(e), 0): 1}] for e in pair)
+    with pytest.raises(DerivationError, match="packing range"):
+        intersect_pair_engine(a, b, order, field)
+    with pytest.raises(DerivationError, match="packing range"):
+        buchberger_engine(a + b, order, field)
+
+
+def _colon_reference(order, leads, enc, allowed):
+    """The colon monomials q = lcm(lead, enc) / enc over the allowed
+    positions, decoded, each with its first position."""
+    t = order.decode_mono(enc)
+    qs = {}
+    for pos, e in enumerate(leads):
+        if allowed >> pos & 1:
+            qs.setdefault(tuple(max(a - b, 0) for a, b in zip(e, t)), pos)
+    return qs
+
+
+def _lcm_key(order, enc, q):
+    return order.encode_mono(tuple(a + b for a, b in zip(order.decode_mono(enc), q)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_colon_helpers_match_brute_force(data):
+    # _linear_colon: the q of degree at most 1 (q = 1 alone when some lead
+    # divides enc) and the mask of the rows whose q none of them divides;
+    # _minimal_lcms: the q that no other q properly divides; both as
+    # (lcm, first position) ascending, for leads in any order, repeated
+    # or not
+    order = MonomialOrder(4)
+    exps = st.tuples(*[st.integers(0, 3)] * order.nvars)
+    leads = data.draw(st.lists(exps, min_size=1, max_size=12))
+    bucket = gb._Bucket(order)
+    for e in leads:
+        bucket.add(order.encode_mono(e), SimpleNamespace(enc=order.encode_mono(e)))
+    enc = order.encode_mono(data.draw(exps))
+    allowed = data.draw(st.integers(0, (1 << len(leads)) - 1))
+    qs = _colon_reference(order, leads, enc, allowed)
+    linear = {q: pos for q, pos in qs.items() if sum(q) <= 1}
+    if (0,) * order.nvars in linear:
+        expected = [(enc, linear[(0,) * order.nvars])], 0
+    else:
+        rest = sum(1 << pos for pos, e in enumerate(leads) if allowed >> pos & 1
+                   and not any(max(a - b, 0) >= 1 and q[j]
+                               for q in linear
+                               for j, (a, b) in enumerate(zip(e, order.decode_mono(enc)))))
+        expected = sorted((_lcm_key(order, enc, q), pos) for q, pos in linear.items()), rest
+    assert gb._linear_colon(order, bucket, enc, allowed) == expected
+    minimal = [(_lcm_key(order, enc, q), pos) for q, pos in qs.items()
+               if not any(r != q and all(x <= y for x, y in zip(r, q)) for r in qs)]
+    assert gb._minimal_lcms(order, bucket, enc, allowed) == sorted(minimal)
 
 
 def test_intersect_pair_over_zn_stops_at_a_non_unit_lead():

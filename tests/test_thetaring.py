@@ -400,9 +400,29 @@ def test_relation_table_keeps_wide_coefficients():
 
 
 def test_balanced_blocks_match_the_set_walk():
+    # the walk prunes blocks with two forms that do not share exactly two
+    # even labels, which _extr_b_assignments rejects anyway
     reference = balanced_blocks_reference()
     assert len(reference) == 2040
-    assert _balanced_blocks() == reference
+    kept = [b for b in reference if all(len(x & y) == 2 for x, y in combinations(b, 2))]
+    assert len(kept) == 192
+    assert _balanced_blocks() == kept
+
+
+def test_sextets_solve_only_blocks_with_six_assignments(monkeypatch):
+    # all 192 blocks of the walk pass all six assignments, and a block's
+    # solves stop at its first cancellation with no sign pattern
+    warm = sextets()
+    calls = []
+    original = RelationOracle.solve_signs
+
+    def counting(self, terms):
+        calls.append(terms)
+        return original(self, terms)
+
+    monkeypatch.setattr(RelationOracle, "solve_signs", counting)
+    assert sextets.__wrapped__() == warm
+    assert len(calls) == 252
 
 
 def test_relation_records_certified(oracle):
@@ -632,6 +652,16 @@ def test_chi5_m_membership_and_series(pipe_p1):
     assert cm.contains(clear_denominator(extr_h(), CHI5_EXPS))
     series = pipe_p1.module_series().reduced()
     assert series.same_rational_function(GRADIENT_MODULE_SERIES)
+
+
+def test_module_series_is_computed_once(pipe_p1, monkeypatch):
+    series = pipe_p1.module_series()
+
+    def refuse(self):
+        raise AssertionError("series recomputed")
+
+    monkeypatch.setattr(groebner.GroebnerBasis, "hilbert_series", refuse)
+    assert pipe_p1.module_series() is series
 
 
 def test_fold_step_one_reduces_no_s_pair_to_zero(pipe_p1, fold_step_one, monkeypatch):
