@@ -62,8 +62,8 @@ def _cfg(args) -> numerics.EvalConfig:
 @lru_cache(maxsize=1)
 def _point_tables(seed: int, count: int,
                   cfg: numerics.EvalConfig) -> tuple[numerics.PointValues, ...]:
-    """The sample points' value tables; verify all's numeric and brackets
-    suites sample the same points."""
+    """The sample points' value tables, which the numeric and brackets
+    suites both read: verify all computes them once."""
     from . import numerics
 
     return tuple(numerics.point_values(Z, cfg) for Z in numerics.sample_siegel(seed, count))
@@ -158,10 +158,7 @@ def _suite_brackets(args) -> list[dict]:
     from . import numerics
 
     cfg = _cfg(args)
-    points = numerics.sample_siegel(args.seed, args.points)
-    # verify all has the numeric suite's tables, whose theta constants give chi5
-    tables = _point_tables(args.seed, args.points, cfg) if args.suite == "all" else None
-    rep = numerics.second_kind_checks(points, cfg, tables)
+    rep = numerics.second_kind_checks(_point_tables(args.seed, args.points, cfg), cfg)
     # the bracket and triple-bracket identities hold for any values and
     # derivatives: they check the bracket arithmetic, not the theta constants
     checks = [

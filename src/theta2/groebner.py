@@ -85,12 +85,7 @@ their last x_p against the rest.
 
 Coefficients are exact rationals by default; a word-sized prime field is
 available to accelerate large runs.  Any result that matters is confirmed
-either over the rationals or over two distinct primes.  One run over
-Z/(p1 p2) stands for a run over each prime (Chinese remainder theorem;
-Arnold 2003): every row is monic, so each step is a step modulo either
-prime, and EngineBasis.modulo reads the result modulo one of them.  A lead
-coefficient divisible by one prime has no inverse, and inv raises
-ValueError rather than let the two runs part ways.  A rational is kept
+either over the rationals or over two distinct primes.  A rational is kept
 as an int when it is integral and as a Fraction only when it is not: int
 and Fraction mix exactly, so both share one arithmetic path, and the
 catalog's small integer coefficients never build a Fraction.
@@ -168,14 +163,12 @@ class RationalField:
 
 
 class ModularField:
-    """Integers modulo p: a word-sized prime, or the product of two.
+    """Integers modulo a word-sized prime p.
 
-    convert and inv invert with pow(c, -1, p), which raises ValueError for
-    a c that is not a unit.  Modulo a prime that is only c = 0, which never
-    reaches them; modulo p1 p2 it is also a c divisible by one prime, so a
-    run over Z/(p1 p2) stops there rather than go on where the two primes
-    part ways (see EngineBasis.modulo).  Two instances with one modulus are
-    equal and hash alike, so either finds what is cached for the other."""
+    convert and inv invert with pow(c, -1, p), which raises ValueError
+    only for c = 0, and that never reaches them.  Two instances with one
+    modulus are equal and hash alike, so either finds what is cached for
+    the other."""
 
     def __init__(self, p: int):
         self.p = p
@@ -212,8 +205,6 @@ class ModularField:
 QQ = RationalField()
 GFP1 = ModularField(PRIME1)
 GFP2 = ModularField(PRIME2)
-# Z/(p1 p2), isomorphic to GF(p1) x GF(p2) by the Chinese remainder theorem
-ZN = ModularField(PRIME1 * PRIME2)
 
 FIELDS = {"q": QQ, "p1": GFP1, "p2": GFP2}
 
@@ -1078,19 +1069,18 @@ class EngineBasis:
         return not self.normal_form(elem)
 
     def modulo(self, field) -> "EngineBasis":
-        """A basis over Q or Z/(p1 p2) read modulo field's p, as a basis
-        over field; a coefficient maps by field.convert, so a Fraction
-        maps to numerator times the inverse of its denominator.
+        """A basis over Q read modulo field's p, as a basis over field; a
+        coefficient maps by field.convert, so a Fraction maps to numerator
+        times the inverse of its denominator.
 
         Every lead is monic, so each reduction of the run that made this
         basis is a reduction modulo p too (one whose coefficient vanishes
         there does nothing), and each S-pair the run reduced to zero or
         pruned by its leads is one the run modulo p may skip.  The
         projection is therefore the reduced basis, over field, of the
-        projected generators; a term whose coefficient p divides drops
-        out.  From Z/(p1 p2) to p1 or p2 that always holds.  From Q it
-        holds when every lead coefficient the run inverted was a unit
-        modulo p, a lucky modulus (Pauer 1992): the caller checks that."""
+        projected generators (a term whose coefficient p divides drops
+        out) when every lead coefficient the run inverted was a unit
+        modulo p, a lucky prime (Pauer 1992): the caller checks that."""
         conv = field.convert
         return EngineBasis([{k: v for k, c in e.items() if (v := conv(c))}
                             for e in self.elements], self.order, field)

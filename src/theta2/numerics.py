@@ -338,8 +338,7 @@ def _second_kind_values(entries: tuple[complex, complex, complex],
     return f, df
 
 
-def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConfig(),
-                       tables: Sequence[PointValues] | None = None) -> dict:
+def second_kind_checks(tables: Sequence[PointValues], cfg: EvalConfig = EvalConfig()) -> dict:
     """Numerical certification of the second-kind bracket identities.
 
     (a) the 3x3 Jacobian of (f1/f0, f2/f0, f3/f0), scaled by f0^4 and
@@ -354,9 +353,9 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
     Derivatives are exact: weighted sums of the lattice terms each
     constant sums.  The matrix coordinates (z0, z1, z2) are the variables,
     with no half factors on the off-diagonal, stated here because any
-    consistent convention passes the ratio and identity tests.  With the
-    value tables of the points, chi5 is the product of their ten theta
-    constants, the value chi5 computes, so no lattice sum is repeated.
+    consistent convention passes the ratio and identity tests.  chi5 at
+    each point is the product of its table's ten theta constants, the value
+    chi5 computes, so no lattice sum is repeated.
 
     Only (a) depends on the theta constants.  (b) and (c) are algebraic
     identities that hold for any values f and gradients df: with random
@@ -366,9 +365,9 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
     constants = []
     bracket_resid = []
     triple_resid = []
-    for n, Z in enumerate(points):
+    for table in tables:
         # one tail-bound check and one lattice at 2Z for all four constants
-        doubled = Z.scaled(2.0)
+        doubled = table.point.scaled(2.0)
         f, df = _second_kind_values(doubled.entries(), _checked_lattice(doubled, cfg))
 
         # (a) jacobian of the three quotients
@@ -376,7 +375,7 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
         for r in range(1, 4):
             # d(f_r/f_0) = (f0 df_r - f_r df_0) / f0^2
             jac[r - 1] = (f[0] * df[r] - f[r] * df[0]) / f[0] ** 2
-        c5 = chi5(Z, cfg) if tables is None else complex(np.prod(tables[n].thetas))
+        c5 = complex(np.prod(table.thetas))
         constants.append(np.linalg.det(jac) * f[0] ** 4 / c5)
 
         # (b) bracket identity over all triples (i, j, k)
@@ -417,6 +416,6 @@ def second_kind_checks(points: Sequence[SiegelPoint], cfg: EvalConfig = EvalConf
         "jacobian_rel_spread": rel_spread,
         "bracket_max_residual": max(bracket_resid),
         "triple_max_residual": max(triple_resid),
-        "points": len(points),
+        "points": len(tables),
         "derivative_convention": "exact derivatives in (z0, z1, z2), no half factors",
     }

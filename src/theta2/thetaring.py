@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Sequence
 
 from . import chars
@@ -264,26 +263,19 @@ def kernel_seed_basis(field) -> EngineBasis:
     """k0 over one field, built once per process and shared by every
     pipeline over that field.
 
-    Over Q it is one engine run.  Modulo m, a prime or a product of
-    primes, it is that run read modulo m when every lead the run inverted
-    is a unit modulo m: m is then a lucky modulus (Pauer 1992), and the
-    run read modulo m is a run over Z/m (see EngineBasis.modulo).
-    Otherwise it is one engine run over Z/m.  Modulo a composite m a lead
-    coefficient that one prime factor divides has no inverse, and that
-    ends the derivation: it is a DerivationError."""
+    Over Q it is one engine run.  Modulo a prime p it is that run read
+    modulo p when every lead the run inverted is a unit modulo p: p is
+    then a lucky prime (Pauer 1992), and the run read modulo p is a run
+    over GF(p) (see EngineBasis.modulo).  Otherwise it is one engine run
+    over GF(p)."""
     k0, leads = _kernel_seed_over_q()
     if field.p is None:
         return k0
-    if gcd(leads, field.p) == 1:
+    if leads % field.p:
         return k0.modulo(field)
     order = MonomialOrder(NVARS, rank=RANK)
     gens = [to_engine(g, order, field) for g in kernel_seed_generators()]
-    try:
-        elements = buchberger_engine(gens, order, field)
-    except ValueError as exc:
-        raise DerivationError(
-            f"k0 over {field!r}: a lead coefficient is not a unit ({exc})") from exc
-    return EngineBasis(elements, order, field)
+    return EngineBasis(buchberger_engine(gens, order, field), order, field)
 
 
 # ---------------------------------------------------------------------------

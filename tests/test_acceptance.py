@@ -232,7 +232,7 @@ def test_criterion_7_sanity_dimensions(pipe_p1):
 # -- criterion 8: second-kind suite --------------------------------------------------------------
 
 def test_criterion_8_second_kind_suite(points):
-    rep = second_kind_checks(points, CFG)
+    rep = second_kind_checks([point_values(Z, CFG) for Z in points], CFG)
     wm = bracket_modules()
     plus, minus = wm["plus"], wm["minus"]
     n_rel = len(plus["relations"])

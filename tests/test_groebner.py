@@ -20,9 +20,7 @@ from theta2.groebner import (
     GFP1,
     GFP2,
     PRIME1,
-    PRIME2,
     QQ,
-    ZN,
     BasisCache,
     EngineBasis,
     GroebnerBasis,
@@ -163,35 +161,22 @@ def test_prime_field_lift_is_the_symmetric_int():
     assert GFP1.lift(3) == 3 and GFP1.lift(PRIME1 // 2) == PRIME1 // 2
 
 
-def test_mod_n_basis_reads_as_each_prime_basis():
-    # tails divisible by p1 or by p2: each projection drops those terms and
-    # equals the reduced basis computed over that prime
-    x, y, z = V(3, 0), V(3, 1), V(3, 2)
-    gens = [x * y + (z * z).scale(PRIME1), x * x - y * z + (z * z).scale(PRIME2),
-            y * y + (x * z).scale(3)]
-    basis = EngineBasis(buchberger_engine(E(gens, ORDER3, ZN), ORDER3, ZN), ORDER3, ZN)
-    for field, dropped in ((GFP1, 1), (GFP2, 3)):
-        direct = buchberger_engine(E(gens, ORDER3, field), ORDER3, field)
-        assert basis.modulo(field).elements == direct
-        assert sum(map(len, basis.elements)) - sum(map(len, direct)) == dropped
-
-
 def test_rational_basis_reads_modulo_n_through_convert():
     # a Fraction maps to its numerator times the inverse of its
     # denominator, and a term whose numerator p divides drops out
     a, b = (ORDER2.term_key(ORDER2.encode_mono(e), 0) for e in ((1, 0), (0, 1)))
     basis = EngineBasis([{a: 1, b: Fraction(PRIME1, 3)}], ORDER2, QQ)
-    for field in (ZN, GFP1, GFP2):
+    for field in (GFP1, GFP2):
         (e,) = basis.modulo(field).elements
         assert e[a] == 1
         assert e.get(b, 0) == PRIME1 * pow(3, -1, field.p) % field.p
     assert b not in basis.modulo(GFP1).elements[0]
-    # a rational run whose inverted leads, 2 and 7/2, are units modulo p1 p2
+    # a rational run whose inverted leads, 2 and 7/2, are units modulo p1 and p2
     x, y = V(2, 0), V(2, 1)
     gens = [x + x + y, y * y + y * y + y * y - x * y]     # 2x + y, 3y^2 - xy
     rational = EngineBasis(buchberger_engine(E(gens, ORDER2), ORDER2, QQ), ORDER2, QQ)
     assert Fraction(1, 2) in [c for e in rational.elements for c in e.values()]
-    for field in (ZN, GFP1, GFP2):
+    for field in (GFP1, GFP2):
         direct = buchberger_engine(E(gens, ORDER2, field), ORDER2, field)
         assert rational.modulo(field).elements == direct
 
@@ -1438,19 +1423,6 @@ def test_colon_helpers_match_brute_force(data):
     minimal = [(_lcm_key(order, enc, q), pos) for q, pos in qs.items()
                if not any(r != q and all(x <= y for x, y in zip(r, q)) for r in qs)]
     assert gb._minimal_lcms(order, bucket, enc, allowed) == sorted(minimal)
-
-
-def test_intersect_pair_over_zn_stops_at_a_non_unit_lead():
-    # (x, 0) reduces (x + p1 y, x + p1 y) to (p1 y, x + p1 y), a lead with
-    # no inverse modulo p1 p2: the completion stops there, as the
-    # Buchberger elimination does
-    order = MonomialOrder(2)
-    x, y = (order.term_key(order.encode_mono(e), 0) for e in ((1, 0), (0, 1)))
-    a, b = [{x: 1}], [{x: 1, y: PRIME1}]
-    with pytest.raises(ValueError):
-        _buchberger_elimination(a, b, order, ZN)
-    with pytest.raises(ValueError):
-        intersect_pair_engine(a, b, order, ZN)
 
 
 def test_hilbert_numerator_needs_no_deep_recursion():

@@ -272,7 +272,7 @@ def test_resampling_invariance():
 
 
 def test_second_kind_checks(points):
-    rep = second_kind_checks(points[:5], CFG)
+    rep = second_kind_checks([point_values(Z, CFG) for Z in points[:5]], CFG)
     assert rep["bracket_max_residual"] < 1e-7
     assert rep["triple_max_residual"] < 1e-7
     # the measured constant is pi^3/32 times the imaginary unit; exact
@@ -321,21 +321,23 @@ def test_second_kind_derivatives_match_finite_differences(points):
 
 def test_second_kind_checks_on_stand_in_forms(points, monkeypatch):
     # random lattice coordinates and terms in place of the theta series,
-    # drawn afresh for each characteristic at each point, and a random
-    # constant for chi5: the Jacobian ratio (a) must fail, while the bracket
-    # and triple identities (b) and (c) hold for any values and gradients
+    # drawn afresh for each characteristic at each point, and random theta
+    # constants standing in for chi5: the Jacobian ratio (a) must fail,
+    # while the bracket and triple identities (b) and (c) hold for any
+    # values and gradients.  The tables are built first, so that no theta
+    # constant runs through the stand-in
     rng = np.random.default_rng(5)
     forms = {}
+    tables = [PointValues(Z, rng.normal(size=10) + 1j * rng.normal(size=10),
+                          point_values(Z, CFG).grads) for Z in points[:5]]
 
     def stand_in(m, entries, lattice, z=None):
         forms[m] = forms.get(m, 0) + 1
         x, y = rng.normal(size=(2, 9))
         return x, y, rng.normal(size=9) + 1j * rng.normal(size=9)
 
-    c5 = complex(rng.normal(), rng.normal())
     monkeypatch.setattr(numerics, "_series_terms", stand_in)
-    monkeypatch.setattr(numerics, "chi5", lambda Z, cfg: c5)
-    rep = second_kind_checks(points[:5], CFG)
+    rep = second_kind_checks(tables, CFG)
     assert len(forms) == 4
     assert rep["jacobian_rel_spread"] > 1e-2
     assert rep["bracket_max_residual"] < 1e-7

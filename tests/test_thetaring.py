@@ -11,7 +11,6 @@ from theta2.groebner import (
     GFP1,
     GFP2,
     QQ,
-    ZN,
     BasisCache,
     EngineBasis,
     ModularField,
@@ -253,18 +252,18 @@ def test_extr_b_numeric(points):
         assert relation_residual(r.element, table) < 1e-9
 
 
-def test_kernel_seed_over_q_projects_to_zn_and_each_prime():
-    # k0 over Q, read modulo p1 p2, p1 and p2, is that field's own k0: a
-    # direct engine run over it
+def test_kernel_seed_over_q_projects_to_each_prime():
+    # k0 over Q, read modulo p1 and p2, is that field's own k0: a direct
+    # engine run over it
     k0 = kernel_seed_basis(QQ)
     assert k0.field is QQ
     order = k0.order
-    for field in (ZN, GFP1, GFP2):
+    for field in (GFP1, GFP2):
         direct = buchberger_engine([to_engine(g, order, field) for g in kernel_seed_generators()],
                                    order, field)
         assert k0.modulo(field).elements == direct
         assert kernel_seed_basis(field).elements == direct
-    assert kernel_seed_basis(ZN).field is ZN
+        assert kernel_seed_basis(field).field is field
 
 
 def test_kernel_seed_over_another_lucky_prime_is_its_own_run():
@@ -289,12 +288,11 @@ def test_kernel_seed_of_an_equal_field_is_the_cached_basis():
     assert kernel_seed_basis.cache_info().currsize == entries
 
 
-def test_kernel_seed_over_zn_refuses_a_non_unit_lead(monkeypatch):
+def test_kernel_seed_over_an_unlucky_prime_is_its_own_run(monkeypatch):
     # t1 T1 reduces t1 T1 + p1 t2 T1 to p1 t2 T1, so the Q run inverts the
-    # lead p1: every modulus prime to p1 reads the Q basis, and the others
-    # make their own run.  GF(p1) loses t2 T1; modulo p1 p2 the lead p1 t2
-    # T1 is no unit, which ends that run.  The runs are uncached so that
-    # they read these generators, and the Q basis stays exact
+    # lead p1: every prime but p1 reads the Q basis, and p1 makes its own
+    # run, which loses t2 T1.  The runs are uncached so that they read
+    # these generators, and the Q basis stays exact
     t1, t2 = GradedPoly.variable(NVARS, 0), GradedPoly.variable(NVARS, 1)
     gens = [ModuleElement.generator(NVARS, 6, 0, shifts=SHIFTS, coeff=c)
             for c in (t1, t1 + t2.scale(groebner.PRIME1))]
@@ -312,10 +310,6 @@ def test_kernel_seed_over_zn_refuses_a_non_unit_lead(monkeypatch):
     p1 = kernel_seed_basis.__wrapped__(GFP1)
     assert p1.field is GFP1 and p1.elements == [to_engine(gens[0], order, GFP1)]
     assert p1.elements != k0.modulo(GFP1).elements
-    with pytest.raises(DerivationError, match="not a unit"):
-        kernel_seed_basis.__wrapped__(ZN)
-    with pytest.raises(ValueError):
-        ZN.inv(groebner.PRIME2)
 
 
 def test_certify_agrees_with_direct_normal_forms(oracle):
