@@ -48,10 +48,6 @@ class Characteristic:
         return 1 if self.is_even() else -1
 
 
-def parity(m: Characteristic) -> str:
-    return "even" if m.is_even() else "odd"
-
-
 def char_sum(ms: Iterable[Characteristic]) -> Characteristic:
     total = Characteristic((0, 0), (0, 0))
     for m in ms:

@@ -2,10 +2,11 @@
 
 This is the numerical oracle for every symbolic identity in the package:
 theta constants with characteristics, their z-gradients, second-kind
-constants, the weight-5 product form, and evaluation of arbitrary catalog
-elements at sampled points.  Truncated lattice sums with an explicit tail
-bound; points are sampled with lambda_min(Im Z) >= 1 so radius 10 is far
-below double precision already.
+constants, and evaluation of arbitrary catalog elements at sampled points.
+The weight-5 product form at a point is the product of its table's ten
+even constants.  Truncated lattice sums with an explicit tail bound;
+points are sampled with lambda_min(Im Z) >= 1 so radius 10 is far below
+double precision already.
 
 Catalog elements are evaluated from a per-point table, `PointValues`: the
 ten even constants and the six odd gradients, computed once per point
@@ -116,20 +117,19 @@ def _series_terms(m: Characteristic, entries: tuple[complex, complex, complex],
     return x, y, np.exp(1j * pi * (quad + lin))
 
 
-def _grad_sum(n: Characteristic, Z: SiegelPoint,
-              lattice: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    x, y, e = _series_terms(n, Z.entries(), lattice)
-    c = 2j * pi
-    return np.array([complex((c * x * e).sum()), complex((c * y * e).sum())])
-
-
 def _even_values(Z: SiegelPoint, lattice: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     entries = Z.entries()
     return np.array([complex(_series_terms(m, entries, lattice)[2].sum()) for m in EVEN_CHARS])
 
 
 def _odd_gradients(Z: SiegelPoint, lattice: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    return np.array([_grad_sum(n, Z, lattice) for n in ODD_CHARS])
+    """The six z-gradients at z = 0, shape (6, 2)."""
+    entries, c = Z.entries(), 2j * pi
+    out = []
+    for n in ODD_CHARS:
+        x, y, e = _series_terms(n, entries, lattice)
+        out.append([complex((c * x * e).sum()), complex((c * y * e).sum())])
+    return np.array(out)
 
 
 def theta(m: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig(),
@@ -142,13 +142,6 @@ def theta(m: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig(),
     if z is None and not m.is_even():
         return 0.0 + 0.0j
     return complex(_series_terms(m, Z.entries(), _checked_lattice(Z, cfg), z)[2].sum())
-
-
-def theta_grad(n: Characteristic, Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> np.ndarray:
-    """z-gradient of the theta series at z = 0; zero for even characteristics."""
-    if n.is_even():
-        return np.zeros(2, dtype=complex)
-    return _grad_sum(n, Z, _checked_lattice(Z, cfg))
 
 
 SECOND_KIND_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -184,10 +177,6 @@ def point_values(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> PointValues:
     thetas.flags.writeable = False
     grads.flags.writeable = False
     return PointValues(Z, thetas, grads)
-
-
-def chi5(Z: SiegelPoint, cfg: EvalConfig = EvalConfig()) -> complex:
-    return complex(np.prod(theta_values(Z, cfg)))
 
 
 def sample_siegel(seed: int, count: int) -> list[SiegelPoint]:
@@ -276,12 +265,6 @@ def stacked_residuals(e: ModuleElement | GradedPoly, stack: ValueStack) -> np.nd
     return np.divide(mag, scale, out=np.zeros_like(scale), where=scale != 0.0)
 
 
-def eval_element(e: ModuleElement | GradedPoly, table: PointValues):
-    """`eval_stacked` at one point's value table: (value, scale)."""
-    value, scale = eval_stacked(e, stack_values([table]))
-    return value.T[0], scale[0]
-
-
 def relation_residual(e: ModuleElement | GradedPoly, table: PointValues) -> float:
     """Relative residual |value| / sum of term magnitudes at one point."""
     return float(stacked_residuals(e, stack_values([table]))[0])
@@ -354,8 +337,8 @@ def second_kind_checks(tables: Sequence[PointValues], cfg: EvalConfig = EvalConf
     constant sums.  The matrix coordinates (z0, z1, z2) are the variables,
     with no half factors on the off-diagonal, stated here because any
     consistent convention passes the ratio and identity tests.  chi5 at
-    each point is the product of its table's ten theta constants, the value
-    chi5 computes, so no lattice sum is repeated.
+    each point is the product of its table's ten theta constants, so no
+    lattice sum is repeated.
 
     Only (a) depends on the theta constants.  (b) and (c) are algebraic
     identities that hold for any values f and gradients df: with random

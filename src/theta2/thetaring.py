@@ -7,13 +7,13 @@ of degree 1).  This module derives the relation catalogs (20 three-term,
 oracle: there is one oracle per process, and each catalog is derived once
 per process and returned as a tuple.  k0, the three-term relations plus
 the ideal layer, is computed once over Q.  The oracle works on it exactly,
-and a pipeline over a prime starts from it read modulo that prime when the
-prime is lucky for the Q run.  The oracle reduces each chi5 multiple it
-needs once.  The module then computes the full relation kernel as a colon
-module, intersects the fifteen localized modules, handles the extra
-generator with its 360-element orbit, and produces the Hilbert series of
-the intersection, plus the two second-kind presentations with their
-series.
+and a pipeline over a prime starts from it read modulo that prime; a
+prime that is unlucky for the Q run raises DerivationError.  The oracle
+reduces each chi5 multiple it needs once.  The module then computes the
+full relation kernel as a colon module, intersects the fifteen localized
+modules, handles the extra generator with its 360-element orbit, and
+produces the Hilbert series of the intersection, plus the two second-kind
+presentations with their series.
 """
 
 from __future__ import annotations
@@ -264,18 +264,16 @@ def kernel_seed_basis(field) -> EngineBasis:
     pipeline over that field.
 
     Over Q it is one engine run.  Modulo a prime p it is that run read
-    modulo p when every lead the run inverted is a unit modulo p: p is
-    then a lucky prime (Pauer 1992), and the run read modulo p is a run
-    over GF(p) (see EngineBasis.modulo).  Otherwise it is one engine run
-    over GF(p)."""
+    modulo p, which needs every lead the run inverted to be a unit modulo
+    p: p is then a lucky prime (Pauer 1992), and the run read modulo p is
+    a run over GF(p) (see EngineBasis.modulo).  An unlucky prime raises
+    DerivationError."""
     k0, leads = _kernel_seed_over_q()
     if field.p is None:
         return k0
-    if leads % field.p:
-        return k0.modulo(field)
-    order = MonomialOrder(NVARS, rank=RANK)
-    gens = [to_engine(g, order, field) for g in kernel_seed_generators()]
-    return EngineBasis(buchberger_engine(gens, order, field), order, field)
+    if leads % field.p == 0:
+        raise DerivationError(f"k0: the Q run inverts a lead divisible by {field.p}")
+    return k0.modulo(field)
 
 
 # ---------------------------------------------------------------------------

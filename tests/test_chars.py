@@ -21,7 +21,7 @@ def all_characteristics():
 
 
 def test_zero_characteristic_is_even():
-    assert chars.parity(chars.Characteristic((0, 0), (0, 0))) == "even"
+    assert chars.Characteristic((0, 0), (0, 0)).is_even()
 
 
 def test_canonical_orders_have_correct_parity():

@@ -10,16 +10,14 @@ from theta2.numerics import (
     EvalConfig,
     PointValues,
     SiegelPoint,
-    chi5,
     dtable_ratios,
-    eval_element,
+    eval_stacked,
     point_values,
     relation_residual,
     sample_siegel,
     stack_values,
     stacked_residuals,
     theta,
-    theta_grad,
     second_kind_checks,
 )
 from theta2.symbolic import GradedPoly, ModuleElement
@@ -42,11 +40,6 @@ def test_odd_theta_is_exact_zero():
         assert theta(n, I_POINT, CFG) == 0
 
 
-def test_even_gradient_is_zero():
-    for m in EVEN_CHARS:
-        assert np.all(theta_grad(m, I_POINT, CFG) == 0)
-
-
 def test_radius_self_consistency(points):
     hi = EvalConfig(radius=CFG.radius + 4, target_eps=CFG.target_eps)
     for Z in points[:3]:
@@ -57,8 +50,8 @@ def test_radius_self_consistency(points):
 def test_gradient_matches_finite_differences(points):
     h = 1e-5
     Z = points[0]
-    for n in ODD_CHARS:
-        grad = theta_grad(n, Z, CFG)
+    grads = point_values(Z, CFG).grads
+    for n, grad in zip(ODD_CHARS, grads):
         for c in range(2):
             zp = [0.0, 0.0]
             zm = [0.0, 0.0]
@@ -75,15 +68,17 @@ def test_second_kind_is_first_kind_at_doubled_point():
 def test_chi5_is_product_of_even_values(points):
     Z = points[0]
     vals = [theta(m, Z, CFG) for m in EVEN_CHARS]
-    assert abs(chi5(Z, CFG) - np.prod(vals)) < 1e-12
-    assert abs(chi5(Z, CFG)) > 0
+    c5 = np.prod(point_values(Z, CFG).thetas)
+    assert abs(c5 - np.prod(vals)) < 1e-12
+    assert abs(c5) > 0
 
 
 def test_chi5_small_near_diagonal_locus():
     # the weight-5 form vanishes on the split locus z1 = 0
     generic = SiegelPoint(0.3 + 1.2j, 0.25 + 0.4j, -0.1 + 1.5j)
     near_diag = SiegelPoint(0.3 + 1.2j, 1e-3 * 1j, -0.1 + 1.5j)
-    assert abs(chi5(near_diag, CFG)) < 1e-2 * abs(chi5(generic, CFG))
+    c5 = [np.prod(point_values(Z, CFG).thetas) for Z in (generic, near_diag)]
+    assert abs(c5[1]) < 1e-2 * abs(c5[0])
 
 
 def test_sample_siegel_deterministic_and_positive_definite():
@@ -121,8 +116,9 @@ def test_eval_element_denominator_identity(points):
     e = extr_h()
     numerator = ModuleElement(e.components, e.shifts)
     table = point_values(points[0], CFG)
-    tagged, _ = eval_element(e, table)
-    plain, _ = eval_element(numerator, table)
+    stack = stack_values([table])
+    tagged, _ = eval_stacked(e, stack)
+    plain, _ = eval_stacked(numerator, stack)
     dval = table.thetas[1] * table.thetas[4]
     assert np.allclose(tagged * dval, plain, rtol=1e-10)
 
@@ -130,7 +126,7 @@ def test_eval_element_denominator_identity(points):
 def test_eval_element_rejects_binding_mismatch(points):
     p = GradedPoly.variable(4, 0)
     with pytest.raises(ValueError):
-        eval_element(p, point_values(points[0], CFG))
+        eval_stacked(p, stack_values([point_values(points[0], CFG)]))
 
 
 # -- per-point value tables ----------------------------------------------------
@@ -141,7 +137,6 @@ def test_point_values_match_per_characteristic_series(points):
         table = point_values(Z, CFG)
         assert table.point == Z
         assert list(table.thetas) == [theta(m, Z, CFG) for m in EVEN_CHARS]
-        assert np.array_equal(table.grads, [theta_grad(n, Z, CFG) for n in ODD_CHARS])
 
 
 def test_point_values_are_read_only(points):
@@ -223,11 +218,10 @@ def test_tail_bound_checked_once_per_table(monkeypatch):
     monkeypatch.setattr(numerics, "tail_bound", counting)
     point_values(I_POINT, CFG)
     assert calls == [CFG.radius]
-    # the public single-series functions still check on every call
+    # the public single-series function still checks on every call
     calls.clear()
     theta(EVEN_CHARS[0], I_POINT, CFG)
-    theta_grad(ODD_CHARS[0], I_POINT, CFG)
-    assert calls == [CFG.radius] * 2
+    assert calls == [CFG.radius]
 
 
 def test_point_values_checks_before_any_sum(monkeypatch):

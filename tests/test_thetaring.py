@@ -288,11 +288,12 @@ def test_kernel_seed_of_an_equal_field_is_the_cached_basis():
     assert kernel_seed_basis.cache_info().currsize == entries
 
 
-def test_kernel_seed_over_an_unlucky_prime_is_its_own_run(monkeypatch):
+def test_kernel_seed_over_an_unlucky_prime_raises(monkeypatch):
     # t1 T1 reduces t1 T1 + p1 t2 T1 to p1 t2 T1, so the Q run inverts the
-    # lead p1: every prime but p1 reads the Q basis, and p1 makes its own
-    # run, which loses t2 T1.  The runs are uncached so that they read
-    # these generators, and the Q basis stays exact
+    # lead p1: every prime but p1 reads the Q basis, and p1 raises, since
+    # the Q basis read modulo p1 holds t2 T1, which the generators do not
+    # span over GF(p1).  The runs are uncached so that they read these
+    # generators, and the Q basis stays exact
     t1, t2 = GradedPoly.variable(NVARS, 0), GradedPoly.variable(NVARS, 1)
     gens = [ModuleElement.generator(NVARS, 6, 0, shifts=SHIFTS, coeff=c)
             for c in (t1, t1 + t2.scale(groebner.PRIME1))]
@@ -307,9 +308,8 @@ def test_kernel_seed_over_an_unlucky_prime_is_its_own_run(monkeypatch):
     assert kernel_seed_basis.__wrapped__(QQ).elements == exact
     p2 = kernel_seed_basis.__wrapped__(GFP2)
     assert p2.field is GFP2 and p2.elements == k0.modulo(GFP2).elements == exact
-    p1 = kernel_seed_basis.__wrapped__(GFP1)
-    assert p1.field is GFP1 and p1.elements == [to_engine(gens[0], order, GFP1)]
-    assert p1.elements != k0.modulo(GFP1).elements
+    with pytest.raises(DerivationError):
+        kernel_seed_basis.__wrapped__(GFP1)
 
 
 def test_certify_agrees_with_direct_normal_forms(oracle):
