@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import inf
+from typing import Iterator
 
 from . import thetaring
 from .errors import DerivationError, EvaluationError
@@ -130,24 +131,12 @@ def _suite_numeric(args) -> list[dict]:
     return checks
 
 
-def _field_reports(mode: str, cache_dir: str | None, names: list[str]) -> list[dict]:
-    pipe = StructurePipeline(FIELDS[mode], cache_dir)
-    return [getattr(pipe, f"{name}_report")() for name in names]
-
-
-def _per_field(args, names: list[str]) -> dict[str, list[dict]]:
-    """Each named per-field report, one per field in field order; with
-    --jobs above 1, one process per field runs that field's whole share."""
-    modes = ["p1", "p2"] if args.coeff_mode == "dual" else [args.coeff_mode]
-    share = partial(_field_reports, cache_dir=args.cache_dir, names=names)
-    if args.jobs > 1 and len(modes) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(modes))) as pool:
-            runs = list(pool.map(share, modes))
-    else:
-        runs = list(map(share, modes))
-    return {name: [run[i] for run in runs] for i, name in enumerate(names)}
+def _pipelines(args) -> Iterator[StructurePipeline]:
+    """One pipeline per field, made when read: a structure run drops each
+    prime's bases after its report.  Dual-mode primes read one exact pass."""
+    exact = StructurePipeline(thetaring.UnitWitness()) if args.coeff_mode == "dual" else None
+    modes = ("p1", "p2") if exact else (args.coeff_mode,)
+    return (StructurePipeline(FIELDS[m], args.cache_dir, exact) for m in modes)
 
 
 def _fields_agree(reports: list[dict], key: str) -> bool:
@@ -206,19 +195,18 @@ SUITES = {"numeric": _suite_numeric, "kernel": None, "allrel": None, "brackets":
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    checks = []
-    per_field = None
+    checks, pipes = [], []
     for n in names:
         if SUITES[n] is not None:
             checks.extend(SUITES[n](args))
             continue
-        if per_field is None:     # after the numeric suite: forked workers inherit its catalogs
-            per_field = _per_field(args, [m for m in names if SUITES[m] is None])
-        checks.extend(per_field[n])
-        if n == "allrel" and len(per_field[n]) > 1:
+        pipes = pipes or list(_pipelines(args))
+        reports = [getattr(pipe, f"{n}_report")() for pipe in pipes]
+        checks.extend(reports)
+        if n == "allrel" and len(reports) > 1:
             checks.append({
                 "name": "cross-field-agreement",
-                "status": "pass" if _fields_agree(per_field[n], "fingerprint") else "fail",
+                "status": "pass" if _fields_agree(reports, "fingerprint") else "fail",
             })
     failed = [c["name"] for c in checks if c["status"] != "pass"]
     report = {
@@ -246,15 +234,14 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    reports = _per_field(args, ["structure"])["structure"]
+    reports = [pipe.structure_report() for pipe in _pipelines(args)]
     agreement = _fields_agree(reports, "fingerprints")
     ok = agreement and all(r["status"] == "pass" for r in reports)
-    expected = GRADIENT_MODULE_SERIES
     report = {
         "schema": SCHEMA,
         "manifest": _manifest(args, "structure"),
-        "expected_series": expected.to_text(),
-        "expected_coefficients_t1_t8": expected.expand(8)[1:],
+        "expected_series": GRADIENT_MODULE_SERIES.to_text(),
+        "expected_coefficients_t1_t8": GRADIENT_MODULE_SERIES.expand(8)[1:],
         "runs": reports,
         "cross_field_agreement": agreement,
         "status": "pass" if ok else "fail",
@@ -262,8 +249,7 @@ def cmd_structure(args) -> int:
     _emit(report, args.out)
     if ok:
         return 0
-    body = [r for r in reports if r["status"] != "pass"]
-    first = body[0] if body else {"field": "cross-field", "status": "fail"}
+    first = next((r for r in reports if r["status"] != "pass"), {"field": "cross-field"})
     print(f"mismatch in run: {first['field']}", file=sys.stderr)
     return 1
 

@@ -7,20 +7,21 @@ of degree 1).  This module derives the relation catalogs (20 three-term,
 oracle: there is one oracle per process, and each catalog is derived once
 per process and returned as a tuple.  k0, the three-term relations plus
 the ideal layer, is computed once over Q.  The oracle works on it exactly,
-and a pipeline over a prime starts from it read modulo that prime; a
-prime that is unlucky for the Q run raises DerivationError.  The oracle
-reduces each chi5 multiple it needs once.  The module then computes the
-full relation kernel as a colon module, intersects the fifteen localized
+a pipeline over a prime starts from it read modulo that prime, as both
+primes of a dual run read every stage from one exact pass over Q; a
+prime unlucky for a Q run raises DerivationError.  The oracle reduces
+each chi5 multiple it needs once.  The module then computes the full
+relation kernel as a colon module, intersects the fifteen localized
 modules, handles the extra generator with its 360-element orbit, and
-produces the Hilbert series of the intersection, plus the two second-kind
-presentations with their series.
+produces the Hilbert series of the intersection, plus the two
+second-kind presentations with their series.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from . import chars
@@ -234,10 +235,9 @@ def kernel_seed_generators() -> list[ModuleElement]:
     return [r.element for r in rel_d()] + ideal_times_free()
 
 
-class _UnitWitness(RationalField):
-    """QQ for one engine run, noting the product of the numerators and
-    denominators of the lead coefficients other than +-1 that the run
-    inverts: every such lead is a unit modulo m when m is prime to it."""
+class UnitWitness(RationalField):
+    """QQ noting the product of the numerators and denominators of the lead
+    coefficients other than +-1 its runs invert, each a unit modulo m prime to it."""
 
     leads = 1
 
@@ -252,7 +252,7 @@ def _kernel_seed_over_q() -> tuple[EngineBasis, int]:
     """k0 over Q, and the product of the numerators and denominators of
     the leads other than +-1 that its run inverted."""
     order = MonomialOrder(NVARS, rank=RANK)
-    witness = _UnitWitness()
+    witness = UnitWitness()
     elements = buchberger_engine([to_engine(g, order, QQ) for g in kernel_seed_generators()],
                                  order, witness)
     return EngineBasis(elements, order, QQ), witness.leads
@@ -640,15 +640,17 @@ class StructurePipeline:
     The stages form one derivation graph: k0 -> total_kernel -> fifteen
     m_pair -> chi5_m; total_kernel -> gradient_span -> generated; k0 ->
     catalog_span.  A stage's disk-cache key comes from its tag, all its
-    generators and its parents' keys, never from their bases.
-    Pipelines over different fields may run in parallel processes sharing
-    one cache directory.
+    generators and its parents' keys, never from their bases.  Over a prime
+    it may read an exact source, a lazy pipeline over a UnitWitness with no
+    disk cache: a miss stores the source's basis read modulo the prime, and
+    the orbit signs, containments, series and completeness run on those.
     """
 
-    def __init__(self, field=GFP1, cache_dir: str | None = None):
+    def __init__(self, field=GFP1, cache_dir: str | None = None, exact=None):
         self.field = field
         self.order = MonomialOrder(NVARS, rank=RANK)
         self.cache = BasisCache(cache_dir)
+        self.exact = exact
         self._store: dict = {}
         self._keys: dict = {}
 
@@ -661,14 +663,25 @@ class StructurePipeline:
                 tag, [element_to_text(g) for g in gens], parents, self.order, self.field)
         return self._keys[tag]
 
-    def _cached_basis(self, tag: str, key: str, build) -> GroebnerBasis:
+    def _cached_basis(self, tag: str, key: str | None, build, *parents) -> GroebnerBasis:
+        """The stage's basis: from the store, else the disk cache, else
+        build(pipe, *parent bases) in this pipeline, or in its exact source and
+        read modulo this prime, which may divide no lead that k0's run or a
+        source run inverted.  Parents are read here too, for their entries."""
         if tag not in self._store:
             elements = self.cache.load(key, self.order, self.field)
             if elements is None:
-                elements = build()
+                bases = [parent(self) for parent in parents]
+                if self.exact is None:
+                    elements = build(self, *bases)
+                else:
+                    basis = self.exact._cached_basis(tag, None, build, *parents).engine
+                    if self.exact.field.leads * _kernel_seed_over_q()[1] % self.field.p == 0:
+                        raise DerivationError(f"{tag}: a Q run inverts a lead divisible "
+                                              f"by {self.field.p}")
+                    elements = basis.modulo(self.field).elements
                 self.cache.store(key, elements, self.field)
-            self._store[tag] = GroebnerBasis(EngineBasis(elements, self.order, self.field),
-                                             SHIFTS)
+            self._store[tag] = GroebnerBasis(EngineBasis(elements, self.order, self.field), SHIFTS)
         return self._store[tag]
 
     def _kernel_key(self) -> str:
@@ -677,17 +690,15 @@ class StructurePipeline:
     def _extension_key(self, tag: str, gens: list[ModuleElement]) -> str:
         return self._key(tag, gens, [self._kernel_key()])
 
-    def _extend(self, tag: str, key: str, gens: Sequence[ModuleElement],
-                parent) -> GroebnerBasis:
-        """Basis of gens plus the basis of the stage parent, which seeds it
-        and which only a cache miss builds; key must determine parent."""
+    def _extend(self, tag: str, gens: Sequence[ModuleElement], parent=None,
+                key: str | None = None) -> GroebnerBasis:
+        """Basis of gens plus that of the stage parent (the kernel by default),
+        which seeds it and which only a miss reads; key must determine parent."""
         return self._cached_basis(
-            tag, key, lambda: buchberger_engine(self._engine(gens), self.order, self.field,
-                                                seed=parent().engine.elements))
-
-    def _extend_kernel(self, tag: str, gens: list[ModuleElement]) -> GroebnerBasis:
-        """Basis of gens plus the kernel."""
-        return self._extend(tag, self._extension_key(tag, gens), gens, self.total_kernel)
+            tag, key or self._extension_key(tag, gens),
+            lambda pipe, seed: buchberger_engine(pipe._engine(gens), pipe.order, pipe.field,
+                                                 seed=seed.engine.elements),
+            parent or StructurePipeline.total_kernel)
 
     def _engine(self, elems: Sequence[ModuleElement]) -> list[dict]:
         return [to_engine(e, self.order, self.field) for e in elems]
@@ -695,22 +706,23 @@ class StructurePipeline:
     # -- stages --------------------------------------------------------------
 
     def kernel_seed(self) -> GroebnerBasis:
-        """Basis of the three-term module plus the ideal layer."""
-        return GroebnerBasis(kernel_seed_basis(self.field), SHIFTS)
+        """Basis of the three-term module plus the ideal layer; over Q the process's one k0."""
+        return GroebnerBasis(kernel_seed_basis(self.field if self.field.p else QQ), SHIFTS)
 
     def total_kernel(self) -> GroebnerBasis:
         """The full relation module: colon of the seed by the theta product."""
         return self._cached_basis(
             "total_kernel", self._kernel_key(),
-            lambda: module_quotient_engine(self.kernel_seed().engine.elements, CHI5_EXPS,
-                                           self.order, self.field))
+            lambda pipe, k0: module_quotient_engine(k0.engine.elements, CHI5_EXPS,
+                                                    pipe.order, pipe.field),
+            StructurePipeline.kernel_seed)
 
     def catalog_span(self) -> GroebnerBasis:
         """Span of the 122 catalog relations plus the ideal layer: k0 plus
         the 102 four- and five-term relations, keyed by all 242 generators."""
         gens = [r.element for r in all_relations()] + ideal_times_free()
-        return self._extend("catalog_span", self._key("catalog_span", gens),
-                            [r.element for r in extr_a() + extr_b()], self.kernel_seed)
+        return self._extend("catalog_span", [r.element for r in extr_a() + extr_b()],
+                            StructurePipeline.kernel_seed, self._key("catalog_span", gens))
 
     def completeness_check(self) -> bool:
         """The catalog span equals the colon kernel (reduced-basis equality)."""
@@ -729,7 +741,7 @@ class StructurePipeline:
         """Lift of the localized two-generator module: P T_i, P T_j, kernel."""
         if not 1 <= i < j <= 6:
             raise ValueError("need odd labels i < j")
-        return self._extend_kernel(f"m_pair_{i}_{j}", self._pair_generators(i, j))
+        return self._extend(f"m_pair_{i}_{j}", self._pair_generators(i, j))
 
     def chi5_m(self) -> GroebnerBasis:
         """Intersection of the fifteen localized modules."""
@@ -738,12 +750,13 @@ class StructurePipeline:
                    for i, j in pairs]
         return self._cached_basis(
             "chi5_m", self._key("chi5_m", [], parents),
-            lambda: intersect_engine([self.m_pair(i, j).engine.elements for i, j in pairs],
-                                     self.order, self.field))
+            lambda pipe, *mods: intersect_engine([m.engine.elements for m in mods],
+                                                 pipe.order, pipe.field),
+            *[partial(StructurePipeline.m_pair, i=i, j=j) for i, j in pairs])
 
     def gradient_span(self) -> GroebnerBasis:
         """chi5-scaled gradients plus the kernel: the lift of the inner module."""
-        return self._extend_kernel("gradient_span", _scaled_gradients())
+        return self._extend("gradient_span", _scaled_gradients())
 
     # -- the orbit -----------------------------------------------------------
 
@@ -768,10 +781,7 @@ class StructurePipeline:
         if "orbit" in self._store:
             return self._store["orbit"]
         base = extr_h()
-        terms = []
-        for ci, p in enumerate(base.components):
-            for exps, c in p.terms.items():
-                terms.append((ci, exps, c))
+        terms = [(ci, exps) for ci, p in enumerate(base.components) for exps in p.terms]
         denom = base.denominator
         cm = self.chi5_m()
         seen: dict = {}
@@ -783,7 +793,7 @@ class StructurePipeline:
             # cleared support: the chi5 multiples decide membership and identity
             p_terms = sorted(
                 (odd_map[ci] - 1, _addexp(self._permute_exps(exps, even_map), clear))
-                for ci, exps, _ in terms)
+                for ci, exps in terms)
             support = tuple(p_terms)
             if support in seen:
                 continue
@@ -796,13 +806,11 @@ class StructurePipeline:
             signs = _sign_vector(null[0], self.field)
             if signs is None:
                 raise DerivationError("orbit candidate has non-unit coefficients")
-            polys: dict[int, GradedPoly] = {}
+            comps = [GradedPoly.zero(NVARS)] * RANK
             for (comp, exps), s in zip(p_terms, signs):
                 numer = tuple(a - b for a, b in zip(exps, clear))
-                polys[comp] = polys.get(comp, GradedPoly.zero(NVARS)) + \
-                    GradedPoly.monomial(NVARS, numer, s)
-            comps = tuple(polys.get(i, GradedPoly.zero(NVARS)) for i in range(6))
-            seen[support] = ModuleElement(comps, SHIFTS, p_denom)
+                comps[comp] = comps[comp] + GradedPoly.monomial(NVARS, numer, s)
+            seen[support] = ModuleElement(tuple(comps), SHIFTS, p_denom)
         orbit = [seen[k] for k in sorted(seen) if seen[k] is not None]
         self._store["orbit"] = orbit
         return orbit
@@ -812,7 +820,13 @@ class StructurePipeline:
         the gradient span plus the 360 orbit multiples."""
         orbit = [clear_denominator(e, CHI5_EXPS) for e in self.orbit_extr_h()]
         key = self._extension_key("generated", _scaled_gradients() + orbit)
-        return self._extend("generated", key, orbit, self.gradient_span)
+
+        def seed(pipe):     # the source builds from its first reader's orbit
+            if pipe.exact and pipe.exact.orbit_extr_h() != pipe.orbit_extr_h():
+                raise DerivationError(f"generated: the orbit over {pipe.field.name} is not Q's")
+            return pipe.gradient_span()
+
+        return self._extend("generated", orbit, seed, key)
 
     # -- series and the main check --------------------------------------------
 

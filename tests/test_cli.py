@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -7,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from theta2 import numerics
+from theta2 import groebner, numerics, thetaring
 from theta2.cli import main
 from theta2.groebner import BasisCache
 from theta2.thetaring import StructurePipeline
@@ -184,7 +183,7 @@ def test_verify_kernel_suite(capsys, cache_dir):
 
 
 def test_verify_kernel_two_jobs_matches_one(capsys, cache_dir):
-    # --jobs 2 runs the two primes in a process pool sharing the cache
+    # --jobs is recorded in the manifest and changes nothing else
     reports = []
     for jobs in ("2", "1"):
         code, out = run(capsys, "--jobs", jobs, "--coeff-mode", "dual",
@@ -200,30 +199,23 @@ def test_verify_kernel_two_jobs_matches_one(capsys, cache_dir):
         "catalog-in-kernel[p2147483647]", "catalog-in-kernel[p2147483629]"]
 
 
-def test_verify_all_two_jobs_starts_one_pool(capsys, monkeypatch, cache_dir):
-    # the kernel and allrel suites share one process per field
-    pools = []
-
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *a, **k):
-            pools.append(k)
-            super().__init__(*a, **k)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+def test_verify_all_two_jobs_matches_one(capsys, cache_dir):
     reports = []
     for jobs in ("2", "1"):
         code, out = run(capsys, "--jobs", jobs, "--points", "2", "--cache-dir", cache_dir,
                         "verify", "all")
         assert code == 0
         reports.append(json.loads(out))
-    assert len(pools) == 1
     parallel, serial = reports
     assert (serial["manifest"]["jobs"], parallel["manifest"]["jobs"]) == (1, 2)
     serial["manifest"]["jobs"] = 2
     assert parallel == serial
 
 
-_K0_ONCE = """
+# counts, in a fresh process, k0's engine runs, the point tables and the
+# projections of a basis to a prime
+_COUNTING = """
+import sys
 from theta2 import cli, numerics, thetaring
 from theta2.groebner import QQ, EngineBasis, MonomialOrder, to_engine
 
@@ -253,11 +245,14 @@ def counting_modulo(self, field):
 thetaring.buchberger_engine = counting_engine
 numerics.point_values = counting_point_values
 EngineBasis.modulo = counting_modulo
-assert cli.main(["--seed", "1", "--points", "2", "--coeff-mode", "q", "verify", "all"]) == 0
-assert len(k0_runs) == 1 and k0_runs[0].p is None, k0_runs
-assert projections == [], projections
-assert len(table_calls) == 2, table_calls
 """
+
+
+def _run_fresh(script: str, *argv: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", _COUNTING + script, *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_verify_all_over_q_builds_k0_once():
@@ -265,10 +260,82 @@ def test_verify_all_over_q_builds_k0_once():
     # the kernel suite read one k0, from one engine run over Q, and neither
     # reads it modulo anything; the brackets suite reads chi5 from the
     # numeric suite's tables, one per point
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-c", _K0_ONCE], env=env, capture_output=True,
-                          text=True)
-    assert done.returncode == 0, done.stderr
+    _run_fresh("""
+assert cli.main(["--seed", "1", "--points", "2", "--coeff-mode", "q", "verify", "all"]) == 0
+assert len(k0_runs) == 1 and k0_runs[0].p is None, k0_runs
+assert projections == [], projections
+assert len(table_calls) == 2, table_calls
+""")
+
+
+def _recording_engines(monkeypatch) -> list[tuple[str, object]]:
+    """(name, field) of every engine completion a stage runs from now on."""
+    calls = []
+    for name in ("buchberger_engine", "module_quotient_engine", "intersect_engine"):
+        def record(*a, name=name, real=getattr(thetaring, name), **k):
+            calls.append((name, a[-1]))     # each stage passes the field last
+            return real(*a, **k)
+
+        monkeypatch.setattr(thetaring, name, record)
+    return calls
+
+
+def test_dual_verify_allrel_runs_no_engine_over_a_prime(capsys, tmp_path, monkeypatch):
+    # both primes read the colon kernel and the catalog span from one exact
+    # pass: its two completions run over Q, once, and none over GF(p).  The
+    # catalogs and k0 are made first
+    thetaring.all_relations()
+    calls = _recording_engines(monkeypatch)
+    code, out = run(capsys, "--cache-dir", str(tmp_path), "verify", "allrel")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert [name for name, _ in calls] == ["module_quotient_engine", "buchberger_engine"]
+    assert all(field.p is None for _, field in calls)
+    assert len(os.listdir(tmp_path)) == 4
+
+
+def test_warm_dual_structure_starts_no_exact_pass(capsys, cache_dir, pipe_p1, pipe_p2,
+                                                   monkeypatch):
+    # the independent prime runs write the entries a dual run reads: the
+    # keys name the generators and parents, not how a basis was made
+    pipe_p1.structure_report(), pipe_p2.structure_report()
+    calls = _recording_engines(monkeypatch)
+    built = []
+    real = StructurePipeline._cached_basis
+
+    def cached_basis(self, tag, *a):
+        if self.field.p is None:
+            built.append(tag)
+        return real(self, tag, *a)
+
+    monkeypatch.setattr(StructurePipeline, "_cached_basis", cached_basis)
+    code, out = run(capsys, "--cache-dir", cache_dir, "structure")
+    assert code == 0 and json.loads(out)["cross_field_agreement"]
+    assert calls == [] and built == []
+
+
+def test_dual_prime_unlucky_for_the_exact_pass_is_a_derivation_error(capsys, tmp_path,
+                                                                     monkeypatch):
+    # every new witness starts at p1, so p1 divides a lead the exact pass
+    # inverted: p1 raises at its first entry and stores none.  k0 and its
+    # projections are made first, with their own witness
+    for field in (groebner.GFP1, groebner.GFP2):
+        thetaring.kernel_seed_basis(field)
+    monkeypatch.setattr(thetaring.UnitWitness, "leads", groebner.PRIME1)
+    code = main(["--cache-dir", str(tmp_path), "verify", "allrel"])
+    assert code == 2
+    assert "derivation error: total_kernel" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_dual_run_builds_k0_once(tmp_path):
+    # a fresh process: the oracle and the exact pass read one k0 over Q,
+    # and each prime reads it modulo itself; the witness of the exact pass
+    # is no key of kernel_seed_basis, which holds QQ, GF(p1) and GF(p2)
+    _run_fresh("""
+assert cli.main(["--cache-dir", sys.argv[1], "verify", "allrel"]) == 0
+assert len(k0_runs) == 1 and k0_runs[0].p is None, k0_runs
+assert thetaring.kernel_seed_basis.cache_info().currsize == 3
+""", str(tmp_path))
 
 
 def test_structure_report_command(capsys, cache_dir, pipe_p1):

@@ -589,6 +589,37 @@ def test_kernel_seed_shared_with_oracle():
     assert k0.elements == default_oracle().basis.modulo(GFP1).elements
 
 
+def test_exact_pass_projection_needs_a_prime_lucky_for_k0(tmp_path, monkeypatch):
+    # k0's own run belongs to every stage's chain: with p1 dividing one of
+    # its leads, the colon kernel read from the exact pass raises for p1,
+    # before storing, and reads for p2.  The primes' k0 projections are
+    # cached first, so that kernel_seed_basis's own check cannot raise
+    for field in (GFP1, GFP2):
+        kernel_seed_basis(field)
+    k0, _ = thetaring._kernel_seed_over_q()
+    monkeypatch.setattr(thetaring, "_kernel_seed_over_q", lambda: (k0, groebner.PRIME1))
+    exact = StructurePipeline(thetaring.UnitWitness())
+    with pytest.raises(DerivationError, match="total_kernel"):
+        StructurePipeline(GFP1, str(tmp_path), exact).total_kernel()
+    assert list(tmp_path.iterdir()) == []
+    kernel = StructurePipeline(GFP2, str(tmp_path), exact).total_kernel()
+    assert kernel.engine.elements == exact.total_kernel().engine.modulo(GFP2).elements
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_generated_needs_the_exact_pass_orbit(pipe_p2):
+    # the exact pass builds the generated module from the orbit of its
+    # first reader, so a prime whose orbit is not the pass's own raises
+    # on a miss, before any engine run
+    orbit = pipe_p2.orbit_extr_h()
+    exact = StructurePipeline(thetaring.UnitWitness())
+    exact._store["orbit"] = orbit[1:]
+    pipe = StructurePipeline(GFP2, exact=exact)
+    pipe._store.update(orbit=orbit, gradient_span=pipe_p2.gradient_span())
+    with pytest.raises(DerivationError, match="orbit over p2147483629"):
+        pipe.generated_module()
+
+
 def _counting_loads(monkeypatch, serve=None):
     """Record the key of every BasisCache.load; serve fixed elements if given."""
     keys = []
