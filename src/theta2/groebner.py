@@ -83,12 +83,13 @@ x_p would divide the mixed leads with x_p.  Lowered leads divide each
 other only if the originals did, so I : x_p tests only those that lost
 their last x_p against the rest.
 
-Coefficients are exact rationals by default; a word-sized prime field is
-available to accelerate large runs.  Any result that matters is confirmed
-either over the rationals or over two distinct primes.  A rational is kept
-as an int when it is integral and as a Fraction only when it is not: int
-and Fraction mix exactly, so both share one arithmetic path, and the
-catalog's small integer coefficients never build a Fraction.
+Coefficients are exact rationals or a word-sized prime field.  Every
+basis a result rests on is computed over the rationals: a prime field
+reads such a run modulo a lucky prime (EngineBasis.modulo), or runs on its
+own as an independent spot check.  A rational is kept as an int when it
+is integral and as a Fraction only when it is not: int and Fraction mix
+exactly, so both share one arithmetic path, and the catalog's small
+integer coefficients never build a Fraction.
 
 BasisCache keeps reduced bases on disk in the engine's own form: a sha256
 digest line, then JSON with each element's packed term keys and

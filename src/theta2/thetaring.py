@@ -6,15 +6,16 @@ of degree 1).  This module derives the relation catalogs (20 three-term,
 30 four-term, 72 five-term) and certifies them with the multiplication
 oracle: there is one oracle per process, and each catalog is derived once
 per process and returned as a tuple.  k0, the three-term relations plus
-the ideal layer, is computed once over Q.  The oracle works on it exactly,
-a pipeline over a prime starts from it read modulo that prime, as both
-primes of a dual run read every stage from one exact pass over Q; a
-prime unlucky for a Q run raises DerivationError.  The oracle reduces
-each chi5 multiple it needs once.  The module then computes the full
-relation kernel as a colon module, intersects the fifteen localized
-modules, handles the extra generator with its 360-element orbit, and
-produces the Hilbert series of the intersection, plus the two
-second-kind presentations with their series.
+the ideal layer, is computed once per process over Q, and the oracle
+works on it exactly, reducing each chi5 multiple it needs once.  In the
+pipeline k0 is a stage like every other: a pipeline over Q reads that one
+k0, a pipeline over a prime builds its own or, in a dual run, reads every
+stage from one exact pass over Q, k0 included; a prime unlucky for a Q
+run raises DerivationError.  The module then computes the full relation
+kernel as a colon module, intersects the fifteen localized modules,
+handles the extra generator with its 360-element orbit, and produces the
+Hilbert series of the intersection, plus the two second-kind
+presentations with their series.
 """
 
 from __future__ import annotations
@@ -258,24 +259,6 @@ def _kernel_seed_over_q() -> tuple[EngineBasis, int]:
     return EngineBasis(elements, order, QQ), witness.leads
 
 
-@lru_cache(maxsize=None)
-def kernel_seed_basis(field) -> EngineBasis:
-    """k0 over one field, built once per process and shared by every
-    pipeline over that field.
-
-    Over Q it is one engine run.  Modulo a prime p it is that run read
-    modulo p, which needs every lead the run inverted to be a unit modulo
-    p: p is then a lucky prime (Pauer 1992), and the run read modulo p is
-    a run over GF(p) (see EngineBasis.modulo).  An unlucky prime raises
-    DerivationError."""
-    k0, leads = _kernel_seed_over_q()
-    if field.p is None:
-        return k0
-    if leads % field.p == 0:
-        raise DerivationError(f"k0: the Q run inverts a lead divisible by {field.p}")
-    return k0.modulo(field)
-
-
 # ---------------------------------------------------------------------------
 # The multiplication oracle
 # ---------------------------------------------------------------------------
@@ -361,7 +344,7 @@ class RelationOracle:
 
     def __init__(self):
         self.fields = (QQ,)     # the field label of perfbench/tracing.py's oracle span
-        k0 = kernel_seed_basis(QQ)
+        k0 = _kernel_seed_over_q()[0]
         # its own copy: the reducer index the normal forms build goes with the oracle
         self.basis = EngineBasis(k0.elements, k0.order, QQ)
         self.table: dict[tuple[int, tuple[int, ...]], dict] = {}
@@ -640,10 +623,12 @@ class StructurePipeline:
     The stages form one derivation graph: k0 -> total_kernel -> fifteen
     m_pair -> chi5_m; total_kernel -> gradient_span -> generated; k0 ->
     catalog_span.  A stage's disk-cache key comes from its tag, all its
-    generators and its parents' keys, never from their bases.  Over a prime
-    it may read an exact source, a lazy pipeline over a UnitWitness with no
-    disk cache: a miss stores the source's basis read modulo the prime, and
-    the orbit signs, containments, series and completeness run on those.
+    generators and its parents' keys, never from their bases; k0 has no
+    disk entry.  Over a prime it may read an exact source, a lazy pipeline
+    over a UnitWitness with no disk cache: a miss stores the source's basis
+    read modulo the prime, and the orbit signs, containments, series and
+    completeness run on those.  The source runs no orbit: it builds the
+    generated module from its first reader's.
     """
 
     def __init__(self, field=GFP1, cache_dir: str | None = None, exact=None):
@@ -664,12 +649,13 @@ class StructurePipeline:
         return self._keys[tag]
 
     def _cached_basis(self, tag: str, key: str | None, build, *parents) -> GroebnerBasis:
-        """The stage's basis: from the store, else the disk cache, else
-        build(pipe, *parent bases) in this pipeline, or in its exact source and
-        read modulo this prime, which may divide no lead that k0's run or a
-        source run inverted.  Parents are read here too, for their entries."""
+        """The stage's basis: from the store, else the disk cache (none when
+        key is None), else build(pipe, *parent bases) in this pipeline, or in
+        its exact source and read modulo this prime, which may divide no lead
+        that k0's run or a source run inverted.  Parents are read here too,
+        for their entries."""
         if tag not in self._store:
-            elements = self.cache.load(key, self.order, self.field)
+            elements = self.cache.load(key, self.order, self.field) if key else None
             if elements is None:
                 bases = [parent(self) for parent in parents]
                 if self.exact is None:
@@ -680,7 +666,8 @@ class StructurePipeline:
                         raise DerivationError(f"{tag}: a Q run inverts a lead divisible "
                                               f"by {self.field.p}")
                     elements = basis.modulo(self.field).elements
-                self.cache.store(key, elements, self.field)
+                if key:
+                    self.cache.store(key, elements, self.field)
             self._store[tag] = GroebnerBasis(EngineBasis(elements, self.order, self.field), SHIFTS)
         return self._store[tag]
 
@@ -706,8 +693,15 @@ class StructurePipeline:
     # -- stages --------------------------------------------------------------
 
     def kernel_seed(self) -> GroebnerBasis:
-        """Basis of the three-term module plus the ideal layer; over Q the process's one k0."""
-        return GroebnerBasis(kernel_seed_basis(self.field if self.field.p else QQ), SHIFTS)
+        """Basis of the three-term module plus the ideal layer, with no disk
+        entry; over Q the process's one k0."""
+        def build(pipe):
+            if pipe.field.p is None:    # QQ, or the exact pass's UnitWitness
+                return _kernel_seed_over_q()[0].elements
+            return buchberger_engine(pipe._engine(kernel_seed_generators()), pipe.order,
+                                     pipe.field)
+
+        return self._cached_basis("kernel_seed", None, build)
 
     def total_kernel(self) -> GroebnerBasis:
         """The full relation module: colon of the seed by the theta product."""
@@ -822,8 +816,9 @@ class StructurePipeline:
         key = self._extension_key("generated", _scaled_gradients() + orbit)
 
         def seed(pipe):     # the source builds from its first reader's orbit
-            if pipe.exact and pipe.exact.orbit_extr_h() != pipe.orbit_extr_h():
-                raise DerivationError(f"generated: the orbit over {pipe.field.name} is not Q's")
+            if pipe.exact and pipe.exact._store.setdefault("generated_orbit", orbit) != orbit:
+                raise DerivationError(f"generated: the orbit over {pipe.field.name} is not "
+                                      "the one the exact pass built from")
             return pipe.gradient_span()
 
         return self._extend("generated", orbit, seed, key)

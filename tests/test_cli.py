@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -316,26 +317,57 @@ def test_warm_dual_structure_starts_no_exact_pass(capsys, cache_dir, pipe_p1, pi
 def test_dual_prime_unlucky_for_the_exact_pass_is_a_derivation_error(capsys, tmp_path,
                                                                      monkeypatch):
     # every new witness starts at p1, so p1 divides a lead the exact pass
-    # inverted: p1 raises at its first entry and stores none.  k0 and its
-    # projections are made first, with their own witness
-    for field in (groebner.GFP1, groebner.GFP2):
-        thetaring.kernel_seed_basis(field)
+    # inverted: p1 raises at its first read, k0, and stores nothing.  The
+    # process's k0 is made first, with its own witness
+    thetaring._kernel_seed_over_q()
     monkeypatch.setattr(thetaring.UnitWitness, "leads", groebner.PRIME1)
     code = main(["--cache-dir", str(tmp_path), "verify", "allrel"])
     assert code == 2
-    assert "derivation error: total_kernel" in capsys.readouterr().err
+    assert "derivation error: kernel_seed" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
 def test_dual_run_builds_k0_once(tmp_path):
     # a fresh process: the oracle and the exact pass read one k0 over Q,
-    # and each prime reads it modulo itself; the witness of the exact pass
-    # is no key of kernel_seed_basis, which holds QQ, GF(p1) and GF(p2)
+    # and each prime reads it from the pass, modulo itself
     _run_fresh("""
 assert cli.main(["--cache-dir", sys.argv[1], "verify", "allrel"]) == 0
 assert len(k0_runs) == 1 and k0_runs[0].p is None, k0_runs
-assert thetaring.kernel_seed_basis.cache_info().currsize == 3
 """, str(tmp_path))
+
+
+def test_p1_run_builds_its_own_k0(tmp_path):
+    # a fresh process: the oracle reads k0 over Q, and the GF(p1) pipeline
+    # builds its own over GF(p1) and reads no basis modulo p1
+    _run_fresh("""
+assert cli.main(["--coeff-mode", "p1", "--cache-dir", sys.argv[1], "verify", "allrel"]) == 0
+from theta2.groebner import PRIME1
+assert len(k0_runs) == 2 and {field.p for field in k0_runs} == {None, PRIME1}, k0_runs
+assert projections == [], projections
+""", str(tmp_path))
+
+
+def test_dual_structure_runs_the_orbit_on_the_primes_only(capsys, cache_dir, pipe_p1, pipe_p2,
+                                                           tmp_path, monkeypatch):
+    # the exact pass builds the generated module from its first reader's
+    # orbit, so a dual run computes the orbit over p1 and p2 only.  Every
+    # entry but the two generated modules is warm, so the pass builds the
+    # generated module and its chain, and no intersection fold
+    pipe_p1.structure_report(), pipe_p2.structure_report()
+    cold = {pipe._keys["generated"] + ".json" for pipe in (pipe_p1, pipe_p2)}
+    cache = shutil.copytree(cache_dir, tmp_path / "cache", ignore=lambda d, names: cold)
+    fields = set()
+    real = StructurePipeline.orbit_extr_h
+
+    def orbit_extr_h(self):
+        fields.add(self.field.name)
+        return real(self)
+
+    monkeypatch.setattr(StructurePipeline, "orbit_extr_h", orbit_extr_h)
+    code, out = run(capsys, "--cache-dir", str(cache), "structure")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert fields == {groebner.GFP1.name, groebner.GFP2.name}
+    assert cold <= set(os.listdir(cache))
 
 
 def test_structure_report_command(capsys, cache_dir, pipe_p1):

@@ -45,7 +45,6 @@ from theta2.thetaring import (
     extr_a,
     extr_b,
     extr_h,
-    kernel_seed_basis,
     kernel_seed_generators,
     rel_d,
     riemann_ideal,
@@ -253,47 +252,52 @@ def test_extr_b_numeric(points):
 
 
 def test_kernel_seed_over_q_projects_to_each_prime():
-    # k0 over Q, read modulo p1 and p2, is that field's own k0: a direct
-    # engine run over it
-    k0 = kernel_seed_basis(QQ)
+    # the reference check of the lucky-prime rule on the real k0: the
+    # process's k0 over Q, read modulo p1 and p2, is the k0 that pipeline
+    # over that prime builds itself, with one engine run
+    k0 = thetaring._kernel_seed_over_q()[0]
     assert k0.field is QQ
-    order = k0.order
     for field in (GFP1, GFP2):
-        direct = buchberger_engine([to_engine(g, order, field) for g in kernel_seed_generators()],
-                                   order, field)
-        assert k0.modulo(field).elements == direct
-        assert kernel_seed_basis(field).elements == direct
-        assert kernel_seed_basis(field).field is field
+        own = StructurePipeline(field).kernel_seed().engine
+        assert own.field is field
+        assert own.elements == k0.modulo(field).elements
 
 
 def test_kernel_seed_over_another_lucky_prime_is_its_own_run():
-    # any prime that no lead of the Q run shares a factor with reads the
-    # Q basis, and that projection is the prime's own engine run
+    # any prime that divides no lead the exact pass or k0's run inverted
+    # reads k0 from the pass, and that reading is the prime's own engine run
     field = ModularField(2147483587)
-    order = MonomialOrder(NVARS, rank=6)
-    direct = buchberger_engine([to_engine(g, order, field) for g in kernel_seed_generators()],
-                               order, field)
-    assert thetaring._kernel_seed_over_q()[1] == 1
-    assert kernel_seed_basis(field).elements == direct
+    exact = StructurePipeline(thetaring.UnitWitness())
+    read = StructurePipeline(field, exact=exact).kernel_seed().engine
+    assert thetaring._kernel_seed_over_q()[1] == 1 and exact.field.leads == 1
+    assert read.elements == StructurePipeline(field).kernel_seed().engine.elements
 
 
-def test_kernel_seed_of_an_equal_field_is_the_cached_basis():
-    # a second GF(p1) instance equals GFP1 and hashes alike, so it finds
-    # GFP1's projection in the cache: no second engine run, no second entry
-    k0 = kernel_seed_basis(GFP1)
-    entries = kernel_seed_basis.cache_info().currsize
-    field = ModularField(groebner.PRIME1)
-    assert field == GFP1 and hash(field) == hash(GFP1) and field != GFP2
-    assert kernel_seed_basis(field) is k0
-    assert kernel_seed_basis.cache_info().currsize == entries
+def test_kernel_seed_is_one_stage_per_pipeline(tmp_path, monkeypatch):
+    # k0 is a stage with no disk entry, kept by each pipeline once read:
+    # two dual primes read the exact pass's one k0, which is the process's
+    # k0 over Q, so neither runs an engine or touches the disk
+    thetaring._kernel_seed_over_q()
+    calls = []
+    monkeypatch.setattr(thetaring, "buchberger_engine", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(BasisCache, "load", lambda *a: calls.append(a))
+    monkeypatch.setattr(BasisCache, "store", lambda *a: calls.append(a))
+    exact = StructurePipeline(thetaring.UnitWitness())
+    pipes = [StructurePipeline(f, str(tmp_path), exact)
+             for f in (GFP1, ModularField(groebner.PRIME1))]
+    k0s = [pipe.kernel_seed() for pipe in pipes]
+    assert all(pipe.kernel_seed() is k0 for pipe, k0 in zip(pipes, k0s))
+    assert calls == [] and list(exact._store) == ["kernel_seed"]
+    assert k0s[0].engine.elements == k0s[1].engine.elements
 
 
-def test_kernel_seed_over_an_unlucky_prime_raises(monkeypatch):
+def test_kernel_seed_over_an_unlucky_prime_raises(tmp_path, monkeypatch):
     # t1 T1 reduces t1 T1 + p1 t2 T1 to p1 t2 T1, so the Q run inverts the
-    # lead p1: every prime but p1 reads the Q basis, and p1 raises, since
-    # the Q basis read modulo p1 holds t2 T1, which the generators do not
-    # span over GF(p1).  The runs are uncached so that they read these
-    # generators, and the Q basis stays exact
+    # lead p1: a dual prime other than p1 reads the Q basis, and a dual p1
+    # raises, since the Q basis read modulo p1 holds t2 T1, which the
+    # generators do not span over GF(p1); a p1 pipeline with no exact
+    # source builds its own k0, which is t1 T1 alone.  The Q runs are
+    # uncached so that they read these generators, and the Q basis stays exact
     t1, t2 = GradedPoly.variable(NVARS, 0), GradedPoly.variable(NVARS, 1)
     gens = [ModuleElement.generator(NVARS, 6, 0, shifts=SHIFTS, coeff=c)
             for c in (t1, t1 + t2.scale(groebner.PRIME1))]
@@ -305,11 +309,15 @@ def test_kernel_seed_over_an_unlucky_prime_raises(monkeypatch):
     exact = sorted((to_engine(ModuleElement.generator(NVARS, 6, 0, shifts=SHIFTS, coeff=c),
                               order, QQ) for c in (t1, t2)), key=max)
     assert k0.field is QQ and k0.elements == exact
-    assert kernel_seed_basis.__wrapped__(QQ).elements == exact
-    p2 = kernel_seed_basis.__wrapped__(GFP2)
+    assert StructurePipeline(QQ).kernel_seed().engine.elements == exact
+    source = StructurePipeline(thetaring.UnitWitness())
+    p2 = StructurePipeline(GFP2, str(tmp_path), source).kernel_seed().engine
     assert p2.field is GFP2 and p2.elements == k0.modulo(GFP2).elements == exact
-    with pytest.raises(DerivationError):
-        kernel_seed_basis.__wrapped__(GFP1)
+    with pytest.raises(DerivationError, match="kernel_seed"):
+        StructurePipeline(GFP1, str(tmp_path), source).kernel_seed()
+    own = StructurePipeline(GFP1).kernel_seed().engine
+    assert own.elements == [to_engine(gens[0], order, GFP1)]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_certify_agrees_with_direct_normal_forms(oracle):
@@ -374,7 +382,7 @@ def test_catalogs_keep_no_oracle():
     default_oracle()
     assert all_relations.__wrapped__() == all_relations()
     assert default_oracle.cache_info().currsize == 0
-    assert kernel_seed_basis(QQ)._buckets is None
+    assert thetaring._kernel_seed_over_q()[0]._buckets is None
 
 
 def test_relation_table_keeps_wide_coefficients():
@@ -582,38 +590,35 @@ def test_m_pair_membership(pipe_p1):
 
 
 def test_kernel_seed_shared_with_oracle():
-    # the p1 pipeline's k0 is the one per-process basis, the projection of
-    # the oracle's k0 over Q
-    k0 = StructurePipeline(GFP1).kernel_seed().engine
-    assert k0 is kernel_seed_basis(GFP1)
-    assert k0.elements == default_oracle().basis.modulo(GFP1).elements
+    # a pipeline over Q, and the exact pass of a dual run, read the
+    # oracle's k0 itself: one engine run over Q per process
+    k0 = default_oracle().basis.elements
+    for field in (QQ, thetaring.UnitWitness()):
+        assert StructurePipeline(field).kernel_seed().engine.elements is k0
 
 
 def test_exact_pass_projection_needs_a_prime_lucky_for_k0(tmp_path, monkeypatch):
     # k0's own run belongs to every stage's chain: with p1 dividing one of
-    # its leads, the colon kernel read from the exact pass raises for p1,
-    # before storing, and reads for p2.  The primes' k0 projections are
-    # cached first, so that kernel_seed_basis's own check cannot raise
-    for field in (GFP1, GFP2):
-        kernel_seed_basis(field)
+    # its leads, k0 read from the exact pass raises for p1, before the
+    # colon kernel is built or stored, and the colon kernel reads for p2
     k0, _ = thetaring._kernel_seed_over_q()
     monkeypatch.setattr(thetaring, "_kernel_seed_over_q", lambda: (k0, groebner.PRIME1))
     exact = StructurePipeline(thetaring.UnitWitness())
-    with pytest.raises(DerivationError, match="total_kernel"):
+    with pytest.raises(DerivationError, match="kernel_seed"):
         StructurePipeline(GFP1, str(tmp_path), exact).total_kernel()
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [] and "total_kernel" not in exact._store
     kernel = StructurePipeline(GFP2, str(tmp_path), exact).total_kernel()
     assert kernel.engine.elements == exact.total_kernel().engine.modulo(GFP2).elements
     assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_generated_needs_the_exact_pass_orbit(pipe_p2):
-    # the exact pass builds the generated module from the orbit of its
-    # first reader, so a prime whose orbit is not the pass's own raises
-    # on a miss, before any engine run
+    # the exact pass runs no orbit: it builds the generated module from
+    # the orbit of its first reader, so a later prime whose orbit is not
+    # that one raises on a miss, before any engine run
     orbit = pipe_p2.orbit_extr_h()
     exact = StructurePipeline(thetaring.UnitWitness())
-    exact._store["orbit"] = orbit[1:]
+    exact._store["generated_orbit"] = [clear_denominator(e, CHI5_EXPS) for e in orbit[1:]]
     pipe = StructurePipeline(GFP2, exact=exact)
     pipe._store.update(orbit=orbit, gradient_span=pipe_p2.gradient_span())
     with pytest.raises(DerivationError, match="orbit over p2147483629"):
